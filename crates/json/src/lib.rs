@@ -10,7 +10,7 @@
 //! configuration file can be changed", Section 2.1), so malformed input
 //! is an expected condition, not a programming error.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Numbers distinguish integers from floats so tuning
 /// values (`Int`) round-trip exactly.
@@ -103,6 +103,12 @@ impl Json {
         }
     }
 
+    /// Append the compact rendering — the bytes `to_string()` returns —
+    /// to `out`, so a caller can frame a value into a buffer it reuses.
+    pub fn render_into(&self, out: &mut String) {
+        self.write(out, None, 0);
+    }
+
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -114,13 +120,15 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
             Json::Float(v) => {
                 if v.is_finite() {
                     // Keep a trailing `.0` so floats re-parse as floats.
-                    let s = format!("{v}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
+                    let start = out.len();
+                    let _ = write!(out, "{v}");
+                    if !out[start..].contains(['.', 'e', 'E']) {
                         out.push_str(".0");
                     }
                 } else {
@@ -179,19 +187,27 @@ fn write_seq(
     out.push(close);
 }
 
+/// Only `"`, `\` and control characters are escaped; everything between
+/// two of them is copied as one run. All three are ASCII, so a run always
+/// ends on a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -274,7 +290,7 @@ impl std::error::Error for JsonError {}
 
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -288,6 +304,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -426,55 +444,48 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash as one
+            // run; both are ASCII, so the run ends on a char boundary.
+            let rest = &self.bytes[self.pos..];
+            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = self.bytes.len();
+                return Err(self.error("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
             match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .and_then(|h| std::str::from_utf8(h).ok())
+                        .ok_or_else(|| self.error("truncated \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| self.error(format!("invalid \\u escape `{hex}`")))?;
+                    // Surrogate pairs are not reconstructed; lone
+                    // surrogates map to the replacement character.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error(format!("invalid \\u escape `{hex}`")))?;
-                            // Surrogate pairs are not reconstructed; lone
-                            // surrogates map to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(self.error(format!(
-                                "invalid escape `\\{}`",
-                                other.map(|b| b as char).unwrap_or('?')
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8 by
-                    // construction from &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("peeked nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                other => {
+                    return Err(self.error(format!(
+                        "invalid escape `\\{}`",
+                        other.map(|b| b as char).unwrap_or('?')
+                    )))
                 }
             }
+            self.pos += 1;
         }
     }
 
@@ -542,13 +553,6 @@ pub mod de {
         v.as_str()
             .map(str::to_string)
             .ok_or_else(|| format!("{what}: field `{key}` must be a string, got {}", v.type_name()))
-    }
-
-    /// Fetch an optional string field: `None` when the field is
-    /// absent or not a string. Used by line protocols where optional
-    /// fields are common and a missing one is not an error.
-    pub fn opt_str_field(obj: &Json, key: &str) -> Option<String> {
-        obj.get(key).and_then(Json::as_str).map(str::to_string)
     }
 
     pub fn i64_field(obj: &Json, key: &str, what: &str) -> Result<i64, String> {
@@ -647,5 +651,139 @@ mod tests {
         assert!(err.contains("integer"), "{err}");
         let err = de::field(&obj, "kind", "tuning parameter").unwrap_err();
         assert!(err.contains("missing required field `kind`"), "{err}");
+    }
+
+    /// The writer as it was before escapes were copied in runs: one
+    /// `char` at a time. Kept as the oracle the run-copying writer must
+    /// match byte for byte.
+    fn write_escaped_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn render_into_appends_what_to_string_returns() {
+        let v = Json::obj()
+            .with("s", "a\"b")
+            .with("f", 2.0)
+            .with("g", -0.125)
+            .with("i", i64::MIN)
+            .with("nan", f64::NAN)
+            .with("xs", vec![1i64, 2]);
+        let mut out = String::from("head:");
+        v.render_into(&mut out);
+        assert_eq!(out, format!("head:{v}"));
+        assert_eq!(
+            v.to_string(),
+            r#"{"s":"a\"b","f":2.0,"g":-0.125,"i":-9223372036854775808,"nan":null,"xs":[1,2]}"#
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_and_escapes_at_run_boundaries_parse() {
+        let cases = [
+            (r#""\u0041\u00e9x\u20ac""#, "Aéx€"),
+            (r#""\n""#, "\n"),
+            (r#""\n\nab\t""#, "\n\nab\t"),
+            (r#""é\\😀\"é""#, "é\\😀\"é"),
+            (r#""\/\b\f\ud800""#, "/\u{8}\u{c}\u{fffd}"),
+            ("\"raw\nnewline\"", "raw\nnewline"),
+            (r#""""#, ""),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+        for (text, message) in [
+            (r#""\u12""#, "truncated"),
+            (r#""\u123é""#, "truncated"),
+            (r#""\uzzzz""#, "invalid \\u escape"),
+            (r#""\q""#, "invalid escape `\\q`"),
+            ("\"abc\\", "invalid escape `\\?`"),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains(message), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn unterminated_string_is_reported_at_end_of_input() {
+        // Where the per-char scanner stopped: one past the last byte,
+        // columns counting bytes.
+        for (text, line, column) in [
+            ("\"abc", 1, 5),
+            ("\"", 1, 2),
+            ("\"é😀", 1, 8),
+            ("{\n  \"k\": \"x\\ny", 2, 13),
+            ("[\"a\nb", 2, 2),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, "unterminated string", "{text:?}");
+            assert_eq!((err.line, err.column), (line, column), "{text:?}");
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Strings made of plain runs and everything that ends a run, so
+        /// that escapes land at the start, at the end and back to back.
+        fn text() -> impl Strategy<Value = String> {
+            let piece = prop_oneof![
+                4 => Just("plain run of text"),
+                2 => Just("x"),
+                2 => Just("\""),
+                2 => Just("\\"),
+                2 => Just("\n"),
+                1 => Just("\r"),
+                1 => Just("\t"),
+                1 => Just("\u{1}"),
+                1 => Just("\u{1f}"),
+                1 => Just("\u{7f}"),
+                1 => Just("/"),
+                1 => Just("\\u0041"),
+                2 => Just("é"),
+                1 => Just("€"),
+                2 => Just("😀"),
+            ];
+            vec(piece, 0..24).prop_map(|pieces| pieces.concat())
+        }
+
+        proptest! {
+            #[test]
+            fn strings_round_trip_and_render_as_the_per_char_writer_did(s in text()) {
+                let rendered = Json::Str(s.clone()).to_string();
+                let mut oracle = String::new();
+                write_escaped_per_char(&mut oracle, &s);
+                prop_assert_eq!(&rendered, &oracle);
+                prop_assert_eq!(parse(&rendered).unwrap(), Json::Str(s.clone()));
+                // As an object key and in the pretty form too.
+                let obj = Json::obj().with(s.clone(), vec![s.clone()]);
+                prop_assert_eq!(parse(&obj.to_string_pretty()).unwrap(), obj);
+            }
+
+            #[test]
+            fn a_string_cut_short_is_unterminated_at_the_same_position(s in text()) {
+                let rendered = Json::Str(s).to_string();
+                // Without its closing quote; and never ending in half an escape.
+                let cut = rendered[..rendered.len() - 1].trim_end_matches('\\');
+                let err = parse(cut).unwrap_err();
+                prop_assert_eq!(err.message.as_str(), "unterminated string");
+                // The rendering has no raw newline: line 1, one column per byte.
+                prop_assert_eq!((err.line, err.column), (1, cut.len() + 1));
+            }
+        }
     }
 }

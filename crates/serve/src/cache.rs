@@ -6,13 +6,20 @@
 //! inserts write through to the spill directory (when configured) so
 //! artifacts survive eviction *and* process restarts — a memory miss
 //! re-reads the spill before declaring a full miss.
+//!
+//! An entry is an [`Artifact`]: the tree and its compact rendering,
+//! rendered once when the entry is made (insert or spill load) and
+//! shared behind an `Arc`. A hit bumps the refcount under the shard
+//! lock and nothing else; no tree is cloned or walked per request.
 
 use crate::JobKind;
 use patty_json::Json;
 use std::collections::HashMap;
+use std::fmt;
+use std::ops::Deref;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Cache geometry. `capacity` is the total in-memory entry bound,
 /// split evenly across shards (each shard keeps at least one entry).
@@ -49,8 +56,44 @@ impl CacheSource {
     }
 }
 
-struct Entry {
+/// A cached result: the tree, for callers that read fields, and the
+/// bytes `value.to_string()` yields, for the wire. Immutable, so the two
+/// cannot drift apart.
+#[derive(Debug, PartialEq)]
+pub struct Artifact {
     value: Json,
+    compact: String,
+}
+
+impl Artifact {
+    fn new(value: Json) -> Artifact {
+        let mut compact = String::new();
+        value.render_into(&mut compact);
+        Artifact { value, compact }
+    }
+
+    /// The compact rendering, made once.
+    pub fn compact(&self) -> &str {
+        &self.compact
+    }
+}
+
+impl Deref for Artifact {
+    type Target = Json;
+
+    fn deref(&self) -> &Json {
+        &self.value
+    }
+}
+
+impl fmt::Display for Artifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.compact)
+    }
+}
+
+struct Entry {
+    artifact: Arc<Artifact>,
     /// Monotonic use stamp; the shard evicts the minimum.
     stamp: u64,
 }
@@ -112,20 +155,26 @@ impl ShardedCache {
     }
 
     /// Look the artifact up, memory first, then the on-disk spill
-    /// (repopulating memory on a disk hit).
-    pub fn get(&self, kind: JobKind, hash: u64) -> Option<(Json, CacheSource)> {
-        {
+    /// (repopulating memory on a disk hit). The shard lock covers the
+    /// map probe, the stamp and one refcount bump.
+    pub fn get(&self, kind: JobKind, hash: u64) -> Option<(Arc<Artifact>, CacheSource)> {
+        let stamp = self.tick();
+        let hit = {
             let mut shard = self.shard(hash).lock().unwrap();
-            if let Some(entry) = shard.map.get_mut(&hash) {
-                entry.stamp = self.tick();
-                self.hits[kind.index()].fetch_add(1, Ordering::Relaxed);
-                return Some((entry.value.clone(), CacheSource::Memory));
-            }
+            shard.map.get_mut(&hash).map(|entry| {
+                entry.stamp = stamp;
+                Arc::clone(&entry.artifact)
+            })
+        };
+        if let Some(artifact) = hit {
+            self.hits[kind.index()].fetch_add(1, Ordering::Relaxed);
+            return Some((artifact, CacheSource::Memory));
         }
         if let Some(value) = self.read_spill(kind, hash) {
             self.disk_hits[kind.index()].fetch_add(1, Ordering::Relaxed);
-            self.admit(hash, value.clone());
-            return Some((value, CacheSource::Disk));
+            let artifact = Arc::new(Artifact::new(value));
+            self.admit(hash, Arc::clone(&artifact));
+            return Some((artifact, CacheSource::Disk));
         }
         self.misses[kind.index()].fetch_add(1, Ordering::Relaxed);
         None
@@ -133,17 +182,19 @@ impl ShardedCache {
 
     /// Insert a freshly computed artifact: write-through to the spill
     /// (if configured), then admit to memory, evicting LRU entries
-    /// past the shard bound.
-    pub fn insert(&self, kind: JobKind, hash: u64, value: &Json) {
+    /// past the shard bound. Returns the entry as cached.
+    pub fn insert(&self, kind: JobKind, hash: u64, value: &Json) -> Arc<Artifact> {
         self.inserts.fetch_add(1, Ordering::Relaxed);
         self.write_spill(kind, hash, value);
-        self.admit(hash, value.clone());
+        let artifact = Arc::new(Artifact::new(value.clone()));
+        self.admit(hash, Arc::clone(&artifact));
+        artifact
     }
 
-    fn admit(&self, hash: u64, value: Json) {
+    fn admit(&self, hash: u64, artifact: Arc<Artifact>) {
         let stamp = self.tick();
         let mut shard = self.shard(hash).lock().unwrap();
-        shard.map.insert(hash, Entry { value, stamp });
+        shard.map.insert(hash, Entry { artifact, stamp });
         while shard.map.len() > self.per_shard_cap {
             let victim = shard
                 .map
@@ -239,11 +290,23 @@ mod tests {
         assert!(cache.get(JobKind::Analyze, h).is_none());
         cache.insert(JobKind::Analyze, h, &artifact(1));
         let (v, src) = cache.get(JobKind::Analyze, h).unwrap();
-        assert_eq!(v, artifact(1));
+        assert_eq!(**v, artifact(1));
         assert_eq!(src, CacheSource::Memory);
         let s = cache.stats();
         assert_eq!(s.hits[JobKind::Analyze.index()], 1);
         assert_eq!(s.misses[JobKind::Analyze.index()], 1);
+    }
+
+    #[test]
+    fn a_hit_hands_out_the_entry_itself_not_a_copy() {
+        let cache = ShardedCache::new(CacheConfig::default());
+        let h = job_hash(JobKind::Tune, "p");
+        let inserted = cache.insert(JobKind::Tune, h, &artifact(7));
+        let (a, _) = cache.get(JobKind::Tune, h).unwrap();
+        let (b, _) = cache.get(JobKind::Tune, h).unwrap();
+        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &inserted));
+        assert_eq!(a.compact(), artifact(7).to_string());
+        assert_eq!(a.to_string(), a.compact());
     }
 
     #[test]
@@ -284,8 +347,13 @@ mod tests {
         cache.insert(JobKind::Trace, h1, &artifact(1));
         cache.insert(JobKind::Trace, h2, &artifact(2)); // evicts h1 from memory
         let (v, src) = cache.get(JobKind::Trace, h1).unwrap();
-        assert_eq!(v, artifact(1));
+        assert_eq!(**v, artifact(1));
         assert_eq!(src, CacheSource::Disk);
+        // Loaded and rendered once: the next hit is that same entry.
+        assert_eq!(v.compact(), artifact(1).to_string());
+        let (again, src) = cache.get(JobKind::Trace, h1).unwrap();
+        assert_eq!(src, CacheSource::Memory);
+        assert!(Arc::ptr_eq(&v, &again));
 
         // A brand-new cache over the same spill dir serves both.
         let fresh = ShardedCache::new(cfg);

@@ -23,8 +23,10 @@
 //!   runtime's `CancelToken` machinery;
 //! - a patty-json line protocol (one request object per line, one
 //!   response object per line) served over TCP or any `BufRead`
-//!   loopback, with jobs executing on the shared
-//!   `patty_runtime::executor` pool;
+//!   loopback by one loop: request lines read as bytes and capped at
+//!   [`MAX_LINE_BYTES`], each response framed with its newline into a
+//!   single write, a hit spliced from the entry's pre-rendered bytes;
+//!   jobs execute on the shared `patty_runtime::executor` pool;
 //! - a live `patty_serve_*` scrape of the whole plane through
 //!   `patty_obs::MetricsRegistry`.
 
@@ -33,12 +35,14 @@ mod cache;
 mod metrics;
 mod protocol;
 mod service;
+mod wire;
 
 pub use admission::{Admission, AdmissionConfig, Permit, Shed};
-pub use cache::{CacheConfig, CacheSource, CacheStats, ShardedCache};
+pub use cache::{Artifact, CacheConfig, CacheSource, CacheStats, ShardedCache};
 pub use metrics::{ServeMetrics, STATS_OP};
 pub use protocol::{error_response, ok_response, parse_request, shed_response, Request};
 pub use service::{JobCtl, JobRunner, ServeConfig, Served, Service};
+pub use wire::MAX_LINE_BYTES;
 
 /// The cacheable job kinds a service accepts. `stats` and `shutdown`
 /// are protocol ops handled by the service itself, not job kinds —

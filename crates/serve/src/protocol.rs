@@ -20,6 +20,7 @@
 //! ```
 
 use patty_json::{de, Json};
+use std::fmt::Write as _;
 
 /// A parsed request line. `id` defaults to 0 when absent so replies
 /// can always echo something.
@@ -32,13 +33,48 @@ pub struct Request {
 
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let v = patty_json::parse(line).map_err(|e| format!("bad request json: {e}"))?;
-    if v.as_obj().is_none() {
-        return Err(format!("request must be a json object, got {}", v.type_name()));
-    }
-    let op = de::str_field(&v, "op", "request")?;
+    let op = match &v {
+        Json::Obj(_) => de::str_field(&v, "op", "request")?,
+        _ => {
+            return Err(format!(
+                "request must be a json object, got {}",
+                v.type_name()
+            ))
+        }
+    };
     let id = v.get("id").and_then(Json::as_i64).unwrap_or(0);
-    let source = de::opt_str_field(&v, "source");
+    // The program text is the bulk of a request: move it out of the
+    // tree (first `source` field, as `Json::get` has it), don't copy it.
+    let source = match v {
+        Json::Obj(fields) => fields.into_iter().find(|(key, _)| key == "source"),
+        _ => None,
+    };
+    let source = match source {
+        Some((_, Json::Str(text))) => Some(text),
+        _ => None,
+    };
     Ok(Request { id, op, source })
+}
+
+/// Append an `ok` response around a result that is already rendered:
+/// the bytes `ok_response(id, op, cached, micros, result).to_string()`
+/// yields, without building or walking a tree. `op` and `cached` are
+/// protocol tokens, never client text, so they need no escaping.
+pub(crate) fn write_ok(
+    out: &mut String,
+    id: i64,
+    op: &'static str,
+    cached: &'static str,
+    micros: u64,
+    result: &str,
+) {
+    let _ = write!(
+        out,
+        "{{\"id\":{id},\"op\":\"{op}\",\"status\":\"ok\",\"cached\":\"{cached}\",\"micros\":{},\"result\":",
+        micros as i64
+    );
+    out.push_str(result);
+    out.push('}');
 }
 
 pub fn ok_response(id: i64, op: &str, cached: &str, micros: u64, result: Json) -> Json {
@@ -108,5 +144,26 @@ mod tests {
         assert!(shed.contains("\"retry_after_ms\":50"));
         let err = error_response(1, "trace", "boom", true);
         assert_eq!(err.get("status").and_then(Json::as_str), Some("deadline"));
+    }
+
+    #[test]
+    fn the_first_source_field_wins_and_a_non_string_is_none() {
+        let req = parse_request(r#"{"op":"tune","source":"a","source":"b"}"#).unwrap();
+        assert_eq!(req.source.as_deref(), Some("a"));
+        let req = parse_request(r#"{"op":"tune","source":7,"source":"b"}"#).unwrap();
+        assert_eq!(req.source, None);
+    }
+
+    #[test]
+    fn spliced_ok_equals_the_tree_rendering() {
+        let result = Json::obj()
+            .with("text", "q\"b\\n\n\u{1}é\u{1F600}")
+            .with("n", -3i64);
+        for (id, micros) in [(0, 0), (-7, 1), (i64::MAX, u64::MAX >> 1)] {
+            let mut out = String::from("kept");
+            write_ok(&mut out, id, "tune", "disk", micros, &result.to_string());
+            let tree = ok_response(id, "tune", "disk", micros, result.clone());
+            assert_eq!(out, format!("kept{tree}"));
+        }
     }
 }

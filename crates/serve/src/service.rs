@@ -3,9 +3,10 @@
 //! the live metrics scrape.
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::cache::{CacheConfig, CacheSource, ShardedCache};
+use crate::cache::{Artifact, CacheConfig, CacheSource, ShardedCache};
 use crate::metrics::{ServeMetrics, OPS, STATS_OP};
-use crate::protocol::{error_response, ok_response, parse_request, shed_response, Request};
+use crate::protocol::{error_response, parse_request, shed_response, write_ok, Request};
+use crate::wire::{Line, LineReader, MAX_LINE_BYTES};
 use crate::{job_hash, JobKind};
 use patty_json::Json;
 use patty_obs::{MetricKind, MetricsRegistry};
@@ -98,19 +99,20 @@ impl Default for ServeConfig {
     }
 }
 
-/// The outcome of one submitted job.
+/// The outcome of one submitted job. A result is the cache's own entry,
+/// shared, with its wire rendering already made.
 #[derive(Clone, Debug)]
 pub enum Served {
     /// Served from the artifact cache.
     Hit {
-        result: Json,
+        result: Arc<Artifact>,
         source: CacheSource,
         micros: u64,
     },
     /// Computed fresh (and now cached).
-    Computed { result: Json, micros: u64 },
+    Computed { result: Arc<Artifact>, micros: u64 },
     /// Coalesced onto an identical in-flight job; shares its result.
-    Coalesced { result: Json, micros: u64 },
+    Coalesced { result: Arc<Artifact>, micros: u64 },
     /// Load-shed by admission control.
     Shed { retry_after_ms: u64 },
     /// The job failed; `deadline` distinguishes budget exhaustion.
@@ -134,7 +136,7 @@ impl Served {
 }
 
 enum FlightResult {
-    Ok(Json),
+    Ok(Arc<Artifact>),
     Shed(u64),
     Fail { error: String, deadline: bool },
 }
@@ -163,7 +165,7 @@ impl Flight {
             if let Some(res) = slot.take() {
                 // Put a clone back for any other waiter.
                 let copy = match &res {
-                    FlightResult::Ok(v) => FlightResult::Ok(v.clone()),
+                    FlightResult::Ok(v) => FlightResult::Ok(Arc::clone(v)),
                     FlightResult::Shed(r) => FlightResult::Shed(*r),
                     FlightResult::Fail { error, deadline } => FlightResult::Fail {
                         error: error.clone(),
@@ -382,7 +384,7 @@ impl<R: JobRunner> Service<R> {
 
         let outcome = self.lead(kind, hash, source, start);
         let flight_result = match &outcome {
-            Served::Computed { result, .. } => FlightResult::Ok(result.clone()),
+            Served::Computed { result, .. } => FlightResult::Ok(Arc::clone(result)),
             Served::Shed { retry_after_ms } => FlightResult::Shed(*retry_after_ms),
             Served::Failed {
                 error, deadline, ..
@@ -424,7 +426,7 @@ impl<R: JobRunner> Service<R> {
         let micros = elapsed_us(start);
         match result {
             Ok(result) => {
-                self.cache.insert(kind, hash, &result);
+                let result = self.cache.insert(kind, hash, &result);
                 self.metrics.record(kind.index(), micros);
                 Served::Computed { result, micros }
             }
@@ -623,91 +625,130 @@ impl<R: JobRunner> Service<R> {
         reg
     }
 
-    /// Handle one request line; returns the response and whether this
-    /// was a shutdown request.
-    pub fn handle_line(&self, line: &str) -> (Json, bool) {
-        match parse_request(line) {
-            Err(e) => (error_response(0, "?", &e, false), false),
-            Ok(req) => self.handle_request(&req),
-        }
+    /// Handle one request line; returns the response (no newline) and
+    /// whether this was a shutdown request.
+    pub fn handle_line(&self, line: &str) -> (String, bool) {
+        let mut out = String::new();
+        let shutdown = self.respond(line, &mut out);
+        (out, shutdown)
     }
 
-    pub fn handle_request(&self, req: &Request) -> (Json, bool) {
-        match req.op.as_str() {
+    /// Append the response to one request line to `out`. A cached or
+    /// computed result is spliced in as the bytes rendered when it
+    /// entered the cache; only the few header fields are formatted here.
+    fn respond(&self, line: &str, out: &mut String) -> bool {
+        let Request { id, op, source } = match parse_request(line) {
+            Ok(req) => req,
+            Err(e) => {
+                error_response(0, "?", &e, false).render_into(out);
+                return false;
+            }
+        };
+        match op.as_str() {
             "stats" => {
                 let start = Instant::now();
                 self.metrics.bump_job(STATS_OP);
-                let reg = self.scrape();
+                let families = self.scrape().to_json_value().to_string();
                 let micros = elapsed_us(start);
                 self.metrics.record(STATS_OP, micros);
-                (
-                    ok_response(req.id, "stats", "live", micros, reg.to_json_value()),
-                    false,
-                )
+                write_ok(out, id, "stats", "live", micros, &families);
             }
             "shutdown" => {
                 self.request_shutdown();
-                (
-                    Json::obj()
-                        .with("id", Json::Int(req.id))
-                        .with("op", Json::Str("shutdown".into()))
-                        .with("status", Json::Str("ok".into())),
-                    true,
-                )
+                Json::obj()
+                    .with("id", Json::Int(id))
+                    .with("op", Json::Str("shutdown".into()))
+                    .with("status", Json::Str("ok".into()))
+                    .render_into(out);
+                return true;
             }
-            op => match JobKind::parse(op) {
-                None => (
-                    error_response(
-                        req.id,
-                        op,
-                        &format!(
-                            "unknown op {op:?} (expected analyze|tune|faultcheck|trace|stats|shutdown)"
-                        ),
-                        false,
-                    ),
-                    false,
-                ),
-                Some(kind) => {
-                    let Some(source) = req.source.as_deref() else {
-                        return (
-                            error_response(req.id, op, "job request missing `source`", false),
-                            false,
-                        );
-                    };
-                    let served = self.submit(kind, source);
-                    let cached = served.cached_tag();
-                    let resp = match served {
-                        Served::Hit { result, micros, .. }
-                        | Served::Computed { result, micros }
-                        | Served::Coalesced { result, micros } => {
-                            ok_response(req.id, op, cached, micros, result)
-                        }
-                        Served::Shed { retry_after_ms } => {
-                            shed_response(req.id, op, retry_after_ms)
-                        }
-                        Served::Failed {
-                            error, deadline, ..
-                        } => error_response(req.id, op, &error, deadline),
-                    };
-                    (resp, false)
+            _ => {
+                let Some(kind) = JobKind::parse(&op) else {
+                    let error = format!(
+                        "unknown op {op:?} (expected analyze|tune|faultcheck|trace|stats|shutdown)"
+                    );
+                    error_response(id, &op, &error, false).render_into(out);
+                    return false;
+                };
+                let Some(source) = source else {
+                    error_response(id, &op, "job request missing `source`", false).render_into(out);
+                    return false;
+                };
+                let served = self.submit(kind, &source);
+                let cached = served.cached_tag();
+                match served {
+                    Served::Hit { result, micros, .. }
+                    | Served::Computed { result, micros }
+                    | Served::Coalesced { result, micros } => {
+                        write_ok(out, id, kind.as_str(), cached, micros, result.compact())
+                    }
+                    Served::Shed { retry_after_ms } => {
+                        shed_response(id, &op, retry_after_ms).render_into(out)
+                    }
+                    Served::Failed {
+                        error, deadline, ..
+                    } => error_response(id, &op, &error, deadline).render_into(out),
                 }
-            },
+            }
         }
+        false
     }
 
-    /// Serve the line protocol sequentially from any reader/writer
-    /// pair — the `--stdin` loopback and the smoke tests.
+    /// Answer one request line as one frame: the response and its
+    /// newline go out in a single `write`, so that on a socket they are
+    /// one segment and never wait for the peer's delayed ACK. `frame` is
+    /// the connection's reused buffer. Returns whether this was a
+    /// shutdown request.
+    fn answer<W: Write>(
+        &self,
+        line: Line<'_>,
+        frame: &mut String,
+        out: &mut W,
+    ) -> io::Result<bool> {
+        frame.clear();
+        let reject = |frame: &mut String, why: &str| {
+            error_response(0, "?", why, false).render_into(frame);
+            false
+        };
+        let shutdown = match line {
+            Line::Complete(bytes) => match std::str::from_utf8(bytes.trim_ascii()) {
+                Ok("") => return Ok(false),
+                Ok(text) => self.respond(text, frame),
+                Err(_) => reject(frame, "request line is not valid UTF-8"),
+            },
+            Line::TooLong => reject(
+                frame,
+                &format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            ),
+        };
+        frame.push('\n');
+        out.write_all(frame.as_bytes())?;
+        out.flush()?;
+        Ok(shutdown)
+    }
+
+    /// Serve the line protocol from any reader/writer pair until end of
+    /// input or shutdown — the `--stdin` transport, and each TCP
+    /// connection. A reader that times out (a socket with a read
+    /// timeout) is polled again, which is how an idle connection
+    /// notices shutdown; the partial line read so far is kept.
     pub fn serve_lines<Rd: BufRead, W: Write>(&self, reader: Rd, mut out: W) -> io::Result<()> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let (resp, shutdown) = self.handle_line(line.trim());
-            writeln!(out, "{resp}")?;
-            out.flush()?;
-            if shutdown || self.shutdown_requested() {
-                break;
+        let mut lines = LineReader::new(reader);
+        let mut frame = String::new();
+        while !self.shutdown_requested() {
+            match lines.next_line() {
+                Ok(Some(line)) => {
+                    if self.answer(line, &mut frame, &mut out)? {
+                        break;
+                    }
+                }
+                Ok(None) => break,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -739,39 +780,34 @@ impl<R: JobRunner> Service<R> {
     }
 
     fn serve_conn(&self, stream: TcpStream) -> io::Result<()> {
-        // A short read timeout lets the handler notice shutdown while
-        // idle; partial lines accumulate across timeouts.
-        stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let mut out = stream;
-        let mut line = String::new();
-        loop {
-            if self.shutdown_requested() {
-                return Ok(());
-            }
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // client hung up
-                Ok(_) => {
-                    if !line.trim().is_empty() {
-                        let (resp, shutdown) = self.handle_line(line.trim());
-                        writeln!(out, "{resp}")?;
-                        out.flush()?;
-                        if shutdown {
-                            return Ok(());
-                        }
-                    }
-                    line.clear();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        configure_conn(&stream)?;
+        self.serve_lines(BufReader::new(stream.try_clone()?), stream)
+    }
+}
+
+/// Socket options of an accepted connection. `TCP_NODELAY`: a response
+/// is one small write and must leave at once. The short read timeout
+/// lets an idle connection notice shutdown.
+fn configure_conn(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(Duration::from_millis(100)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_accepted_connection_has_nodelay_and_a_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(
+            !accepted.nodelay().unwrap(),
+            "the OS default, or this test shows nothing"
+        );
+        configure_conn(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert!(accepted.read_timeout().unwrap().is_some());
     }
 }

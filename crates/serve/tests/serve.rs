@@ -1,12 +1,15 @@
 //! Service-level integration tests: cache round-trips, single-flight
 //! coalescing, deadline enforcement, load-shed, the line-protocol
-//! loopback, and a full TCP round-trip with clean shutdown.
+//! loopback, a full TCP round-trip with clean shutdown, the wire
+//! contract (one write per response, pipelining, lines split anywhere,
+//! hostile lines) and the byte identity of spliced responses.
 
 use patty_json::Json;
 use patty_serve::{
-    AdmissionConfig, CacheConfig, JobCtl, JobKind, ServeConfig, Served, Service,
+    ok_response, AdmissionConfig, CacheConfig, JobCtl, JobKind, ServeConfig, Served, Service,
+    MAX_LINE_BYTES,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -99,12 +102,18 @@ fn identical_inflight_jobs_coalesce_onto_one_computation() {
 
 #[test]
 fn watchdog_cancels_a_job_past_its_deadline() {
-    let calls = Arc::new(AtomicU64::new(0));
     let mut cfg = quick_config();
     cfg.job_deadline = Duration::from_millis(60);
-    // The job wants 10 s; the watchdog must cancel it far earlier.
+    // The job never looks at the clock, only at its token: nothing but
+    // the watchdog can end it. (A job polling `checkpoint()` may see
+    // its budget at zero an instant before the watchdog fires.)
     let svc = Service::new(
-        counting_runner(Arc::clone(&calls), Duration::from_secs(10)),
+        |_: JobKind, _: &str, ctl: &JobCtl| -> Result<Json, String> {
+            while !ctl.cancel_token().is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err("cancelled".into())
+        },
         cfg,
     );
     let t = std::time::Instant::now();
@@ -267,4 +276,293 @@ fn tcp_server_round_trips_and_shuts_down_cleanly() {
 
     server.join().unwrap().unwrap();
     assert!(svc.shutdown_requested());
+}
+
+/// Counts `write` calls and keeps what each carried.
+#[derive(Default)]
+struct CountingWriter {
+    writes: Vec<Vec<u8>>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A reader that hands out its chunks one `read` at a time and times
+/// out before each — a socket under `set_read_timeout` whose peer sends
+/// a request in several segments.
+struct Trickle {
+    chunks: Vec<Vec<u8>>,
+    next: usize,
+    timed_out: bool,
+}
+
+impl Trickle {
+    fn new(chunks: Vec<Vec<u8>>) -> BufReader<Trickle> {
+        BufReader::new(Trickle {
+            chunks,
+            next: 0,
+            timed_out: false,
+        })
+    }
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !std::mem::replace(&mut self.timed_out, true) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.timed_out = false;
+        let Some(chunk) = self.chunks.get(self.next) else {
+            return Ok(0);
+        };
+        self.next += 1;
+        buf[..chunk.len()].copy_from_slice(chunk);
+        Ok(chunk.len())
+    }
+}
+
+fn parsed(bytes: &[u8]) -> Json {
+    patty_json::parse(std::str::from_utf8(bytes).unwrap().trim_end()).unwrap()
+}
+
+/// Every response — computed, hit, error, stats, shutdown — is handed to
+/// the transport as one `write` that ends in its newline. `serve_lines`
+/// is the `--stdin` transport and, over the socket, each TCP connection.
+#[test]
+fn each_response_is_one_write_ending_in_a_newline() {
+    let calls = Arc::new(AtomicU64::new(0));
+    let svc = Service::new(counting_runner(calls, Duration::ZERO), quick_config());
+    let input = "\
+{\"id\":1,\"op\":\"tune\",\"source\":\"x = 1\"}\n\
+\n\
+{\"id\":2,\"op\":\"tune\",\"source\":\"x = 1\"}\r\n\
+{\"id\":3,\"op\":\"tune\"}\n\
+not json\n\
+{\"id\":5,\"op\":\"stats\"}\n\
+{\"id\":6,\"op\":\"shutdown\"}\n";
+    let mut out = CountingWriter::default();
+    svc.serve_lines(input.as_bytes(), &mut out).unwrap();
+    assert_eq!(
+        out.writes.len(),
+        6,
+        "one write per answered line, none for the blank one"
+    );
+    for (write, id) in out.writes.iter().zip([1, 2, 3, 0, 5, 6]) {
+        assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
+        assert_eq!(write.last(), Some(&b'\n'));
+        assert_eq!(parsed(write).get("id").and_then(Json::as_i64), Some(id));
+    }
+    assert_eq!(
+        parsed(&out.writes[1]).get("cached").and_then(Json::as_str),
+        Some("memory")
+    );
+}
+
+/// A request that arrives in two pieces, cut inside a multi-byte
+/// character, with a read timeout between them.
+#[test]
+fn a_request_split_inside_a_character_is_answered_whole() {
+    let calls = Arc::new(AtomicU64::new(0));
+    let svc = Service::new(counting_runner(calls, Duration::ZERO), quick_config());
+    let source = "s = \"héllo\"";
+    let line = format!(
+        "{}\n",
+        Json::obj()
+            .with("id", 9i64)
+            .with("op", "analyze")
+            .with("source", source)
+    );
+    let cut = line.find('é').unwrap() + 1;
+    assert!(!line.is_char_boundary(cut));
+    let (head, tail) = line.as_bytes().split_at(cut);
+    let mut out = CountingWriter::default();
+    svc.serve_lines(Trickle::new(vec![head.to_vec(), tail.to_vec()]), &mut out)
+        .unwrap();
+    assert_eq!(out.writes.len(), 1);
+    let resp = parsed(&out.writes[0]);
+    assert_eq!(
+        resp.get("status").and_then(Json::as_str),
+        Some("ok"),
+        "{resp}"
+    );
+    let len = resp
+        .get("result")
+        .and_then(|r| r.get("len"))
+        .and_then(Json::as_i64);
+    assert_eq!(
+        len,
+        Some(source.len() as i64),
+        "every byte of the source arrived"
+    );
+}
+
+#[test]
+fn hostile_lines_get_structured_errors_and_the_connection_keeps_serving() {
+    let calls = Arc::new(AtomicU64::new(0));
+    let svc = Service::new(counting_runner(calls, Duration::ZERO), quick_config());
+    let mut input = vec![b'{'; 2 * MAX_LINE_BYTES];
+    input.extend_from_slice(b"\n{\"id\":1,\"op\":\"analyze\",\"source\":\"a\"}\n");
+    input.extend_from_slice(b"{\"id\":2,\"op\":\"analyze\",\"source\":\"\xff\xfe\"}\n");
+    input.extend_from_slice(b"{\"id\":3,\"op\":\"analyze\",\"source\":\"a\"}\n");
+    let mut out = CountingWriter::default();
+    svc.serve_lines(&input[..], &mut out).unwrap();
+    let resp: Vec<Json> = out.writes.iter().map(|w| parsed(w)).collect();
+    assert_eq!(resp.len(), 4);
+    let field = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).map(str::to_string);
+    assert_eq!(field(&resp[0], "status").as_deref(), Some("error"));
+    assert_eq!(
+        field(&resp[0], "error"),
+        Some(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+    );
+    assert_eq!(field(&resp[1], "cached").as_deref(), Some("no"));
+    assert_eq!(field(&resp[2], "status").as_deref(), Some("error"));
+    assert_eq!(
+        field(&resp[2], "error").as_deref(),
+        Some("request line is not valid UTF-8")
+    );
+    assert_eq!(field(&resp[3], "cached").as_deref(), Some("memory"));
+}
+
+/// Run `client` against a service on a loopback listener, then shut
+/// the service down and join it.
+fn with_tcp_service(client: impl FnOnce(TcpStream)) {
+    let calls = Arc::new(AtomicU64::new(0));
+    let mut cfg = quick_config();
+    cfg.use_executor = true;
+    let svc = Arc::new(Service::new(counting_runner(calls, Duration::ZERO), cfg));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || svc.serve_tcp(listener))
+    };
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    client(stream);
+    svc.request_shutdown();
+    server.join().unwrap().unwrap();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    with_tcp_service(|mut stream| {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let batch = "\
+{\"id\":11,\"op\":\"trace\",\"source\":\"one\"}\n\
+{\"id\":12,\"op\":\"nonsense\"}\n\
+{\"id\":13,\"op\":\"trace\",\"source\":\"one\"}\n";
+        stream.write_all(batch.as_bytes()).unwrap();
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let resp = patty_json::parse(line.trim_end()).unwrap();
+            seen.push((
+                resp.get("id").and_then(Json::as_i64).unwrap(),
+                resp.get("status").and_then(Json::as_str).unwrap().to_string(),
+            ));
+        }
+        let want = [(11, "ok"), (12, "error"), (13, "ok")].map(|(id, s)| (id, s.to_string()));
+        assert_eq!(seen, want);
+    });
+}
+
+/// The same split as above over a real socket: the pause outlasts the
+/// server's read timeout, so the first segment is read, and kept, alone.
+#[test]
+fn a_request_sent_as_two_segments_over_tcp_is_answered_whole() {
+    with_tcp_service(|mut stream| {
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let line = "{\"id\":21,\"op\":\"analyze\",\"source\":\"naïve\"}\n";
+        let cut = line.find('ï').unwrap() + 1;
+        stream.write_all(&line.as_bytes()[..cut]).unwrap();
+        std::thread::sleep(Duration::from_millis(250));
+        stream.write_all(&line.as_bytes()[cut..]).unwrap();
+        let mut resp = String::new();
+        reader.read_line(&mut resp).unwrap();
+        let resp = patty_json::parse(resp.trim_end()).unwrap();
+        assert_eq!(resp.get("id").and_then(Json::as_i64), Some(21), "{resp}");
+        assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"), "{resp}");
+        let len = resp.get("result").and_then(|r| r.get("len")).and_then(Json::as_i64);
+        assert_eq!(len, Some("naïve".len() as i64));
+    });
+}
+
+/// A result with everything the string writer escapes, and text it
+/// must pass through untouched.
+fn awkward_artifact(kind: JobKind, source: &str) -> Json {
+    Json::obj()
+        .with("kind", kind.as_str())
+        .with(
+            "text",
+            "quote \" backslash \\ newline \n control \u{1} tab \t é € 😀",
+        )
+        .with(
+            "key \"\\\n",
+            vec![Json::Float(0.5), Json::Null, Json::Int(-1)],
+        )
+        .with("source", source)
+}
+
+/// The response a hit is spliced into equals the one rendered from a
+/// tree, byte for byte, for every job kind and from each place a result
+/// can come from: computed, memory, disk.
+#[test]
+fn spliced_responses_equal_the_tree_rendering_byte_for_byte() {
+    let dir = std::env::temp_dir().join(format!("patty-serve-splice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut cfg = quick_config();
+    // One slot: the second program evicts the first, whose next
+    // request then comes back from the spill.
+    cfg.cache = CacheConfig {
+        shards: 1,
+        capacity: 1,
+        spill_dir: Some(dir.clone()),
+    };
+    let svc = Service::new(
+        |kind: JobKind, source: &str, _: &JobCtl| Ok(awkward_artifact(kind, source)),
+        cfg,
+    );
+    let mut id = 0;
+    for kind in JobKind::ALL {
+        let a = format!("{} a \"é\"", kind.as_str());
+        for (source, cached) in [
+            (a.as_str(), "no"),
+            (&a, "memory"),
+            ("b", "no"),
+            (&a, "disk"),
+        ] {
+            id += 1;
+            let request = Json::obj()
+                .with("id", id)
+                .with("op", kind.as_str())
+                .with("source", source);
+            let (line, shutdown) = svc.handle_line(&request.to_string());
+            assert!(!shutdown);
+            let resp = patty_json::parse(&line).unwrap();
+            assert_eq!(
+                resp.get("cached").and_then(Json::as_str),
+                Some(cached),
+                "{line}"
+            );
+            let micros = resp.get("micros").and_then(Json::as_i64).unwrap() as u64;
+            let tree = ok_response(
+                id,
+                kind.as_str(),
+                cached,
+                micros,
+                awkward_artifact(kind, source),
+            );
+            assert_eq!(line, tree.to_string());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
