@@ -18,9 +18,12 @@
 //! in-flight stage invocations finish.
 
 use patty_telemetry::{Counter, Telemetry};
+use patty_trace::WorkerTracer;
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A cheaply cloneable cancellation flag shared by every worker of a run
 /// (and, if the caller wishes, by several runs). Once cancelled it stays
@@ -41,6 +44,7 @@ impl CancelToken {
         self.flag.store(true, Ordering::Release);
     }
 
+    #[inline]
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
@@ -109,6 +113,21 @@ impl RunOptions {
     pub fn with_cancel(mut self, cancel: CancelToken) -> RunOptions {
         self.cancel = cancel;
         self
+    }
+
+    /// The whole-run limits every engine checks between invocations: the
+    /// cancellation token, then the deadline of a run begun at `started`.
+    #[inline]
+    pub(crate) fn check(&self, started: Instant) -> Result<(), RuntimeError> {
+        if self.cancel.is_cancelled() {
+            return Err(RuntimeError::Cancelled);
+        }
+        match self.deadline {
+            Some(budget) if started.elapsed() > budget => {
+                Err(RuntimeError::DeadlineExceeded { budget })
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -193,7 +212,6 @@ pub fn panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
 /// The `fault.*` counter family every `run_checked` registers, so a
 /// profiled run's report enumerates the recovery surface even when no
 /// fault fired. Inert (no allocation) on a disabled telemetry handle.
-#[derive(Clone)]
 pub(crate) struct FaultCounters {
     /// Worker panics converted into structured errors.
     pub panics_caught: Counter,
@@ -228,13 +246,131 @@ impl FaultCounters {
     }
 
     /// Bump the counter matching a terminal error.
-    pub(crate) fn observe(&self, err: &RuntimeError) {
+    fn observe(&self, err: &RuntimeError) {
         match err {
             RuntimeError::StagePanicked { .. } => {} // counted at catch site
             RuntimeError::DeadlineExceeded { .. }
             | RuntimeError::StageDeadlineExceeded { .. } => self.deadline_aborts.incr(),
             RuntimeError::Cancelled => self.cancellations.incr(),
         }
+    }
+
+    /// Account for a failed attempt and apply the failure policy: `Ok`
+    /// means the caller goes on to its sequential fallback (counted
+    /// here), `Err` hands the error back as the run's result.
+    pub(crate) fn recover(&self, error: RuntimeError, opts: &RunOptions) -> Result<(), RuntimeError> {
+        self.observe(&error);
+        if opts.on_failure != FailurePolicy::FallbackSequential || !error.recoverable() {
+            return Err(error);
+        }
+        self.fallbacks.incr();
+        Ok(())
+    }
+}
+
+/// The one guarded invocation under all three patterns: a stage body runs
+/// under `catch_unwind` and the per-invocation deadline, and a failure
+/// comes back as the structured error naming the stage and the exact
+/// item. Built once per worker; every engine, in-place loop and fallback
+/// pass calls its bodies through one of these: [`Guard::invoke`] per item,
+/// [`Guard::invoke_traced`] where the loop also traces per item, and
+/// [`Guard::catch`] + [`Guard::timed`] where one guard spans a chunk.
+pub(crate) struct Guard<'a> {
+    stage: &'a str,
+    stage_deadline: Option<Duration>,
+    counters: &'a FaultCounters,
+    wt: &'a WorkerTracer,
+    /// Compute time of the traced invocations so far: the busy share a
+    /// worker's idle tail subtracts from its wall time.
+    pub(crate) busy_ns: Cell<u64>,
+}
+
+impl<'a> Guard<'a> {
+    pub(crate) fn new(
+        stage: &'a str,
+        stage_deadline: Option<Duration>,
+        counters: &'a FaultCounters,
+        wt: &'a WorkerTracer,
+    ) -> Guard<'a> {
+        Guard { stage, stage_deadline, counters, wt, busy_ns: Cell::new(0) }
+    }
+
+    /// A body panicked on item `seq`: leave a `FaultCaught` event on the
+    /// worker's lane, count it, and name stage, item and payload.
+    fn panicked(&self, seq: u64, payload: Box<dyn std::any::Any + Send>) -> RuntimeError {
+        self.wt.fault(seq);
+        self.counters.panics_caught.incr();
+        RuntimeError::StagePanicked {
+            stage: self.stage.to_string(),
+            item_seq: Some(seq),
+            payload: panic_payload(payload.as_ref()),
+        }
+    }
+
+    /// The per-invocation deadline, for a body invoked at `invoked`
+    /// (`None` when no budget is set). Cooperative: an overrun is seen
+    /// once the body has returned.
+    #[inline]
+    fn within_budget(&self, seq: u64, invoked: Option<Instant>) -> Result<(), RuntimeError> {
+        if let (Some(budget), Some(invoked)) = (self.stage_deadline, invoked) {
+            let elapsed = invoked.elapsed();
+            if elapsed > budget {
+                return Err(RuntimeError::StageDeadlineExceeded {
+                    stage: self.stage.to_string(),
+                    item_seq: Some(seq),
+                    elapsed,
+                    budget,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Run `f` as the one invocation on item `seq`: a panic and, if the
+    /// body returns, an overrun of the per-invocation deadline come back
+    /// as the structured error.
+    #[inline]
+    pub(crate) fn invoke<R>(&self, seq: u64, f: impl FnOnce() -> R) -> Result<R, RuntimeError> {
+        let invoked = self.stage_deadline.map(|_| Instant::now());
+        match catch_unwind(AssertUnwindSafe(f)) {
+            Ok(out) => self.within_budget(seq, invoked).map(|()| out),
+            Err(payload) => Err(self.panicked(seq, payload)),
+        }
+    }
+
+    /// The chunk form: one `catch_unwind` around a body that runs many
+    /// consecutive items, advancing `seq` as it goes and timing each with
+    /// [`Guard::timed`], so a panic still names the exact item.
+    pub(crate) fn catch(
+        &self,
+        seq: &Cell<u64>,
+        f: impl FnOnce() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        catch_unwind(AssertUnwindSafe(f))
+            .unwrap_or_else(|payload| Err(self.panicked(seq.get(), payload)))
+    }
+
+    /// One item of a [`Guard::catch`] body against the per-invocation
+    /// deadline.
+    #[inline]
+    pub(crate) fn timed(&self, seq: u64, f: impl FnOnce()) -> Result<(), RuntimeError> {
+        let invoked = self.stage_deadline.map(|_| Instant::now());
+        f();
+        self.within_budget(seq, invoked)
+    }
+
+    /// [`Guard::invoke`] bracketed by this item's own `ItemStart` /
+    /// `ItemEnd` events, for the loops that trace per item. The end event
+    /// is recorded whenever the body returned, overrun or not.
+    #[inline]
+    pub(crate) fn invoke_traced<R>(&self, seq: u64, f: impl FnOnce() -> R) -> Result<R, RuntimeError> {
+        self.invoke(seq, || {
+            let started = self.wt.item_start(seq);
+            let out = f();
+            let ended = self.wt.item_end(seq, started);
+            self.busy_ns.set(self.busy_ns.get() + ended.since(started));
+            out
+        })
     }
 }
 
@@ -249,7 +385,7 @@ impl ErrorSlot {
     }
 
     /// Record `err` if no earlier error exists; returns whether it won.
-    pub(crate) fn set(&self, err: RuntimeError) -> bool {
+    fn set(&self, err: RuntimeError) -> bool {
         let mut slot = self.slot.lock();
         if slot.is_none() {
             *slot = Some(err);
@@ -259,8 +395,19 @@ impl ErrorSlot {
         }
     }
 
-    pub(crate) fn take(&self) -> Option<RuntimeError> {
-        self.slot.lock().take()
+    /// A worker failed: record `err`, then tell its siblings to drain.
+    /// The error is stored before the token flips, so a sibling that
+    /// reports the resulting cancellation can never win the slot.
+    pub(crate) fn fail(&self, err: RuntimeError, cancel: &CancelToken) {
+        self.set(err);
+        cancel.cancel();
+    }
+
+    /// The run's terminal error once every worker has joined: the first
+    /// recorded failure, else an external cancellation, else none.
+    pub(crate) fn finish(&self, cancel: &CancelToken) -> Option<RuntimeError> {
+        let first = self.slot.lock().take();
+        first.or_else(|| cancel.is_cancelled().then_some(RuntimeError::Cancelled))
     }
 }
 
@@ -284,8 +431,11 @@ mod tests {
         let slot = ErrorSlot::new();
         assert!(slot.set(RuntimeError::Cancelled));
         assert!(!slot.set(RuntimeError::DeadlineExceeded { budget: Duration::from_secs(1) }));
-        assert_eq!(slot.take(), Some(RuntimeError::Cancelled));
-        assert_eq!(slot.take(), None);
+        let token = CancelToken::new();
+        assert_eq!(slot.finish(&token), Some(RuntimeError::Cancelled));
+        assert_eq!(slot.finish(&token), None);
+        token.cancel();
+        assert_eq!(slot.finish(&token), Some(RuntimeError::Cancelled));
     }
 
     #[test]

@@ -7,12 +7,9 @@
 //! stream element run in parallel).
 
 use crate::executor::{Executor, SpawnMode};
-use crate::fault::{
-    panic_payload, ErrorSlot, FailurePolicy, FaultCounters, RunOptions, RuntimeError,
-};
+use crate::fault::{ErrorSlot, FailurePolicy, FaultCounters, Guard, RunOptions, RuntimeError};
 use patty_telemetry::Telemetry;
-use patty_trace::{Tracer, WorkerTracer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use patty_trace::Tracer;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,9 +76,9 @@ impl MasterWorker {
 
     /// Apply `task` to every item; results come back in item order.
     ///
-    /// Infallible legacy entry point: a panicking task re-panics on the
-    /// calling thread after every worker has joined (no leaked threads).
-    /// Use [`MasterWorker::run_checked`] for structured errors.
+    /// Infallible entry point: a panicking task re-panics on the calling
+    /// thread after every worker has joined (no leaked threads), with the
+    /// message of the error [`MasterWorker::run_checked`] returns.
     pub fn run<I, O, F>(&self, items: Vec<I>, task: F) -> Vec<O>
     where
         I: Send,
@@ -125,42 +122,22 @@ impl MasterWorker {
                 .map(|slot| slot.expect("worker filled every slot"))
                 .collect());
         };
-        counters.observe(&error);
-        let Some(orig) = backup.filter(|_| error.recoverable()) else {
-            return Err(error);
-        };
+        counters.recover(error, opts)?;
         // Graceful degradation: recompute only the missing slots.
-        counters.fallbacks.incr();
+        let orig = backup.expect("the fallback policy kept a copy of the input");
         let item_counter = self.telemetry.counter("masterworker.items");
         let wt = self.tracer.worker(self.tracer.stage("masterworker"), 0);
-        let mut out = Vec::with_capacity(results.len());
-        for (idx, (slot, item)) in results.into_iter().zip(orig).enumerate() {
-            match slot {
-                Some(v) => out.push(v),
-                None => {
-                    counters.items_retried.incr();
-                    let task = &task;
-                    let trace_start = wt.item_start(idx as u64);
-                    match catch_unwind(AssertUnwindSafe(move || task(item))) {
-                        Ok(v) => {
-                            wt.item_end(idx as u64, trace_start);
-                            item_counter.incr();
-                            out.push(v);
-                        }
-                        Err(payload) => {
-                            wt.fault(idx as u64);
-                            counters.panics_caught.incr();
-                            return Err(RuntimeError::StagePanicked {
-                                stage: "masterworker".to_string(),
-                                item_seq: Some(idx as u64),
-                                payload: panic_payload(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
+        let guard = Guard::new("masterworker", None, &counters, &wt);
+        let recompute = |(idx, (slot, item)): (usize, (Option<O>, I))| match slot {
+            Some(done) => Ok(done),
+            None => {
+                counters.items_retried.incr();
+                let out = guard.invoke_traced(idx as u64, || task(item))?;
+                item_counter.incr();
+                Ok(out)
             }
-        }
-        Ok(out)
+        };
+        results.into_iter().zip(orig).enumerate().map(recompute).collect()
     }
 
     /// One execution attempt: per-index results (`None` where no output
@@ -184,30 +161,23 @@ impl MasterWorker {
         let started = Instant::now();
         if self.sequential || self.workers <= 1 || n <= 1 {
             let wt = self.tracer.worker(stage_id, 0);
+            let guard = Guard::new("masterworker", opts.stage_deadline, counters, &wt);
             let mut results: Vec<Option<O>> = (0..n).map(|_| None).collect();
             for (idx, item) in items.into_iter().enumerate() {
-                if opts.cancel.is_cancelled() {
-                    return (results, Some(RuntimeError::Cancelled));
-                }
-                if let Some(budget) = opts.deadline {
-                    if started.elapsed() > budget {
-                        return (results, Some(RuntimeError::DeadlineExceeded { budget }));
-                    }
-                }
-                match run_one_item(task, item, idx, opts, counters, "masterworker", &wt) {
+                let ran = opts
+                    .check(started)
+                    .and_then(|()| guard.invoke_traced(idx as u64, || task(item)));
+                match ran {
                     Ok(out) => {
                         item_counter.incr();
                         results[idx] = Some(out);
                     }
-                    Err(err) => return (results, Some(err)),
+                    Err(error) => return (results, Some(error)),
                 }
             }
             return (results, None);
         }
         let errors = ErrorSlot::new();
-        let cancel = opts.cancel.clone();
-        let task = &task;
-        let item_counter = &item_counter;
         // Item slots: each worker claims the next index atomically.
         let slots: Vec<parking_lot::Mutex<Option<I>>> =
             items.into_iter().map(|i| parking_lot::Mutex::new(Some(i))).collect();
@@ -215,55 +185,40 @@ impl MasterWorker {
             (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
         Executor::global().scope(self.spawn_mode, |scope| {
-            let slots = &slots;
-            let results = &results;
-            let next = &next;
-            let errors = &errors;
             for worker in 0..self.workers.min(n) {
-                let cancel = cancel.clone();
+                let (slots, results, next, errors) = (&slots, &results, &next, &errors);
+                let item_counter = &item_counter;
                 let wt = self.tracer.worker(stage_id, worker);
                 scope.spawn(move || {
+                    let guard = Guard::new("masterworker", opts.stage_deadline, counters, &wt);
                     let run_start = wt.tick();
-                    let mut busy_ns = 0u64;
                     let mut items_done = 0u64;
                     loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        if let Some(budget) = opts.deadline {
-                            if started.elapsed() > budget {
-                                errors.set(RuntimeError::DeadlineExceeded { budget });
-                                cancel.cancel();
-                                break;
-                            }
-                        }
                         let idx = next.fetch_add(1, Ordering::Relaxed);
                         if idx >= n {
                             break;
                         }
                         let item = slots[idx].lock().take().expect("each slot claimed once");
-                        let before = wt.tick();
-                        match run_one_item(task, item, idx, opts, counters, "masterworker", &wt) {
+                        let ran = opts
+                            .check(started)
+                            .and_then(|()| guard.invoke_traced(idx as u64, || task(item)));
+                        match ran {
                             Ok(out) => {
-                                busy_ns += wt.tick().since(before);
                                 items_done += 1;
                                 item_counter.incr();
                                 *results[idx].lock() = Some(out);
                             }
-                            Err(err) => {
-                                errors.set(err);
-                                cancel.cancel();
+                            Err(error) => {
+                                errors.fail(error, &opts.cancel);
                                 break;
                             }
                         }
                     }
-                    wt.worker_idle(run_start, busy_ns, items_done);
+                    wt.worker_idle(run_start, guard.busy_ns.get(), items_done);
                 });
             }
         });
-        let error = errors
-            .take()
-            .or_else(|| cancel.is_cancelled().then_some(RuntimeError::Cancelled));
+        let error = errors.finish(&opts.cancel);
         (results.into_iter().map(|m| m.into_inner()).collect(), error)
     }
 
@@ -271,56 +226,16 @@ impl MasterWorker {
     /// results in declaration order — the `(A || B || C)` group applied to
     /// one stream element.
     ///
-    /// Infallible legacy entry point: a panicking task re-raises its
-    /// original payload on the calling thread after every sibling joined.
+    /// Infallible entry point: after every sibling has joined, the first
+    /// panic in declaration order re-panics on the calling thread with
+    /// the message of the error [`MasterWorker::join_all_checked`] returns.
     pub fn join_all<O, F>(&self, tasks: Vec<F>) -> Vec<O>
     where
         O: Send,
         F: FnOnce() -> O + Send,
     {
-        self.telemetry.add("masterworker.tasks", tasks.len() as u64);
-        let stage_id = self.tracer.stage("masterworker");
-        if self.sequential || self.workers <= 1 || tasks.len() <= 1 {
-            let wt = self.tracer.worker(stage_id, 0);
-            return tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| {
-                    let trace_start = wt.item_start(i as u64);
-                    let v = t();
-                    wt.item_end(i as u64, trace_start);
-                    v
-                })
-                .collect();
-        }
-        // Pool workers have no join handle, so each task parks its
-        // result (or caught panic payload) in a per-task slot; the
-        // scope guarantees every slot is filled before it returns.
-        let results: Vec<parking_lot::Mutex<Option<std::thread::Result<O>>>> =
-            (0..tasks.len()).map(|_| parking_lot::Mutex::new(None)).collect();
-        Executor::global().scope(self.spawn_mode, |scope| {
-            let results = &results;
-            for (i, t) in tasks.into_iter().enumerate() {
-                let wt = self.tracer.worker(stage_id, i);
-                scope.spawn(move || {
-                    let trace_start = wt.item_start(i as u64);
-                    let r = catch_unwind(AssertUnwindSafe(t));
-                    if r.is_ok() {
-                        wt.item_end(i as u64, trace_start);
-                    }
-                    *results[i].lock() = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| match m.into_inner().expect("scope filled every slot") {
-                Ok(v) => v,
-                // Re-raise the first panic in declaration order, like
-                // joining handles in spawn order did.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+        self.join_all_checked(tasks, &RunOptions::default())
+            .unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// [`MasterWorker::join_all`] with panic isolation: every task runs to
@@ -344,107 +259,29 @@ impl MasterWorker {
             return Err(RuntimeError::Cancelled);
         }
         let stage_id = self.tracer.stage("masterworker");
-        let raw: Vec<Result<O, RuntimeError>> =
-            if self.sequential || self.workers <= 1 || tasks.len() <= 1 {
-                let wt = self.tracer.worker(stage_id, 0);
-                tasks
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, t)| join_one_task(t, i, &counters, &wt))
-                    .collect()
-            } else {
-                let slots: Vec<parking_lot::Mutex<Option<Result<O, RuntimeError>>>> =
-                    (0..tasks.len()).map(|_| parking_lot::Mutex::new(None)).collect();
-                Executor::global().scope(self.spawn_mode, |scope| {
-                    let slots = &slots;
-                    for (i, t) in tasks.into_iter().enumerate() {
-                        let counters = counters.clone();
-                        let wt = self.tracer.worker(stage_id, i);
-                        scope.spawn(move || {
-                            // join_one_task catches the task's panic
-                            // itself, so the slot is always filled.
-                            *slots[i].lock() = Some(join_one_task(t, i, &counters, &wt));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|m| m.into_inner().expect("scope filled every slot"))
-                    .collect()
-            };
-        raw.into_iter().collect()
-    }
-}
-
-/// One `catch_unwind`-guarded task invocation shared by the sequential
-/// and parallel paths, including per-invocation deadline enforcement.
-fn run_one_item<I, O, F>(
-    task: &F,
-    item: I,
-    idx: usize,
-    opts: &RunOptions,
-    counters: &FaultCounters,
-    stage: &str,
-    wt: &WorkerTracer,
-) -> Result<O, RuntimeError>
-where
-    F: Fn(I) -> O,
-{
-    let trace_start = wt.item_start(idx as u64);
-    let invoked = opts.stage_deadline.map(|_| Instant::now());
-    match catch_unwind(AssertUnwindSafe(move || task(item))) {
-        Ok(out) => {
-            wt.item_end(idx as u64, trace_start);
-            if let (Some(budget), Some(t0)) = (opts.stage_deadline, invoked) {
-                let elapsed = t0.elapsed();
-                if elapsed > budget {
-                    return Err(RuntimeError::StageDeadlineExceeded {
-                        stage: stage.to_string(),
-                        item_seq: Some(idx as u64),
-                        elapsed,
-                        budget,
-                    });
+        let pooled = !(self.sequential || self.workers <= 1 || tasks.len() <= 1);
+        // Pool tasks return no value, so each task parks its outcome in
+        // its own slot. The guard catches the task's panic, so the slot
+        // is always filled. Pooled tasks trace one lane each.
+        let slots: Vec<parking_lot::Mutex<Option<Result<O, RuntimeError>>>> =
+            (0..tasks.len()).map(|_| parking_lot::Mutex::new(None)).collect();
+        let join_one = |idx: usize, task: F| {
+            let wt = self.tracer.worker(stage_id, if pooled { idx } else { 0 });
+            let stage = format!("task{idx}");
+            let guard = Guard::new(&stage, None, &counters, &wt);
+            *slots[idx].lock() = Some(guard.invoke_traced(idx as u64, task));
+        };
+        if pooled {
+            Executor::global().scope(self.spawn_mode, |scope| {
+                let join_one = &join_one;
+                for (idx, task) in tasks.into_iter().enumerate() {
+                    scope.spawn(move || join_one(idx, task));
                 }
-            }
-            Ok(out)
+            });
+        } else {
+            tasks.into_iter().enumerate().for_each(|(idx, task)| join_one(idx, task));
         }
-        Err(payload) => {
-            wt.fault(idx as u64);
-            counters.panics_caught.incr();
-            Err(RuntimeError::StagePanicked {
-                stage: stage.to_string(),
-                item_seq: Some(idx as u64),
-                payload: panic_payload(payload.as_ref()),
-            })
-        }
-    }
-}
-
-/// One guarded heterogeneous task for `join_all_checked`.
-fn join_one_task<O, F>(
-    task: F,
-    idx: usize,
-    counters: &FaultCounters,
-    wt: &WorkerTracer,
-) -> Result<O, RuntimeError>
-where
-    F: FnOnce() -> O,
-{
-    let trace_start = wt.item_start(idx as u64);
-    match catch_unwind(AssertUnwindSafe(task)) {
-        Ok(v) => {
-            wt.item_end(idx as u64, trace_start);
-            Ok(v)
-        }
-        Err(payload) => {
-            wt.fault(idx as u64);
-            counters.panics_caught.incr();
-            Err(RuntimeError::StagePanicked {
-                stage: format!("task{idx}"),
-                item_seq: Some(idx as u64),
-                payload: panic_payload(payload.as_ref()),
-            })
-        }
+        slots.into_iter().map(|m| m.into_inner().expect("every task ran")).collect()
     }
 }
 
@@ -571,11 +408,15 @@ mod fault_tests {
     #[test]
     fn checked_run_without_faults_matches_run() {
         let mw = MasterWorker::new(4);
-        let plain = mw.run((0..64).collect::<Vec<i64>>(), |x| x * 3);
+        let mut oracle = Vec::new();
+        for x in 0..64i64 {
+            oracle.push(x * 3);
+        }
         let checked = mw
             .run_checked((0..64).collect::<Vec<i64>>(), |x| x * 3, &RunOptions::default())
             .unwrap();
-        assert_eq!(plain, checked);
+        assert_eq!(checked, oracle);
+        assert_eq!(mw.run((0..64).collect::<Vec<i64>>(), |x| x * 3), oracle);
     }
 
     /// Satellite requirement: a panicking worker returns `StagePanicked`

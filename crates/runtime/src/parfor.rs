@@ -15,15 +15,19 @@
 //! tail splits across all workers instead of serializing behind one.
 //! Setting `min_chunk == chunk` recovers the classic fixed-chunk
 //! schedule (no decay).
+//!
+//! There is one execution path: the private `drive` engine alone claims
+//! chunks, traces, meters and guards every index. The `*_checked` entry
+//! points are thin adapters over it and `map` / `for_each` / `reduce`
+//! re-panic on the error a checked run with default options returns.
 
 use crate::executor::{Executor, SpawnMode};
-use crate::fault::{
-    panic_payload, ErrorSlot, FailurePolicy, FaultCounters, RunOptions, RuntimeError,
-};
+use crate::fault::{ErrorSlot, FaultCounters, Guard, RunOptions, RuntimeError};
 use patty_telemetry::{Counter, Histogram, LocalHistogram, Telemetry};
-use patty_trace::{Tracer, WorkerTracer};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use patty_trace::Tracer;
+use std::cell::Cell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Guided self-scheduling divisor: each claim takes
@@ -42,15 +46,8 @@ struct ChunkMeters {
 }
 
 impl ChunkMeters {
-    /// Record one claimed chunk directly (sequential and cold paths).
-    fn record(&self, len: usize) {
-        self.chunks.incr();
-        self.items.add(len as u64);
-        self.chunk_size.record(len as u64);
-    }
-
-    /// Fold one worker's private tallies into the shared sink — the hot
-    /// paths accumulate locally and pay this once per worker per run.
+    /// Fold one worker's private tallies into the shared sink — workers
+    /// accumulate locally and pay this once per worker per run.
     fn flush(&self, local: &LocalChunkMeters) {
         if local.chunks == 0 {
             return;
@@ -78,6 +75,10 @@ impl LocalChunkMeters {
     }
 }
 
+/// What one worker of a run hands back: the ascending index ranges whose
+/// invocations completed, and its private state.
+type Lane<S> = (Vec<Range<usize>>, S);
+
 /// A tunable data-parallel loop executor.
 #[derive(Clone, Debug)]
 pub struct ParallelFor {
@@ -91,8 +92,9 @@ pub struct ParallelFor {
     pub min_chunk: usize,
     /// SequentialExecution fallback.
     pub sequential: bool,
-    /// How worker loops execute: on the shared pool (default) or one
-    /// spawned thread per worker per run (legacy shape).
+    /// How the worker loops beside the calling thread's own (worker 0)
+    /// execute: on the shared pool (default) or one spawned thread each
+    /// per run (legacy shape).
     pub spawn_mode: SpawnMode,
     /// Telemetry sink; disabled by default.
     telemetry: Telemetry,
@@ -152,7 +154,7 @@ impl ParallelFor {
     /// across every worker. Fixed-chunk scheduling
     /// (`min_chunk == chunk`) is exempt: its contract is "every claim
     /// is exactly `chunk`", and decay would silently break it.
-    fn claim(&self, next: &AtomicUsize, n: usize) -> Option<std::ops::Range<usize>> {
+    fn claim(&self, next: &AtomicUsize, n: usize) -> Option<Range<usize>> {
         let hi = self.chunk.max(1);
         let lo = self.min_chunk.clamp(1, hi);
         let workers = self.workers.max(1);
@@ -220,105 +222,25 @@ impl ParallelFor {
     }
 
     /// Map the index space `0..n` through `f`, returning results in index
-    /// order.
+    /// order. Infallible entry point: a panicking index re-panics on the
+    /// calling thread, after every worker has joined, with the message of
+    /// the [`RuntimeError`] that [`ParallelFor::map_checked`] returns.
     pub fn map<O, F>(&self, n: usize, f: F) -> Vec<O>
     where
         O: Send,
         F: Fn(usize) -> O + Sync,
     {
-        let meters = self.meters();
-        let stage_id = self.tracer.stage("parfor");
-        if self.sequential || self.workers <= 1 || n <= 1 {
-            let wt = self.tracer.worker(stage_id, 0);
-            if n > 0 {
-                meters.record(n);
-                let trace_start = wt.item_start(0);
-                let out = (0..n).map(f).collect();
-                wt.item_end_n(0, n as u64, trace_start);
-                return out;
-            }
-            return Vec::new();
-        }
-        let results: Vec<parking_lot::Mutex<Option<O>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        Executor::global().scope(self.spawn_mode, |scope| {
-            let results = &results;
-            let next = &next;
-            let meters = &meters;
-            for worker in 0..self.workers.min(n) {
-                let wt = self.tracer.worker(stage_id, worker);
-                scope.spawn(move || {
-                    let run_start = wt.tick();
-                    let mut busy_ns = 0u64;
-                    let mut local = LocalChunkMeters::default();
-                    while let Some(range) = self.claim(next, n) {
-                        local.record(range.len());
-                        let trace_start = wt.item_start(range.start as u64);
-                        for (slot, i) in results[range.clone()].iter().zip(range.clone()) {
-                            *slot.lock() = Some(f(i));
-                        }
-                        let ended =
-                            wt.item_end_n(range.start as u64, range.len() as u64, trace_start);
-                        busy_ns += ended.since(trace_start);
-                    }
-                    wt.worker_idle(run_start, busy_ns, local.chunks);
-                    meters.flush(&local);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("every index computed"))
-            .collect()
+        self.map_checked(n, f, &RunOptions::default()).unwrap_or_else(|error| panic!("{error}"))
     }
 
     /// Run `f` for side effects over the index space (e.g. writing
-    /// disjoint slices the caller owns).
+    /// disjoint slices the caller owns). Infallible like
+    /// [`ParallelFor::map`].
     pub fn for_each<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        let meters = self.meters();
-        let stage_id = self.tracer.stage("parfor");
-        if self.sequential || self.workers <= 1 || n <= 1 {
-            if n == 0 {
-                return;
-            }
-            meters.record(n);
-            let wt = self.tracer.worker(stage_id, 0);
-            let trace_start = wt.item_start(0);
-            (0..n).for_each(f);
-            wt.item_end_n(0, n as u64, trace_start);
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        Executor::global().scope(self.spawn_mode, |scope| {
-            let next = &next;
-            let meters = &meters;
-            for worker in 0..self.workers.min(n) {
-                let wt = self.tracer.worker(stage_id, worker);
-                scope.spawn(move || {
-                    let run_start = wt.tick();
-                    let mut busy_ns = 0u64;
-                    let mut local = LocalChunkMeters::default();
-                    while let Some(range) = self.claim(next, n) {
-                        local.record(range.len());
-                        let trace_start = wt.item_start(range.start as u64);
-                        for i in range.clone() {
-                            f(i);
-                        }
-                        let ended =
-                            wt.item_end_n(range.start as u64, range.len() as u64, trace_start);
-                        busy_ns += ended.since(trace_start);
-                    }
-                    wt.worker_idle(run_start, busy_ns, local.chunks);
-                    meters.flush(&local);
-                });
-            }
-        });
+        self.map(n, f);
     }
 
     /// [`ParallelFor::map`] under a failure policy: a panicking index
@@ -326,6 +248,8 @@ impl ParallelFor {
     /// index), workers observe the deadline and cancellation token of
     /// `opts`, and with [`FailurePolicy::FallbackSequential`] every index
     /// that never produced a value is recomputed sequentially.
+    ///
+    /// [`FailurePolicy::FallbackSequential`]: crate::FailurePolicy::FallbackSequential
     pub fn map_checked<O, F>(
         &self,
         n: usize,
@@ -337,49 +261,43 @@ impl ParallelFor {
         F: Fn(usize) -> O + Sync,
     {
         let fault = FaultCounters::register(&self.telemetry);
-        let results: Vec<parking_lot::Mutex<Option<O>>> =
-            (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
-        let error = self.drive(n, opts, &fault, |_, i| {
-            *results[i].lock() = Some(f(i));
-        });
-        let Some(error) = error else {
-            return Ok(results
-                .into_iter()
-                .map(|m| m.into_inner().expect("every index computed"))
-                .collect());
-        };
-        fault.observe(&error);
-        if opts.on_failure != FailurePolicy::FallbackSequential || !error.recoverable() {
-            return Err(error);
+        // Each worker pushes its outputs onto a private vector: no shared
+        // slot, no per-index lock. Which indices they belong to is what
+        // the engine reports as the lane's completed ranges.
+        let (mut lanes, error) = self.drive(n, opts, &fault, Vec::new, |values: &mut Vec<O>, i| values.push(f(i)));
+        if let Some(error) = error {
+            fault.recover(error, opts)?;
         }
-        // Graceful degradation: recompute only the missing indices.
-        fault.fallbacks.incr();
+        // One lane ran the whole space (SequentialExecution, or a loop so
+        // short one worker outran the rest): its vector is the result.
+        if let Some(whole) = lanes.iter().position(|(done, _)| done.first() == Some(&(0..n))) {
+            return Ok(lanes.swap_remove(whole).1);
+        }
+        // Stitch the lanes' ranges together in index order. A complete
+        // run has no gaps; after a recoverable failure the gaps are the
+        // indices that never produced a value, recomputed here.
+        let mut runs: Vec<(Range<usize>, usize)> = Vec::new();
+        let mut values = Vec::with_capacity(lanes.len());
+        for (lane, (done, lane_values)) in lanes.into_iter().enumerate() {
+            runs.extend(done.into_iter().map(|range| (range, lane)));
+            values.push(lane_values.into_iter());
+        }
+        runs.sort_unstable_by_key(|(range, _)| range.start);
         let wt = self.tracer.worker(self.tracer.stage("parfor"), 0);
+        let guard = Guard::new("parfor", None, &fault, &wt);
         let mut out = Vec::with_capacity(n);
-        for (i, slot) in results.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(v) => out.push(v),
-                None => {
-                    fault.items_retried.incr();
-                    let trace_start = wt.item_start(i as u64);
-                    match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        Ok(v) => {
-                            wt.item_end(i as u64, trace_start);
-                            out.push(v)
-                        }
-                        Err(payload) => {
-                            wt.fault(i as u64);
-                            fault.panics_caught.incr();
-                            return Err(RuntimeError::StagePanicked {
-                                stage: "parfor".to_string(),
-                                item_seq: Some(i as u64),
-                                payload: panic_payload(payload.as_ref()),
-                            });
-                        }
-                    }
-                }
+        let recompute_up_to = |out: &mut Vec<O>, end: usize| {
+            for i in out.len()..end {
+                fault.items_retried.incr();
+                out.push(guard.invoke_traced(i as u64, || f(i))?);
             }
+            Ok(())
+        };
+        for (range, lane) in runs {
+            recompute_up_to(&mut out, range.start)?;
+            out.extend(values[lane].by_ref().take(range.len()));
         }
+        recompute_up_to(&mut out, n)?;
         Ok(out)
     }
 
@@ -392,50 +310,29 @@ impl ParallelFor {
     where
         F: Fn(usize) + Sync,
     {
-        let fault = FaultCounters::register(&self.telemetry);
-        let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let error = self.drive(n, opts, &fault, |_, i| {
-            f(i);
-            done[i].store(true, Ordering::Release);
-        });
-        let Some(error) = error else {
-            return Ok(());
-        };
-        fault.observe(&error);
-        if opts.on_failure != FailurePolicy::FallbackSequential || !error.recoverable() {
-            return Err(error);
-        }
-        fault.fallbacks.incr();
-        let wt = self.tracer.worker(self.tracer.stage("parfor"), 0);
-        for (i, flag) in done.iter().enumerate() {
-            if flag.load(Ordering::Acquire) {
-                continue;
-            }
-            fault.items_retried.incr();
-            let trace_start = wt.item_start(i as u64);
-            match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                Ok(()) => {
-                    wt.item_end(i as u64, trace_start);
-                }
-                Err(payload) => {
-                    wt.fault(i as u64);
-                    fault.panics_caught.incr();
-                    return Err(RuntimeError::StagePanicked {
-                        stage: "parfor".to_string(),
-                        item_seq: Some(i as u64),
-                        payload: panic_payload(payload.as_ref()),
-                    });
-                }
-            }
-        }
-        Ok(())
+        // A map to `()`: vectors of unit values allocate nothing.
+        self.map_checked(n, f, opts).map(drop)
     }
 
-    /// [`ParallelFor::reduce`] under a failure policy. Each worker folds
-    /// into the private accumulator slot indexed by its worker id; a
-    /// worker that fails mid-fold loses that partial accumulator, so the
-    /// fallback cannot merge surviving work and re-runs the whole
-    /// reduction sequentially instead.
+    /// Privatized reduction over `0..n`: each worker folds into a private
+    /// accumulator seeded with `identity`; accumulators are combined with
+    /// `combine`. Requires `combine` to be associative-commutative and
+    /// `identity` neutral, which is what the detector's reduction
+    /// recognition guarantees. Infallible like [`ParallelFor::map`].
+    pub fn reduce<A, F, C>(&self, n: usize, identity: A, fold: F, combine: C) -> A
+    where
+        A: Send + Clone,
+        F: Fn(A, usize) -> A + Sync,
+        C: Fn(A, A) -> A,
+    {
+        self.reduce_checked(n, identity, fold, combine, &RunOptions::default())
+            .unwrap_or_else(|error| panic!("{error}"))
+    }
+
+    /// [`ParallelFor::reduce`] under a failure policy. A worker that
+    /// fails mid-fold loses its private accumulator, so the fallback
+    /// cannot merge surviving work and re-runs the whole reduction
+    /// sequentially instead.
     pub fn reduce_checked<A, F, C>(
         &self,
         n: usize,
@@ -450,235 +347,131 @@ impl ParallelFor {
         C: Fn(A, A) -> A,
     {
         let fault = FaultCounters::register(&self.telemetry);
-        // Seeded up front so the worker body never touches `identity`
-        // (which would require `A: Sync`). Slots of idle workers combine
-        // away because `identity` is a neutral element.
-        let partials: Vec<parking_lot::Mutex<Option<A>>> =
-            (0..self.workers).map(|_| parking_lot::Mutex::new(Some(identity.clone()))).collect();
-        let error = self.drive(n, opts, &fault, |worker, i| {
-            // drive hands every index to exactly one worker, so the slot
-            // is uncontended; the Mutex only satisfies Sync. A panic in
-            // `fold` leaves the slot empty — that partial is lost, which
-            // is fine because the fallback restarts from scratch.
-            let mut guard = partials[worker].lock();
-            if let Some(acc) = guard.take() {
-                *guard = Some(fold(acc, i));
-            }
+        // Accumulators are seeded on the calling thread, so workers never
+        // touch `identity` (which would require `A: Sync`). A panic in
+        // `fold` leaves its worker's slot empty.
+        let seed = || Some(identity.clone());
+        let (partials, error) = self.drive(n, opts, &fault, seed, |acc: &mut Option<A>, i| {
+            *acc = acc.take().map(|a| fold(a, i));
         });
-        if let Some(error) = error {
-            fault.observe(&error);
-            if opts.on_failure != FailurePolicy::FallbackSequential || !error.recoverable() {
-                return Err(error);
-            }
-            fault.fallbacks.incr();
-            fault.items_retried.add(n as u64);
-            let wt = self.tracer.worker(self.tracer.stage("parfor"), 0);
-            let trace_start = wt.item_start(0);
-            let mut acc = identity;
-            for i in 0..n {
-                let folded = catch_unwind(AssertUnwindSafe(|| fold(acc.clone(), i)));
-                match folded {
-                    Ok(v) => acc = v,
-                    Err(payload) => {
-                        wt.fault(i as u64);
-                        fault.panics_caught.incr();
-                        return Err(RuntimeError::StagePanicked {
-                            stage: "parfor".to_string(),
-                            item_seq: Some(i as u64),
-                            payload: panic_payload(payload.as_ref()),
-                        });
-                    }
-                }
-            }
-            wt.item_end_n(0, n as u64, trace_start);
-            return Ok(acc);
+        let Some(error) = error else {
+            return Ok(partials.into_iter().filter_map(|(_, acc)| acc).fold(identity, combine));
+        };
+        fault.recover(error, opts)?;
+        fault.items_retried.add(n as u64);
+        let wt = self.tracer.worker(self.tracer.stage("parfor"), 0);
+        let guard = Guard::new("parfor", None, &fault, &wt);
+        let trace_start = wt.item_start(0);
+        let mut acc = identity;
+        for i in 0..n {
+            acc = guard.invoke(i as u64, || fold(acc, i))?;
         }
-        Ok(partials
-            .into_iter()
-            .filter_map(|m| m.into_inner())
-            .fold(identity, combine))
+        wt.item_end_n(0, n as u64, trace_start);
+        Ok(acc)
     }
 
-    /// Shared checked driver: chunked index claiming with `catch_unwind`
-    /// around every invocation, cancellation and whole-run deadline checks
-    /// between indices, and the same per-claim telemetry as the unchecked
-    /// paths. `body` receives `(worker, index)`; the worker id is stable
-    /// for the run and below `self.workers`. Returns the first error.
-    fn drive<G>(
+    /// The one engine under every entry point. It alone claims chunks,
+    /// traces them (`ItemStart`/`ItemEnd` per claim, the idle tail per
+    /// pooled worker), flushes the chunk meters, checks cancellation and
+    /// the run deadline between indices and runs `body` under the
+    /// [`Guard`] (one `catch_unwind` per chunk, the index in flight
+    /// tracked), so a failure names the exact index. Every worker owns
+    /// one state made by `seed` on the calling thread; `body` gets it
+    /// with each index the worker claimed. Returns, per worker, the
+    /// ascending index ranges whose invocations completed and the state,
+    /// plus the run's first error.
+    fn drive<S, G>(
         &self,
         n: usize,
         opts: &RunOptions,
         fault: &FaultCounters,
+        mut seed: impl FnMut() -> S,
         body: G,
-    ) -> Option<RuntimeError>
+    ) -> (Vec<Lane<S>>, Option<RuntimeError>)
     where
-        G: Fn(usize, usize) + Sync,
+        S: Send,
+        G: Fn(&mut S, usize) + Sync,
     {
         if n == 0 {
-            return opts.cancel.is_cancelled().then_some(RuntimeError::Cancelled);
+            return (Vec::new(), opts.cancel.is_cancelled().then_some(RuntimeError::Cancelled));
         }
+        // SequentialExecution is the same loop run by a single worker on
+        // the calling thread, whose one claim is the whole index space.
+        let pooled = !(self.sequential || self.workers <= 1 || n <= 1);
+        let workers = if pooled { self.workers.min(n) } else { 1 };
+        let mut lanes: Vec<Option<Lane<S>>> =
+            (0..workers).map(|_| Some((Vec::new(), seed()))).collect();
         let meters = self.meters();
         let stage_id = self.tracer.stage("parfor");
-        // One tracer handle per potential worker id; `run_indices` is
-        // shared between workers and picks its handle by worker id.
-        let tracers: Vec<WorkerTracer> = (0..self.workers.min(n).max(1))
-            .map(|w| self.tracer.worker(stage_id, w))
-            .collect();
-        let tracers = &tracers;
         let started = Instant::now();
         let errors = ErrorSlot::new();
-        let cancel = opts.cancel.clone();
-        // Runs `body` over a chunk on one worker; true means "stop".
-        let run_indices = |worker: usize, range: std::ops::Range<usize>| {
-            let wt = &tracers[worker];
-            let chunk_start = range.start as u64;
-            let chunk_len = range.len() as u64;
-            let trace_start = wt.item_start(chunk_start);
-            for i in range {
-                if cancel.is_cancelled() {
-                    return true;
-                }
-                if let Some(budget) = opts.deadline {
-                    if started.elapsed() > budget {
-                        errors.set(RuntimeError::DeadlineExceeded { budget });
-                        cancel.cancel();
-                        return true;
-                    }
-                }
-                let invoked = opts.stage_deadline.map(|_| Instant::now());
-                match catch_unwind(AssertUnwindSafe(|| body(worker, i))) {
-                    Ok(()) => {
-                        if let (Some(budget), Some(t0)) = (opts.stage_deadline, invoked) {
-                            let elapsed = t0.elapsed();
-                            if elapsed > budget {
-                                errors.set(RuntimeError::StageDeadlineExceeded {
-                                    stage: "parfor".to_string(),
-                                    item_seq: Some(i as u64),
-                                    elapsed,
-                                    budget,
-                                });
-                                cancel.cancel();
-                                return true;
-                            }
-                        }
-                    }
-                    Err(payload) => {
-                        wt.fault(i as u64);
-                        fault.panics_caught.incr();
-                        errors.set(RuntimeError::StagePanicked {
-                            stage: "parfor".to_string(),
-                            item_seq: Some(i as u64),
-                            payload: panic_payload(payload.as_ref()),
-                        });
-                        cancel.cancel();
-                        return true;
-                    }
-                }
-            }
-            wt.item_end_n(chunk_start, chunk_len, trace_start);
-            false
-        };
-        if self.sequential || self.workers <= 1 || n <= 1 {
-            meters.record(n);
-            run_indices(0, 0..n);
-        } else {
-            let next = AtomicUsize::new(0);
-            Executor::global().scope(self.spawn_mode, |scope| {
-                let next = &next;
-                let run_indices = &run_indices;
-                let meters = &meters;
-                for worker in 0..self.workers.min(n) {
-                    let cancel = cancel.clone();
-                    scope.spawn(move || {
-                        let mut local = LocalChunkMeters::default();
-                        loop {
-                            if cancel.is_cancelled() {
-                                break;
-                            }
-                            let Some(range) = self.claim(next, n) else {
-                                break;
-                            };
-                            local.record(range.len());
-                            if run_indices(worker, range) {
-                                break;
-                            }
-                        }
-                        meters.flush(&local);
-                    });
-                }
-            });
-        }
-        errors
-            .take()
-            .or_else(|| cancel.is_cancelled().then_some(RuntimeError::Cancelled))
-    }
-
-    /// Privatized reduction over `0..n`: each worker folds into a private
-    /// accumulator seeded with `identity`; accumulators are combined with
-    /// `combine`. Requires `combine` to be associative-commutative, which
-    /// is what the detector's reduction recognition guarantees.
-    pub fn reduce<A, F, C>(&self, n: usize, identity: A, fold: F, combine: C) -> A
-    where
-        A: Send + Clone,
-        F: Fn(A, usize) -> A + Sync,
-        C: Fn(A, A) -> A,
-    {
-        let meters = self.meters();
-        let stage_id = self.tracer.stage("parfor");
-        if self.sequential || self.workers <= 1 || n <= 1 {
-            if n == 0 {
-                return identity;
-            }
-            meters.record(n);
-            let wt = self.tracer.worker(stage_id, 0);
-            let trace_start = wt.item_start(0);
-            let out = (0..n).fold(identity, fold);
-            wt.item_end_n(0, n as u64, trace_start);
-            return out;
-        }
         let next = AtomicUsize::new(0);
-        let next = &next;
-        let fold = &fold;
-        let meters = &meters;
-        // Pool tasks return no value, so each worker parks its private
-        // accumulator in a slot; a panic in `fold` unwinds through the
-        // scope (legacy re-panic semantics) leaving that slot `None`.
-        let partials: Vec<parking_lot::Mutex<Option<A>>> = (0..self.workers.min(n.max(1)))
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
-        Executor::global().scope(self.spawn_mode, |scope| {
-            for (worker, slot) in partials.iter().enumerate() {
-                let seed = identity.clone();
-                let wt = self.tracer.worker(stage_id, worker);
-                scope.spawn(move || {
-                    let run_start = wt.tick();
-                    let mut busy_ns = 0u64;
-                    let mut local = LocalChunkMeters::default();
-                    let mut acc = seed;
-                    loop {
-                        let Some(range) = self.claim(next, n) else {
-                            wt.worker_idle(run_start, busy_ns, local.chunks);
-                            meters.flush(&local);
-                            *slot.lock() = Some(acc);
-                            return;
-                        };
-                        local.record(range.len());
-                        let trace_start = wt.item_start(range.start as u64);
-                        let first = range.start as u64;
-                        let len = range.len() as u64;
-                        for i in range {
-                            acc = fold(acc, i);
-                        }
-                        let ended = wt.item_end_n(first, len, trace_start);
-                        busy_ns += ended.since(trace_start);
+        let work = |worker: usize, lane: &mut Option<Lane<S>>| {
+            // The lane lives on the worker's own stack for the run and is
+            // put back at the end, so neighbouring workers never write to
+            // one cache line per index.
+            let (mut done, mut state) = lane.take().expect("every lane is seeded");
+            let wt = self.tracer.worker(stage_id, worker);
+            let guard = Guard::new("parfor", opts.stage_deadline, fault, &wt);
+            // The in-place worker has no idle tail to report, and reads
+            // the clock exactly as often as the pinned sequential traces.
+            let run_start = pooled.then(|| wt.tick());
+            let mut busy_ns = 0u64;
+            let mut local = LocalChunkMeters::default();
+            // One guard per claimed chunk; `item` tracks the index in
+            // flight so a failure still names it exactly.
+            let item = Cell::new(0);
+            while !opts.cancel.is_cancelled() {
+                let claimed = if pooled {
+                    self.claim(&next, n)
+                } else {
+                    (next.swap(n, Ordering::Relaxed) < n).then_some(0..n)
+                };
+                let Some(range) = claimed else { break };
+                local.record(range.len());
+                let trace_start = wt.item_start(range.start as u64);
+                let ran = guard.catch(&item, || {
+                    for i in range.clone() {
+                        item.set(i as u64);
+                        opts.check(started)?;
+                        guard.timed(i as u64, || body(&mut state, i))?;
                     }
+                    Ok(())
                 });
+                let end = if ran.is_ok() { range.end } else { item.get() as usize };
+                match done.last_mut() {
+                    Some(last) if last.end == range.start => last.end = end,
+                    _ => done.push(range.start..end),
+                }
+                if let Err(error) = ran {
+                    errors.fail(error, &opts.cancel);
+                    break;
+                }
+                let ended = wt.item_end_n(range.start as u64, range.len() as u64, trace_start);
+                busy_ns += ended.since(trace_start);
             }
-        });
-        partials
-            .into_iter()
-            .filter_map(|m| m.into_inner())
-            .fold(identity, combine)
+            if let Some(run_start) = run_start {
+                wt.worker_idle(run_start, busy_ns, local.chunks);
+            }
+            meters.flush(&local);
+            *lane = Some((done, state));
+        };
+        if pooled {
+            // The calling thread is worker 0: it would otherwise only wait
+            // (or steal its own task back), and a loop short enough for one
+            // worker is then over before any lane has to wake.
+            Executor::global().scope(self.spawn_mode, |scope| {
+                let work = &work;
+                let (first, rest) = lanes.split_first_mut().expect("a pooled run has lanes");
+                for (worker, lane) in rest.iter_mut().enumerate() {
+                    scope.spawn(move || work(worker + 1, lane));
+                }
+                work(0, first);
+            });
+        } else {
+            work(0, &mut lanes[0]);
+        }
+        (lanes.into_iter().flatten().collect(), errors.finish(&opts.cancel))
     }
 }
 
@@ -903,8 +696,9 @@ mod tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::CancelToken;
-    use std::sync::atomic::AtomicU64;
+    use crate::fault::{CancelToken, FailurePolicy};
+    use patty_trace::EventKind;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::time::Duration;
 
     fn fallback_opts() -> RunOptions {
@@ -914,8 +708,43 @@ mod fault_tests {
     #[test]
     fn map_checked_without_faults_matches_map() {
         let pf = ParallelFor::new(4).with_chunk(3);
-        let checked = pf.map_checked(100, |i| i * 3, &RunOptions::default()).unwrap();
-        assert_eq!(checked, pf.map(100, |i| i * 3));
+        let mut oracle = Vec::new();
+        for i in 0..100 {
+            oracle.push(i * 3);
+        }
+        assert_eq!(pf.map_checked(100, |i| i * 3, &RunOptions::default()).unwrap(), oracle);
+        assert_eq!(pf.map(100, |i| i * 3), oracle);
+    }
+
+    /// One engine means one trace shape: a pooled checked run reports an
+    /// idle tail per spawned worker, exactly like the infallible entry
+    /// points (the checked driver used to emit none).
+    #[test]
+    fn pooled_checked_runs_emit_one_worker_idle_per_worker() {
+        let idle_events = |tracer: &Tracer| {
+            let trace = tracer.snapshot();
+            let idle = |t: &patty_trace::ThreadTrace| {
+                t.events.iter().filter(|e| e.kind == EventKind::WorkerIdle).count()
+            };
+            trace.threads.iter().map(idle).collect::<Vec<_>>()
+        };
+        let run_for_each = |pf: &ParallelFor| {
+            pf.for_each_checked(64, |_| {}, &RunOptions::default()).unwrap();
+        };
+        let run_map = |pf: &ParallelFor| {
+            assert_eq!(pf.map_checked(64, |i| i, &RunOptions::default()).unwrap().len(), 64);
+        };
+        let runs: [&dyn Fn(&ParallelFor); 2] = [&run_for_each, &run_map];
+        for run in runs {
+            let tracer = Tracer::enabled();
+            run(&ParallelFor::new(3).with_chunk(4).with_tracer(tracer.clone()));
+            assert_eq!(idle_events(&tracer), vec![1, 1, 1], "one WorkerIdle per spawned worker");
+            let report = tracer.report();
+            let stage = report.stage("parfor").expect("parfor stage summarized");
+            assert_eq!((stage.items, stage.workers), (64, 3));
+            let json = report.to_json();
+            assert!(json.contains("\"idle_ns\"") && json.contains("\"busy_permille\""), "{json}");
+        }
     }
 
     #[test]
@@ -1006,10 +835,15 @@ mod fault_tests {
     #[test]
     fn reduce_checked_without_faults_matches_reduce() {
         let pf = ParallelFor::new(8).with_chunk(7);
+        let mut oracle = 0u64;
+        for i in 0..1000u64 {
+            oracle += i;
+        }
         let sum = pf
             .reduce_checked(1000, 0u64, |a, i| a + i as u64, |a, b| a + b, &RunOptions::default())
             .unwrap();
-        assert_eq!(sum, (0..1000u64).sum::<u64>());
+        assert_eq!(sum, oracle);
+        assert_eq!(pf.reduce(1000, 0u64, |a, i| a + i as u64, |a, b| a + b), oracle);
     }
 
     #[test]

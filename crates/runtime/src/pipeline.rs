@@ -23,15 +23,12 @@
 //! (`item_seq`) points at the exact element inside a batch.
 
 use crate::executor::{Executor, SpawnMode};
-use crate::fault::{
-    panic_payload, ErrorSlot, FailurePolicy, FaultCounters, RunOptions, RuntimeError,
-};
+use crate::fault::{ErrorSlot, FailurePolicy, FaultCounters, Guard, RunOptions, RuntimeError};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use patty_telemetry::{LocalHistogram, Telemetry};
-use patty_trace::{Tracer, WorkerTracer};
+use patty_trace::Tracer;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -229,10 +226,8 @@ impl<T: Send + 'static> Pipeline<T> {
     /// get a structured [`RuntimeError`] instead.
     pub fn run(&self, input: Vec<T>) -> Vec<T> {
         let counters = FaultCounters::register(&self.telemetry);
-        match self.run_attempt(input, &RunOptions::default(), &counters) {
-            Attempt::Complete(out) => out,
-            Attempt::Failed { error, .. } => panic!("{error}"),
-        }
+        self.run_attempt(input, &RunOptions::default(), &counters)
+            .unwrap_or_else(|(error, _)| panic!("{error}"))
     }
 
     /// Run the pipeline under a failure policy: worker panics become
@@ -251,18 +246,18 @@ impl<T: Send + 'static> Pipeline<T> {
         let counters = FaultCounters::register(&self.telemetry);
         let backup = (opts.on_failure == FailurePolicy::FallbackSequential)
             .then(|| input.clone());
-        match self.run_attempt(input, opts, &counters) {
-            Attempt::Complete(out) => Ok(out),
-            Attempt::Failed { error, partial } => {
-                counters.observe(&error);
-                match backup {
-                    Some(orig) if error.recoverable() => {
-                        self.fallback_sequential(orig, partial, &counters)
-                    }
-                    _ => Err(error),
-                }
-            }
-        }
+        let (error, partial) = match self.run_attempt(input, opts, &counters) {
+            Ok(out) => return Ok(out),
+            Err(failed) => failed,
+        };
+        counters.recover(error, opts)?;
+        // Graceful degradation: re-execute only the items whose outputs
+        // are missing, in place, under fresh limits (the run's own token
+        // is cancelled by now). A second panic on the same item means the
+        // fault is persistent and is reported as the error.
+        let orig = backup.expect("the fallback policy kept a copy of the input");
+        self.run_in_place(orig, Some(partial), &RunOptions::default(), &counters)
+            .map_err(|(error, _)| error)
     }
 
     /// One execution attempt. On failure the attempt reports the outputs
@@ -275,7 +270,7 @@ impl<T: Send + 'static> Pipeline<T> {
         counters: &FaultCounters,
     ) -> Attempt<T> {
         if self.sequential || self.stages.is_empty() || input.is_empty() {
-            return self.sequential_attempt(input, opts, counters);
+            return self.run_in_place(input, None, opts, counters);
         }
         let stages = self.effective_stages();
         let cap = self.buffer_capacity.max(1);
@@ -340,10 +335,9 @@ impl<T: Send + 'static> Pipeline<T> {
                     let telemetry = self.telemetry.clone();
                     let depth = depth.clone();
                     let span_name = span_name.clone();
-                    let stage_name = stage.name.clone();
+                    let stage_name = stage.name.as_str();
                     let cancel = cancel.clone();
                     let errors = &errors;
-                    let counters = counters.clone();
                     let stage_deadline = opts.stage_deadline;
                     let wt = self.tracer.worker(stage_id, worker);
                     // Sticky lane preference per (effective stage ×
@@ -354,6 +348,7 @@ impl<T: Send + 'static> Pipeline<T> {
                         crate::executor::stage_affinity(&format!("pipeline.{}.{worker}", stage.name));
                     scope.spawn_resident_with_affinity(&affinity, move || {
                         let _wall = telemetry.span(&span_name);
+                        let guard = Guard::new(stage_name, stage_deadline, counters, &wt);
                         let record_depth = telemetry.is_enabled();
                         // Occupancy samples accumulate worker-locally
                         // (plain arithmetic) and fold into the shared
@@ -384,36 +379,10 @@ impl<T: Send + 'static> Pipeline<T> {
                             let mut out_run: Vec<T> = Vec::with_capacity(run.len());
                             let mut failed = false;
                             for (j, item) in run.into_iter().enumerate() {
-                                let seq = first + j as u64;
-                                let invoked = stage_deadline.map(|_| Instant::now());
-                                match catch_unwind(AssertUnwindSafe(|| func(item))) {
-                                    Ok(out) => {
-                                        if let (Some(budget), Some(t0)) = (stage_deadline, invoked)
-                                        {
-                                            let elapsed = t0.elapsed();
-                                            if elapsed > budget {
-                                                errors.set(RuntimeError::StageDeadlineExceeded {
-                                                    stage: stage_name.clone(),
-                                                    item_seq: Some(seq),
-                                                    elapsed,
-                                                    budget,
-                                                });
-                                                cancel.cancel();
-                                                failed = true;
-                                                break;
-                                            }
-                                        }
-                                        out_run.push(out);
-                                    }
-                                    Err(payload) => {
-                                        wt.fault(seq);
-                                        counters.panics_caught.incr();
-                                        errors.set(RuntimeError::StagePanicked {
-                                            stage: stage_name.clone(),
-                                            item_seq: Some(seq),
-                                            payload: panic_payload(payload.as_ref()),
-                                        });
-                                        cancel.cancel();
+                                match guard.invoke(first + j as u64, || func(item)) {
+                                    Ok(out) => out_run.push(out),
+                                    Err(error) => {
+                                        errors.fail(error, &cancel);
                                         failed = true;
                                         break;
                                     }
@@ -469,8 +438,7 @@ impl<T: Send + 'static> Pipeline<T> {
                     if !cancel.is_cancelled() {
                         let elapsed = started.elapsed();
                         if elapsed > budget {
-                            errors.set(RuntimeError::DeadlineExceeded { budget });
-                            cancel.cancel();
+                            errors.fail(RuntimeError::DeadlineExceeded { budget }, &cancel);
                         } else {
                             // Wake right when the budget lands; the small
                             // slack guarantees `elapsed > budget` then.
@@ -493,150 +461,66 @@ impl<T: Send + 'static> Pipeline<T> {
             }
         });
 
-        if let Some(error) = errors.take() {
-            Attempt::Failed { error, partial: collected }
-        } else if cancel.is_cancelled() {
-            Attempt::Failed { error: RuntimeError::Cancelled, partial: collected }
-        } else {
-            Attempt::Complete(
-                arrival
-                    .into_iter()
-                    .map(|seq| collected[seq as usize].take().expect("collected once"))
-                    .collect(),
-            )
+        match errors.finish(&cancel) {
+            Some(error) => Err((error, collected)),
+            None => Ok(arrival
+                .into_iter()
+                .map(|seq| collected[seq as usize].take().expect("collected once"))
+                .collect()),
         }
     }
 
-    /// Sequential attempt with panic isolation: identical semantics to
-    /// [`Pipeline::run_sequential`], plus structured errors and deadline
-    /// observation.
-    fn sequential_attempt(
+    /// In-place execution on the calling thread, every stage body under
+    /// the [`Guard`]: SequentialExecution mode (`partial` is `None`) and
+    /// the sequential fallback (`partial` holds the failed attempt's
+    /// outputs by sequence number; those items are kept, not re-run, and
+    /// each re-run one counts as retried). Item counters are recorded so
+    /// a profile reports the same per-stage totals as a threaded run.
+    fn run_in_place(
         &self,
         input: Vec<T>,
+        partial: Option<Vec<Option<T>>>,
         opts: &RunOptions,
         counters: &FaultCounters,
     ) -> Attempt<T> {
         let item_counters = self.stage_item_counters();
-        let tracers = self.stage_worker_tracers();
+        // The calling thread plays every stage, so each stage traces as
+        // its worker 0.
+        let tracers: Vec<_> =
+            self.stages.iter().map(|s| self.tracer.worker(self.tracer.stage(&s.name), 0)).collect();
+        let guards: Vec<Guard> = self
+            .stages
+            .iter()
+            .zip(&tracers)
+            .map(|(s, wt)| Guard::new(&s.name, opts.stage_deadline, counters, wt))
+            .collect();
         let started = Instant::now();
-        let n = input.len();
-        let mut collected: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        for (seq, mut item) in input.into_iter().enumerate() {
-            if opts.cancel.is_cancelled() {
-                return Attempt::Failed { error: RuntimeError::Cancelled, partial: collected };
-            }
-            if let Some(budget) = opts.deadline {
-                if started.elapsed() > budget {
-                    return Attempt::Failed {
-                        error: RuntimeError::DeadlineExceeded { budget },
-                        partial: collected,
-                    };
-                }
-            }
-            for (i, s) in self.stages.iter().enumerate() {
-                let func = &s.func;
-                let wt = &tracers[i];
-                let trace_start = wt.item_start(seq as u64);
-                let invoked = opts.stage_deadline.map(|_| Instant::now());
-                match catch_unwind(AssertUnwindSafe(move || func(item))) {
-                    Ok(out) => {
-                        wt.item_end(seq as u64, trace_start);
-                        if let (Some(budget), Some(t0)) = (opts.stage_deadline, invoked) {
-                            let elapsed = t0.elapsed();
-                            if elapsed > budget {
-                                return Attempt::Failed {
-                                    error: RuntimeError::StageDeadlineExceeded {
-                                        stage: s.name.clone(),
-                                        item_seq: Some(seq as u64),
-                                        elapsed,
-                                        budget,
-                                    },
-                                    partial: collected,
-                                };
-                            }
-                        }
-                        item = out;
-                        if let Some(c) = item_counters.get(i) {
-                            c.incr();
-                        }
-                    }
-                    Err(payload) => {
-                        wt.fault(seq as u64);
-                        counters.panics_caught.incr();
-                        return Attempt::Failed {
-                            error: RuntimeError::StagePanicked {
-                                stage: s.name.clone(),
-                                item_seq: Some(seq as u64),
-                                payload: panic_payload(payload.as_ref()),
-                            },
-                            partial: collected,
-                        };
-                    }
-                }
-            }
-            collected[seq] = Some(item);
-        }
-        Attempt::Complete(collected.into_iter().map(|v| v.expect("all computed")).collect())
-    }
-
-    /// Graceful degradation: re-execute only the items whose outputs are
-    /// missing, sequentially on the calling thread, and merge with the
-    /// partial results by sequence number. A second panic on the same
-    /// item means the fault is persistent and is reported as an error.
-    fn fallback_sequential(
-        &self,
-        input: Vec<T>,
-        mut partial: Vec<Option<T>>,
-        counters: &FaultCounters,
-    ) -> Result<Vec<T>, RuntimeError> {
-        counters.fallbacks.incr();
-        let item_counters = self.stage_item_counters();
-        let tracers = self.stage_worker_tracers();
-        partial.resize_with(input.len(), || None);
-        let mut out = Vec::with_capacity(input.len());
+        let retrying = partial.is_some();
+        let mut collected = partial.unwrap_or_default();
+        collected.resize_with(input.len(), || None);
         for (seq, item) in input.into_iter().enumerate() {
-            if let Some(done) = partial[seq].take() {
-                out.push(done);
+            if collected[seq].is_some() {
                 continue;
             }
-            counters.items_retried.incr();
-            let mut item = item;
-            for (i, s) in self.stages.iter().enumerate() {
-                let func = &s.func;
-                let wt = &tracers[i];
-                let trace_start = wt.item_start(seq as u64);
-                match catch_unwind(AssertUnwindSafe(move || func(item))) {
-                    Ok(v) => {
-                        wt.item_end(seq as u64, trace_start);
-                        item = v;
-                        if let Some(c) = item_counters.get(i) {
-                            c.incr();
-                        }
-                    }
-                    Err(payload) => {
-                        wt.fault(seq as u64);
-                        counters.panics_caught.incr();
-                        return Err(RuntimeError::StagePanicked {
-                            stage: s.name.clone(),
-                            item_seq: Some(seq as u64),
-                            payload: panic_payload(payload.as_ref()),
-                        });
+            if retrying {
+                counters.items_retried.incr();
+            }
+            let through_stages = opts.check(started).and_then(|()| {
+                let mut item = item;
+                for (i, s) in self.stages.iter().enumerate() {
+                    item = guards[i].invoke_traced(seq as u64, || (s.func)(item))?;
+                    if let Some(c) = item_counters.get(i) {
+                        c.incr();
                     }
                 }
+                Ok(item)
+            });
+            match through_stages {
+                Ok(out) => collected[seq] = Some(out),
+                Err(error) => return Err((error, collected)),
             }
-            out.push(item);
         }
-        Ok(out)
-    }
-
-    /// Per-stage worker-0 tracers for in-place execution (sequential
-    /// mode and the fallback): the calling thread plays every stage, so
-    /// each stage traces as a single worker. Inert when tracing is off.
-    fn stage_worker_tracers(&self) -> Vec<WorkerTracer> {
-        self.stages
-            .iter()
-            .map(|s| self.tracer.worker(self.tracer.stage(&s.name), 0))
-            .collect()
+        Ok(collected.into_iter().map(|v| v.expect("all computed")).collect())
     }
 
     /// Per-stage item counters (empty when telemetry is disabled).
@@ -650,39 +534,12 @@ impl<T: Send + 'static> Pipeline<T> {
             Vec::new()
         }
     }
-
-    /// The sequential fallback: identical semantics, no threads. Item
-    /// counters are still recorded so a profile of a sequential run
-    /// reports the same per-stage totals as a threaded one.
-    pub fn run_sequential(&self, input: Vec<T>) -> Vec<T> {
-        let counters = self.stage_item_counters();
-        let tracers = self.stage_worker_tracers();
-        input
-            .into_iter()
-            .enumerate()
-            .map(|(seq, mut item)| {
-                for (i, s) in self.stages.iter().enumerate() {
-                    let wt = &tracers[i];
-                    let trace_start = wt.item_start(seq as u64);
-                    item = (s.func)(item);
-                    wt.item_end(seq as u64, trace_start);
-                    if let Some(c) = counters.get(i) {
-                        c.incr();
-                    }
-                }
-                item
-            })
-            .collect()
-    }
 }
 
 /// Outcome of one execution attempt: either every item made it through,
 /// or a structured error plus whatever outputs completed (by sequence
 /// number) for the fallback to build on.
-enum Attempt<T> {
-    Complete(Vec<T>),
-    Failed { error: RuntimeError, partial: Vec<Option<T>> },
-}
+type Attempt<T> = Result<Vec<T>, (RuntimeError, Vec<Option<T>>)>;
 
 /// Entry in the reorder heap, ordered by first sequence number only.
 struct Pending<T>(u64, Vec<T>);
@@ -942,9 +799,12 @@ mod stress_tests {
             Stage::new("a", |x: i64| x + 1).replicated(3),
             Stage::new("b", |x: i64| x * 2),
         ]);
-        let plain = p.run((0..100).collect());
-        let checked = p.run_checked((0..100).collect(), &RunOptions::default()).unwrap();
-        assert_eq!(plain, checked);
+        let mut oracle = Vec::new();
+        for x in 0..100i64 {
+            oracle.push((x + 1) * 2);
+        }
+        assert_eq!(p.run_checked((0..100).collect(), &RunOptions::default()).unwrap(), oracle);
+        assert_eq!(p.run((0..100).collect()), oracle);
     }
 
     #[test]

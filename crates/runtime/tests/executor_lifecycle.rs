@@ -6,7 +6,8 @@
 use patty_runtime::{
     CancelToken, Executor, MasterWorker, ParallelFor, Pipeline, RunOptions, RuntimeError, Stage,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,6 +60,87 @@ fn all_three_patterns_reuse_the_global_pool() {
         after.tasks_executed + after.tasks_helped > warm.tasks_executed + warm.tasks_helped,
         "repeat runs executed work on the shared pool"
     );
+}
+
+/// The infallible entry points are wrappers that re-panic on the error
+/// their checked twin returns: the caller sees one panic naming the
+/// stage, the failing index and the original payload, every worker has
+/// joined by then, and the shared pool serves the next run of the same
+/// shape as if nothing had happened (no poisoned lane, no leaked slot).
+#[test]
+fn infallible_entry_points_re_panic_with_attribution_and_leave_the_pool_usable() {
+    const N: usize = 48;
+    const BAD: usize = 17;
+    fn body(armed: bool, i: usize) -> i64 {
+        if armed && i == BAD {
+            panic!("boom at {i}");
+        }
+        i as i64 * 3 + 1
+    }
+    let mut oracle = Vec::new();
+    for i in 0..N {
+        oracle.push(body(false, i));
+    }
+    let sum = vec![oracle.iter().sum::<i64>()];
+
+    // (entry point, stage named in the panic, oracle, run it armed or not)
+    type Row<'a> = (&'a str, String, &'a Vec<i64>, Box<dyn Fn(bool) -> Vec<i64>>);
+    let pf = || ParallelFor::new(4).with_chunk(5);
+    let rows: Vec<Row> = vec![
+        ("ParallelFor::map", "parfor".into(), &oracle, Box::new(move |armed| pf().map(N, |i| body(armed, i)))),
+        (
+            "ParallelFor::for_each",
+            "parfor".into(),
+            &oracle,
+            Box::new(move |armed| {
+                let out: Vec<AtomicI64> = (0..N).map(|_| AtomicI64::new(0)).collect();
+                pf().for_each(N, |i| out[i].store(body(armed, i), Ordering::Relaxed));
+                out.into_iter().map(AtomicI64::into_inner).collect()
+            }),
+        ),
+        (
+            "ParallelFor::reduce",
+            "parfor".into(),
+            &sum,
+            Box::new(move |armed| vec![pf().reduce(N, 0, |a, i| a + body(armed, i), |a, b| a + b)]),
+        ),
+        (
+            "MasterWorker::run",
+            "masterworker".into(),
+            &oracle,
+            Box::new(|armed| MasterWorker::new(4).run((0..N).collect(), |i| body(armed, i))),
+        ),
+        (
+            "MasterWorker::join_all",
+            format!("task{BAD}"),
+            &oracle,
+            Box::new(|armed| {
+                MasterWorker::new(4).join_all((0..N).map(|i| move || body(armed, i)).collect())
+            }),
+        ),
+        (
+            "Pipeline::run",
+            "check".into(),
+            &oracle,
+            Box::new(|armed| {
+                Pipeline::new(vec![
+                    Stage::new("pass", |i: i64| i).replicated(2),
+                    Stage::new("check", move |i: i64| body(armed, i as usize)),
+                ])
+                .run((0..N as i64).collect())
+            }),
+        ),
+    ];
+    for (entry, stage, oracle, run) in rows {
+        let payload = catch_unwind(AssertUnwindSafe(|| run(true)))
+            .expect_err("a panicking body must reach the caller as a panic");
+        let message = payload.downcast_ref::<String>().expect("formatted panic message");
+        for part in [format!("`{stage}`"), format!("item {BAD}"), format!("boom at {BAD}")] {
+            assert!(message.contains(&part), "{entry}: `{message}` lacks `{part}`");
+        }
+        assert_eq!(&run(false), oracle, "{entry}: the run after the panic");
+    }
+    assert!(Executor::global().lanes_live() <= Executor::global().cap());
 }
 
 /// Concurrent pattern runs from independent application threads share
