@@ -245,6 +245,10 @@ fn main() {
             )
             .with("elapsed_ms", Json::Int(elapsed.as_millis() as i64))
             .with(
+                "combos_per_s",
+                Json::Int((total_combos as f64 / elapsed.as_secs_f64().max(1e-9)) as i64),
+            )
+            .with(
                 "os_threads",
                 match threads_after {
                     Some(t) => Json::Int(t as i64),

@@ -9,7 +9,7 @@
 //! schedule×fault explorer over the corpus with asserted budgets.
 
 use crate::explore::Report;
-use crate::sched::{FailureKind, FaultScenario, Inject, InjectKind, ThreadCtx};
+use crate::sched::{FailureKind, FaultScenario, Inject, InjectKind, TaskFuture, ThreadCtx};
 
 /// Failure kind expectations, ignoring payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -35,7 +35,7 @@ impl ExpectedKind {
 /// One corpus entry.
 pub struct CorpusEntry {
     pub name: &'static str,
-    pub test: fn(&ThreadCtx),
+    pub test: fn(ThreadCtx) -> TaskFuture,
     /// Failure kinds exploration must report (fault-free).
     pub expected: &'static [ExpectedKind],
     /// Fault point labels the entry carries (drives scenario generation).
@@ -57,111 +57,111 @@ impl CorpusEntry {
 
 /// Seeded data race: two unsynchronized read-increment-write threads
 /// lose an update on some interleavings.
-fn lost_update(ctx: &ThreadCtx) {
+async fn lost_update(ctx: ThreadCtx) {
     let counter = ctx.shared("counter", 0i64);
     let c1 = counter.clone();
     let c2 = counter.clone();
-    let t1 = ctx.spawn(move |ctx| {
-        let v = c1.read(ctx);
-        c1.write(ctx, v + 1);
-    });
-    let t2 = ctx.spawn(move |ctx| {
-        let v = c2.read(ctx);
-        c2.write(ctx, v + 1);
-    });
-    ctx.join(t1);
-    ctx.join(t2);
-    ctx.check(counter.read(ctx) == 2, "both increments must land");
+    let t1 = ctx.spawn(move |ctx| async move {
+        let v = c1.read(&ctx).await;
+        c1.write(&ctx, v + 1).await;
+    }).await;
+    let t2 = ctx.spawn(move |ctx| async move {
+        let v = c2.read(&ctx).await;
+        c2.write(&ctx, v + 1).await;
+    }).await;
+    ctx.join(t1).await;
+    ctx.join(t2).await;
+    ctx.check(counter.read(&ctx).await == 2, "both increments must land").await;
 }
 
 /// Classic ABBA deadlock: opposite lock acquisition order.
-fn abba_deadlock(ctx: &ThreadCtx) {
+async fn abba_deadlock(ctx: ThreadCtx) {
     let a = ctx.mutex("a");
     let b = ctx.mutex("b");
     let (a1, b1) = (a.clone(), b.clone());
     let (a2, b2) = (a.clone(), b.clone());
-    let t1 = ctx.spawn(move |ctx| {
-        a1.lock(ctx);
-        b1.lock(ctx);
-        b1.unlock(ctx);
-        a1.unlock(ctx);
-    });
-    let t2 = ctx.spawn(move |ctx| {
-        b2.lock(ctx);
-        a2.lock(ctx);
-        a2.unlock(ctx);
-        b2.unlock(ctx);
-    });
-    ctx.join(t1);
-    ctx.join(t2);
+    let t1 = ctx.spawn(move |ctx| async move {
+        a1.lock(&ctx).await;
+        b1.lock(&ctx).await;
+        b1.unlock(&ctx).await;
+        a1.unlock(&ctx).await;
+    }).await;
+    let t2 = ctx.spawn(move |ctx| async move {
+        b2.lock(&ctx).await;
+        a2.lock(&ctx).await;
+        a2.unlock(&ctx).await;
+        b2.unlock(&ctx).await;
+    }).await;
+    ctx.join(t1).await;
+    ctx.join(t2).await;
 }
 
 /// Channel-order violation: two producers race to a shared FIFO, but the
 /// consumer assumes producer 1's message arrives first.
-fn channel_order(ctx: &ThreadCtx) {
+async fn channel_order(ctx: ThreadCtx) {
     let ch = ctx.channel::<i64>("merge");
     let (c1, c2) = (ch.clone(), ch.clone());
-    let t1 = ctx.spawn(move |ctx| c1.send(ctx, 1));
-    let t2 = ctx.spawn(move |ctx| c2.send(ctx, 2));
-    let first = ch.recv(ctx);
-    let second = ch.recv(ctx);
-    ctx.check(first == 1 && second == 2, "producer 1 must arrive first");
-    ctx.join(t1);
-    ctx.join(t2);
+    let t1 = ctx.spawn(move |ctx| async move { c1.send(&ctx, 1).await }).await;
+    let t2 = ctx.spawn(move |ctx| async move { c2.send(&ctx, 2).await }).await;
+    let first = ch.recv(&ctx).await;
+    let second = ch.recv(&ctx).await;
+    ctx.check(first == 1 && second == 2, "producer 1 must arrive first").await;
+    ctx.join(t1).await;
+    ctx.join(t2).await;
 }
 
 /// Panic mid-drain: the producer dies after two of three items; the
 /// consumer starves on the third receive — a panic *and* the deadlock it
 /// causes downstream.
-fn panic_mid_drain(ctx: &ThreadCtx) {
+async fn panic_mid_drain(ctx: ThreadCtx) {
     let ch = ctx.channel::<i64>("drain");
     let chp = ch.clone();
-    let producer = ctx.spawn(move |ctx| {
-        chp.send(ctx, 10);
-        chp.send(ctx, 20);
+    let producer = ctx.spawn(move |ctx| async move {
+        chp.send(&ctx, 10).await;
+        chp.send(&ctx, 20).await;
         panic!("producer died mid-drain");
-    });
+    }).await;
     let chc = ch.clone();
-    let consumer = ctx.spawn(move |ctx| {
+    let consumer = ctx.spawn(move |ctx| async move {
         for _ in 0..3 {
-            let _ = chc.recv(ctx);
+            let _ = chc.recv(&ctx).await;
         }
-    });
-    ctx.join(producer);
-    ctx.join(consumer);
+    }).await;
+    ctx.join(producer).await;
+    ctx.join(consumer).await;
 }
 
 /// A clean two-stage pipeline carrying fault points at both stages: the
 /// fault-free exploration must be silent, and every fault-scenario
 /// failure must be fault-induced. A `Drop` at stage A forwards a
 /// tombstone so the stream stays drainable.
-fn clean_pipeline(ctx: &ThreadCtx) {
+async fn clean_pipeline(ctx: ThreadCtx) {
     let ch = ctx.channel::<i64>("buf");
     let out = ctx.shared("out", 0i64);
     let chp = ch.clone();
-    let producer = ctx.spawn(move |ctx| {
+    let producer = ctx.spawn(move |ctx| async move {
         for i in 0..2 {
-            let v = match ctx.fault_point("stage_a") {
+            let v = match ctx.fault_point("stage_a").await {
                 Inject::Run => i * 2,
                 Inject::Drop => -1,
             };
-            chp.send(ctx, v);
+            chp.send(&ctx, v).await;
         }
-    });
+    }).await;
     let (chc, oc) = (ch.clone(), out.clone());
-    let consumer = ctx.spawn(move |ctx| {
+    let consumer = ctx.spawn(move |ctx| async move {
         let mut sum = 0;
         for _ in 0..2 {
-            let v = chc.recv(ctx);
-            if ctx.fault_point("stage_b") == Inject::Run && v >= 0 {
+            let v = chc.recv(&ctx).await;
+            if ctx.fault_point("stage_b").await == Inject::Run && v >= 0 {
                 sum += v;
             }
         }
-        oc.write(ctx, sum);
-    });
-    ctx.join(producer);
-    ctx.join(consumer);
-    ctx.check(out.read(ctx) >= 0, "sum stays non-negative");
+        oc.write(&ctx, sum).await;
+    }).await;
+    ctx.join(producer).await;
+    ctx.join(consumer).await;
+    ctx.check(out.read(&ctx).await >= 0, "sum stays non-negative").await;
 }
 
 /// The full micro-corpus.
@@ -169,31 +169,31 @@ pub fn corpus() -> Vec<CorpusEntry> {
     vec![
         CorpusEntry {
             name: "lost_update",
-            test: lost_update,
+            test: |ctx| Box::pin(lost_update(ctx)),
             expected: &[ExpectedKind::Race, ExpectedKind::CheckFailed],
             fault_labels: &[],
         },
         CorpusEntry {
             name: "abba_deadlock",
-            test: abba_deadlock,
+            test: |ctx| Box::pin(abba_deadlock(ctx)),
             expected: &[ExpectedKind::Deadlock],
             fault_labels: &[],
         },
         CorpusEntry {
             name: "channel_order",
-            test: channel_order,
+            test: |ctx| Box::pin(channel_order(ctx)),
             expected: &[ExpectedKind::CheckFailed],
             fault_labels: &[],
         },
         CorpusEntry {
             name: "panic_mid_drain",
-            test: panic_mid_drain,
+            test: |ctx| Box::pin(panic_mid_drain(ctx)),
             expected: &[ExpectedKind::Panic, ExpectedKind::Deadlock],
             fault_labels: &[],
         },
         CorpusEntry {
             name: "clean_pipeline",
-            test: clean_pipeline,
+            test: |ctx| Box::pin(clean_pipeline(ctx)),
             expected: &[],
             fault_labels: &["stage_a", "stage_b"],
         },

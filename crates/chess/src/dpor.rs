@@ -23,8 +23,11 @@
 //! (asserted in `tests/known_bugs.rs` and the chess bench guard).
 
 use crate::explore::{ChessOptions, Report};
-use crate::sched::{run_schedule, FaultScenario, OpKey, Policy, StepInfo, ThreadCtx};
+use crate::sched::{
+    run_schedule, scenario_seed, FaultScenario, OpKey, Policy, StepInfo, ThreadCtx,
+};
 use std::collections::BTreeSet;
+use std::future::Future;
 use std::rc::Rc;
 
 /// Are two operations dependent (order-sensitive)?
@@ -190,11 +193,12 @@ fn close_dpor_frontier(report: &mut Report, nodes: &[Node]) {
 }
 
 /// Explore `test` with dynamic partial-order reduction.
-pub fn explore_dpor<F>(test: F, options: ChessOptions) -> Report
+pub fn explore_dpor<F, Fut>(test: F, options: ChessOptions) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    explore_dpor_scenario(Rc::new(test), &FaultScenario::none(), &options)
+    explore_dpor_scenario(&Rc::new(test), &FaultScenario::none(), &options)
 }
 
 /// Backtrack after a run: close out the deepest explored branch and
@@ -225,14 +229,16 @@ fn advance(nodes: &mut Vec<Node>, step_infos: &[StepInfo]) -> bool {
 
 /// DPOR exploration under a fixed fault scenario (used by the joint
 /// schedule×fault explorer).
-pub(crate) fn explore_dpor_scenario<F>(
-    test: Rc<F>,
+pub(crate) fn explore_dpor_scenario<F, Fut>(
+    test: &Rc<F>,
     scenario: &FaultScenario,
     options: &ChessOptions,
 ) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
+    let hash_seed = scenario_seed(scenario);
     let mut nodes: Vec<Node> = Vec::new();
     let mut report = Report::default();
     // Seed pass: run each known-bad schedule first, fully instrumented,
@@ -249,7 +255,7 @@ where
             pruned: false,
             seed: seed.clone(),
         };
-        let run = run_schedule(test.clone(), &mut policy, options.max_steps, scenario);
+        let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
         nodes = policy.nodes;
         report.absorb_run(run.failures, run.steps);
         apply_backtracks(&run.step_infos, &mut nodes);
@@ -273,7 +279,7 @@ where
             pruned: false,
             seed: Vec::new(),
         };
-        let run = run_schedule(test.clone(), &mut policy, options.max_steps, scenario);
+        let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
         nodes = policy.nodes;
         report.absorb_run(run.failures, run.steps);
         // Race analysis before the exit checks, so a truncated search's
@@ -305,21 +311,21 @@ mod tests {
         report.failures.iter().map(|f| f.kind.clone()).collect()
     }
 
-    fn racy_counter(ctx: &ThreadCtx) {
+    async fn racy_counter(ctx: ThreadCtx) {
         let counter = ctx.shared("counter", 0i64);
         let c1 = counter.clone();
         let c2 = counter.clone();
-        let t1 = ctx.spawn(move |ctx| {
-            let v = c1.read(ctx);
-            c1.write(ctx, v + 1);
-        });
-        let t2 = ctx.spawn(move |ctx| {
-            let v = c2.read(ctx);
-            c2.write(ctx, v + 1);
-        });
-        ctx.join(t1);
-        ctx.join(t2);
-        ctx.check(counter.read(ctx) == 2, "both increments must land");
+        let t1 = ctx.spawn(move |ctx| async move {
+            let v = c1.read(&ctx).await;
+            c1.write(&ctx, v + 1).await;
+        }).await;
+        let t2 = ctx.spawn(move |ctx| async move {
+            let v = c2.read(&ctx).await;
+            c2.write(&ctx, v + 1).await;
+        }).await;
+        ctx.join(t1).await;
+        ctx.join(t2).await;
+        ctx.check(counter.read(&ctx).await == 2, "both increments must land").await;
     }
 
     #[test]
@@ -339,25 +345,25 @@ mod tests {
     #[test]
     fn dpor_finds_abba_deadlock() {
         let report = explore_dpor(
-            |ctx| {
+            |ctx| async move {
                 let a = ctx.mutex("a");
                 let b = ctx.mutex("b");
                 let (a1, b1) = (a.clone(), b.clone());
                 let (a2, b2) = (a.clone(), b.clone());
-                let t1 = ctx.spawn(move |ctx| {
-                    a1.lock(ctx);
-                    b1.lock(ctx);
-                    b1.unlock(ctx);
-                    a1.unlock(ctx);
-                });
-                let t2 = ctx.spawn(move |ctx| {
-                    b2.lock(ctx);
-                    a2.lock(ctx);
-                    a2.unlock(ctx);
-                    b2.unlock(ctx);
-                });
-                ctx.join(t1);
-                ctx.join(t2);
+                let t1 = ctx.spawn(move |ctx| async move {
+                    a1.lock(&ctx).await;
+                    b1.lock(&ctx).await;
+                    b1.unlock(&ctx).await;
+                    a1.unlock(&ctx).await;
+                }).await;
+                let t2 = ctx.spawn(move |ctx| async move {
+                    b2.lock(&ctx).await;
+                    a2.lock(&ctx).await;
+                    a2.unlock(&ctx).await;
+                    b2.unlock(&ctx).await;
+                }).await;
+                ctx.join(t1).await;
+                ctx.join(t2).await;
             },
             ChessOptions::default(),
         );
@@ -369,20 +375,20 @@ mod tests {
         // Two tasks touching disjoint cells commute completely: DPOR
         // must collapse the whole interleaving space to a single trace.
         let report = explore_dpor(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("x", 0i64);
                 let y = ctx.shared("y", 0i64);
                 let (xc, yc) = (x.clone(), y.clone());
-                let t1 = ctx.spawn(move |ctx| {
-                    let v = xc.read(ctx);
-                    xc.write(ctx, v + 1);
-                });
-                let t2 = ctx.spawn(move |ctx| {
-                    let v = yc.read(ctx);
-                    yc.write(ctx, v + 1);
-                });
-                ctx.join(t1);
-                ctx.join(t2);
+                let t1 = ctx.spawn(move |ctx| async move {
+                    let v = xc.read(&ctx).await;
+                    xc.write(&ctx, v + 1).await;
+                }).await;
+                let t2 = ctx.spawn(move |ctx| async move {
+                    let v = yc.read(&ctx).await;
+                    yc.write(&ctx, v + 1).await;
+                }).await;
+                ctx.join(t1).await;
+                ctx.join(t2).await;
             },
             ChessOptions::default(),
         );

@@ -13,7 +13,10 @@
 //! set, strictly fewer schedules. The DFS stays as the differential
 //! oracle (and is the only mode that honors `preemption_bound`).
 
-use crate::sched::{run_schedule, Failure, FaultScenario, Policy, ThreadCtx};
+use crate::sched::{
+    run_schedule, scenario_seed, Failure, FaultScenario, Policy, RunResult, ThreadCtx,
+};
+use std::future::Future;
 use std::rc::Rc;
 
 /// Which search algorithm drives the exploration.
@@ -192,12 +195,14 @@ struct DfsPolicy {
 
 impl Policy for DfsPolicy {
     fn choose(&mut self, step: usize, runnable: &[usize], last: Option<usize>) -> usize {
-        let allowed: Vec<usize> = match (self.bound, last) {
-            (Some(c), Some(l)) if self.preemptions >= c && runnable.contains(&l) => vec![l],
-            _ => runnable.to_vec(),
+        let allowed = match (self.bound, &last) {
+            (Some(c), Some(l)) if self.preemptions >= c && runnable.contains(l) => {
+                std::slice::from_ref(l)
+            }
+            _ => runnable,
         };
         if step == self.frames.len() {
-            self.frames.push(Frame { choices: allowed.clone(), next: 0 });
+            self.frames.push(Frame { choices: allowed.to_vec(), next: 0 });
         }
         debug_assert_eq!(
             self.frames[step].choices, allowed,
@@ -216,27 +221,42 @@ impl Policy for DfsPolicy {
 
 /// Explore all schedules of `test` (within the options' bounds), using
 /// the configured [`SearchMode`].
-pub fn explore<F>(test: F, options: ChessOptions) -> Report
+pub fn explore<F, Fut>(test: F, options: ChessOptions) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let test = Rc::new(test);
-    match options.mode {
-        SearchMode::Dfs => explore_dfs_scenario(test, &FaultScenario::none(), &options),
-        SearchMode::Dpor => crate::dpor::explore_dpor_scenario(test, &FaultScenario::none(), &options),
-    }
+    explore_scenario(&Rc::new(test), &FaultScenario::none(), &options)
 }
 
-/// DFS exploration of `test` under a fixed fault scenario (used directly
-/// by the joint schedule×fault explorer).
-pub(crate) fn explore_dfs_scenario<F>(
-    test: Rc<F>,
+/// Run the configured exploration once under a fixed fault scenario (the
+/// joint schedule×fault explorer calls this once per scenario).
+pub(crate) fn explore_scenario<F, Fut>(
+    test: &Rc<F>,
     scenario: &FaultScenario,
     options: &ChessOptions,
 ) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
+    match options.mode {
+        SearchMode::Dfs => explore_dfs_scenario(test, scenario, options),
+        SearchMode::Dpor => crate::dpor::explore_dpor_scenario(test, scenario, options),
+    }
+}
+
+/// DFS exploration of `test` under a fixed fault scenario.
+fn explore_dfs_scenario<F, Fut>(
+    test: &Rc<F>,
+    scenario: &FaultScenario,
+    options: &ChessOptions,
+) -> Report
+where
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    let hash_seed = scenario_seed(scenario);
     let mut frames: Vec<Frame> = Vec::new();
     let mut report = Report::default();
     loop {
@@ -245,7 +265,7 @@ where
             bound: options.preemption_bound,
             preemptions: 0,
         };
-        let run = run_schedule(test.clone(), &mut policy, options.max_steps, scenario);
+        let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
         frames = policy.frames;
         report.absorb_run(run.failures, run.steps);
         if options.stop_on_first_failure && report.failed() {
@@ -290,9 +310,10 @@ fn close_dfs_frontier(report: &mut Report, frames: &[Frame]) {
 /// Iterative context bounding: explore with preemption bounds
 /// `0, 1, …, max_bound`, stopping early when a failure is found (if
 /// requested). The returned report accumulates all bounds explored.
-pub fn explore_iterative<F>(test: F, max_bound: usize, options: ChessOptions) -> Report
+pub fn explore_iterative<F, Fut>(test: F, max_bound: usize, options: ChessOptions) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     let test = Rc::new(test);
     let mut total = Report { complete: true, ..Report::default() };
@@ -306,7 +327,7 @@ where
             mode: SearchMode::Dfs,
             ..options.clone()
         };
-        let r = explore_dfs_scenario(test.clone(), &FaultScenario::none(), &opts);
+        let r = explore_dfs_scenario(&test, &FaultScenario::none(), &opts);
         let complete = r.complete;
         total.merge(r);
         total.complete &= complete;
@@ -326,9 +347,10 @@ where
 /// scheduling decisions. Far cheaper than DFS per unit of coverage
 /// diversity; finds shallow bugs quickly but gives no completeness
 /// guarantee.
-pub fn explore_random<F>(test: F, runs: u64, seed: u64, options: ChessOptions) -> Report
+pub fn explore_random<F, Fut>(test: F, runs: u64, seed: u64, options: ChessOptions) -> Report
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -343,10 +365,12 @@ where
     }
 
     let test = Rc::new(test);
+    let scenario = FaultScenario::none();
+    let hash_seed = scenario_seed(&scenario);
     let mut report = Report::default();
     for i in 0..runs {
         let mut policy = RandomPolicy { rng: StdRng::seed_from_u64(seed ^ i) };
-        let run = run_schedule(test.clone(), &mut policy, options.max_steps, &FaultScenario::none());
+        let run = run_schedule(&test, &mut policy, options.max_steps, &scenario, hash_seed);
         report.absorb_run(run.failures, run.steps);
         if options.stop_on_first_failure && report.failed() {
             break;
@@ -355,11 +379,11 @@ where
     report
 }
 
-pub(crate) struct ReplayPolicy {
-    pub schedule: Vec<usize>,
+struct ReplayPolicy<'a> {
+    schedule: &'a [usize],
 }
 
-impl Policy for ReplayPolicy {
+impl Policy for ReplayPolicy<'_> {
     fn choose(&mut self, step: usize, runnable: &[usize], _last: Option<usize>) -> usize {
         self.schedule
             .get(step)
@@ -371,12 +395,27 @@ impl Policy for ReplayPolicy {
 
 /// Replay a specific schedule (e.g. a failure witness) and return the
 /// failures it triggers.
-pub fn replay<F>(test: F, schedule: &[usize], max_steps: u64) -> Vec<Failure>
+pub fn replay<F, Fut>(test: F, schedule: &[usize], max_steps: u64) -> Vec<Failure>
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let mut policy = ReplayPolicy { schedule: schedule.to_vec() };
-    run_schedule(Rc::new(test), &mut policy, max_steps, &FaultScenario::none()).failures
+    replay_under(&Rc::new(test), &FaultScenario::none(), schedule, max_steps).failures
+}
+
+/// Re-run one schedule under one scenario via the replay policy.
+pub(crate) fn replay_under<F, Fut>(
+    test: &Rc<F>,
+    scenario: &FaultScenario,
+    schedule: &[usize],
+    max_steps: u64,
+) -> RunResult
+where
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    let mut policy = ReplayPolicy { schedule };
+    run_schedule(test, &mut policy, max_steps, scenario, scenario_seed(scenario))
 }
 
 #[cfg(test)]
@@ -385,21 +424,21 @@ mod tests {
     use crate::sched::FailureKind;
 
     /// Unsynchronized increment by two threads.
-    fn racy_counter(ctx: &ThreadCtx) {
+    async fn racy_counter(ctx: ThreadCtx) {
         let counter = ctx.shared("counter", 0i64);
         let c1 = counter.clone();
         let c2 = counter.clone();
-        let t1 = ctx.spawn(move |ctx| {
-            let v = c1.read(ctx);
-            c1.write(ctx, v + 1);
-        });
-        let t2 = ctx.spawn(move |ctx| {
-            let v = c2.read(ctx);
-            c2.write(ctx, v + 1);
-        });
-        ctx.join(t1);
-        ctx.join(t2);
-        ctx.check(counter.read(ctx) == 2, "both increments must land");
+        let t1 = ctx.spawn(move |ctx| async move {
+            let v = c1.read(&ctx).await;
+            c1.write(&ctx, v + 1).await;
+        }).await;
+        let t2 = ctx.spawn(move |ctx| async move {
+            let v = c2.read(&ctx).await;
+            c2.write(&ctx, v + 1).await;
+        }).await;
+        ctx.join(t1).await;
+        ctx.join(t2).await;
+        ctx.check(counter.read(&ctx).await == 2, "both increments must land").await;
     }
 
     #[test]
@@ -419,26 +458,26 @@ mod tests {
     #[test]
     fn mutex_protected_counter_is_clean_except_for_no_failures() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let counter = ctx.shared("counter", 0i64);
                 let m = ctx.mutex("m");
                 let (c1, m1) = (counter.clone(), m.clone());
                 let (c2, m2) = (counter.clone(), m.clone());
-                let t1 = ctx.spawn(move |ctx| {
-                    m1.lock(ctx);
-                    let v = c1.read(ctx);
-                    c1.write(ctx, v + 1);
-                    m1.unlock(ctx);
-                });
-                let t2 = ctx.spawn(move |ctx| {
-                    m2.lock(ctx);
-                    let v = c2.read(ctx);
-                    c2.write(ctx, v + 1);
-                    m2.unlock(ctx);
-                });
-                ctx.join(t1);
-                ctx.join(t2);
-                ctx.check(counter.read(ctx) == 2, "serialized increments");
+                let t1 = ctx.spawn(move |ctx| async move {
+                    m1.lock(&ctx).await;
+                    let v = c1.read(&ctx).await;
+                    c1.write(&ctx, v + 1).await;
+                    m1.unlock(&ctx).await;
+                }).await;
+                let t2 = ctx.spawn(move |ctx| async move {
+                    m2.lock(&ctx).await;
+                    let v = c2.read(&ctx).await;
+                    c2.write(&ctx, v + 1).await;
+                    m2.unlock(&ctx).await;
+                }).await;
+                ctx.join(t1).await;
+                ctx.join(t2).await;
+                ctx.check(counter.read(&ctx).await == 2, "serialized increments").await;
             },
             ChessOptions::default(),
         );
@@ -450,19 +489,19 @@ mod tests {
     #[test]
     fn atomic_fetch_modify_has_no_lost_update() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let counter = ctx.shared("counter", 0i64);
                 let c1 = counter.clone();
                 let c2 = counter.clone();
-                let t1 = ctx.spawn(move |ctx| {
-                    c1.fetch_modify(ctx, |v| v + 1);
-                });
-                let t2 = ctx.spawn(move |ctx| {
-                    c2.fetch_modify(ctx, |v| v + 1);
-                });
-                ctx.join(t1);
-                ctx.join(t2);
-                ctx.check(counter.read(ctx) == 2, "atomic increments");
+                let t1 = ctx.spawn(move |ctx| async move {
+                    c1.fetch_modify(&ctx, |v| v + 1).await;
+                }).await;
+                let t2 = ctx.spawn(move |ctx| async move {
+                    c2.fetch_modify(&ctx, |v| v + 1).await;
+                }).await;
+                ctx.join(t1).await;
+                ctx.join(t2).await;
+                ctx.check(counter.read(&ctx).await == 2, "atomic increments").await;
             },
             ChessOptions::default(),
         );
@@ -479,25 +518,25 @@ mod tests {
     #[test]
     fn detects_abba_deadlock() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let a = ctx.mutex("a");
                 let b = ctx.mutex("b");
                 let (a1, b1) = (a.clone(), b.clone());
                 let (a2, b2) = (a.clone(), b.clone());
-                let t1 = ctx.spawn(move |ctx| {
-                    a1.lock(ctx);
-                    b1.lock(ctx);
-                    b1.unlock(ctx);
-                    a1.unlock(ctx);
-                });
-                let t2 = ctx.spawn(move |ctx| {
-                    b2.lock(ctx);
-                    a2.lock(ctx);
-                    a2.unlock(ctx);
-                    b2.unlock(ctx);
-                });
-                ctx.join(t1);
-                ctx.join(t2);
+                let t1 = ctx.spawn(move |ctx| async move {
+                    a1.lock(&ctx).await;
+                    b1.lock(&ctx).await;
+                    b1.unlock(&ctx).await;
+                    a1.unlock(&ctx).await;
+                }).await;
+                let t2 = ctx.spawn(move |ctx| async move {
+                    b2.lock(&ctx).await;
+                    a2.lock(&ctx).await;
+                    a2.unlock(&ctx).await;
+                    b2.unlock(&ctx).await;
+                }).await;
+                ctx.join(t1).await;
+                ctx.join(t2).await;
             },
             ChessOptions::default(),
         );
@@ -628,9 +667,9 @@ mod tests {
     #[test]
     fn panic_in_thread_is_reported() {
         let report = explore(
-            |ctx| {
-                let t = ctx.spawn(|_| panic!("boom"));
-                ctx.join(t);
+            |ctx| async move {
+                let t = ctx.spawn(|_| async move { panic!("boom") }).await;
+                ctx.join(t).await;
             },
             ChessOptions { max_schedules: 10, ..ChessOptions::default() },
         );
@@ -643,11 +682,11 @@ mod tests {
     #[test]
     fn single_thread_test_has_one_schedule() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("x", 1i64);
-                let v = x.read(ctx);
-                x.write(ctx, v * 2);
-                ctx.check(x.read(ctx) == 2, "sequential");
+                let v = x.read(&ctx).await;
+                x.write(&ctx, v * 2).await;
+                ctx.check(x.read(&ctx).await == 2, "sequential").await;
             },
             ChessOptions::default(),
         );
@@ -659,24 +698,24 @@ mod tests {
     #[test]
     fn schedule_count_grows_with_interleavings() {
         let small = explore(
-            |ctx| {
-                let t = ctx.spawn(|ctx| ctx.step());
-                ctx.step();
-                ctx.join(t);
+            |ctx| async move {
+                let t = ctx.spawn(|ctx| async move { ctx.step().await }).await;
+                ctx.step().await;
+                ctx.join(t).await;
             },
             ChessOptions::default(),
         );
         let big = explore(
-            |ctx| {
-                let t = ctx.spawn(|ctx| {
-                    ctx.step();
-                    ctx.step();
-                    ctx.step();
-                });
-                ctx.step();
-                ctx.step();
-                ctx.step();
-                ctx.join(t);
+            |ctx| async move {
+                let t = ctx.spawn(|ctx| async move {
+                    ctx.step().await;
+                    ctx.step().await;
+                    ctx.step().await;
+                }).await;
+                ctx.step().await;
+                ctx.step().await;
+                ctx.step().await;
+                ctx.join(t).await;
             },
             ChessOptions::default(),
         );
@@ -688,12 +727,12 @@ mod tests {
     fn join_establishes_happens_before() {
         // Parent reads what the child wrote after joining: no race.
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("x", 0i64);
                 let xc = x.clone();
-                let t = ctx.spawn(move |ctx| xc.write(ctx, 42));
-                ctx.join(t);
-                ctx.check(x.read(ctx) == 42, "joined value visible");
+                let t = ctx.spawn(move |ctx| async move { xc.write(&ctx, 42).await }).await;
+                ctx.join(t).await;
+                ctx.check(x.read(&ctx).await == 42, "joined value visible").await;
             },
             ChessOptions::default(),
         );
@@ -704,10 +743,10 @@ mod tests {
     #[test]
     fn step_limit_guards_against_livelock() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 // A long but finite loop that exceeds the tiny step limit.
                 for _ in 0..1000 {
-                    ctx.step();
+                    ctx.step().await;
                 }
             },
             ChessOptions { max_steps: 100, max_schedules: 2, ..ChessOptions::default() },
@@ -723,20 +762,20 @@ mod tests {
         // Sleeps ride on the virtual clock: a million-tick sleep costs
         // nothing and two sleepers wake in target order, every run.
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("order", 0i64);
                 let (x1, x2) = (x.clone(), x.clone());
-                let slow = ctx.spawn(move |ctx| {
-                    ctx.sleep(1_000_000);
-                    x1.fetch_modify(ctx, |v| v * 10 + 2);
-                });
-                let fast = ctx.spawn(move |ctx| {
-                    ctx.sleep(10);
-                    x2.fetch_modify(ctx, |v| v * 10 + 1);
-                });
-                ctx.join(fast);
-                ctx.join(slow);
-                ctx.check(x.read(ctx) == 12, "fast sleeper wakes first");
+                let slow = ctx.spawn(move |ctx| async move {
+                    ctx.sleep(1_000_000).await;
+                    x1.fetch_modify(&ctx, |v| v * 10 + 2).await;
+                }).await;
+                let fast = ctx.spawn(move |ctx| async move {
+                    ctx.sleep(10).await;
+                    x2.fetch_modify(&ctx, |v| v * 10 + 1).await;
+                }).await;
+                ctx.join(fast).await;
+                ctx.join(slow).await;
+                ctx.check(x.read(&ctx).await == 12, "fast sleeper wakes first").await;
             },
             ChessOptions::default(),
         );
@@ -759,22 +798,22 @@ mod channel_tests {
         // Producer writes a cell, sends a token; consumer receives then
         // reads the cell: the channel edge orders the accesses.
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("x", 0i64);
                 let ch = ctx.channel::<i64>("buf");
                 let (xp, chp) = (x.clone(), ch.clone());
-                let producer = ctx.spawn(move |ctx| {
-                    xp.write(ctx, 7);
-                    chp.send(ctx, 1);
-                });
+                let producer = ctx.spawn(move |ctx| async move {
+                    xp.write(&ctx, 7).await;
+                    chp.send(&ctx, 1).await;
+                }).await;
                 let (xc, chc) = (x.clone(), ch.clone());
-                let consumer = ctx.spawn(move |ctx| {
-                    let _token = chc.recv(ctx);
-                    let v = xc.read(ctx);
-                    ctx.check(v == 7, "value visible after handoff");
-                });
-                ctx.join(producer);
-                ctx.join(consumer);
+                let consumer = ctx.spawn(move |ctx| async move {
+                    let _token = chc.recv(&ctx).await;
+                    let v = xc.read(&ctx).await;
+                    ctx.check(v == 7, "value visible after handoff").await;
+                }).await;
+                ctx.join(producer).await;
+                ctx.join(consumer).await;
             },
             ChessOptions::default(),
         );
@@ -786,21 +825,21 @@ mod channel_tests {
     fn unordered_access_despite_channel_still_races() {
         // Consumer reads the cell BEFORE receiving: race must be found.
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let x = ctx.shared("x", 0i64);
                 let ch = ctx.channel::<i64>("buf");
                 let (xp, chp) = (x.clone(), ch.clone());
-                let producer = ctx.spawn(move |ctx| {
-                    xp.write(ctx, 7);
-                    chp.send(ctx, 1);
-                });
+                let producer = ctx.spawn(move |ctx| async move {
+                    xp.write(&ctx, 7).await;
+                    chp.send(&ctx, 1).await;
+                }).await;
                 let (xc, chc) = (x.clone(), ch.clone());
-                let consumer = ctx.spawn(move |ctx| {
-                    let _early = xc.read(ctx); // unsynchronized
-                    let _token = chc.recv(ctx);
-                });
-                ctx.join(producer);
-                ctx.join(consumer);
+                let consumer = ctx.spawn(move |ctx| async move {
+                    let _early = xc.read(&ctx).await; // unsynchronized
+                    let _token = chc.recv(&ctx).await;
+                }).await;
+                ctx.join(producer).await;
+                ctx.join(consumer).await;
             },
             ChessOptions::default(),
         );
@@ -813,19 +852,19 @@ mod channel_tests {
     #[test]
     fn fifo_order_preserved() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let ch = ctx.channel::<i64>("buf");
                 let chp = ch.clone();
-                let producer = ctx.spawn(move |ctx| {
+                let producer = ctx.spawn(move |ctx| async move {
                     for i in 0..3 {
-                        chp.send(ctx, i);
+                        chp.send(&ctx, i).await;
                     }
-                });
-                let a = ch.recv(ctx);
-                let b = ch.recv(ctx);
-                let c = ch.recv(ctx);
-                ctx.check(a == 0 && b == 1 && c == 2, "FIFO");
-                ctx.join(producer);
+                }).await;
+                let a = ch.recv(&ctx).await;
+                let b = ch.recv(&ctx).await;
+                let c = ch.recv(&ctx).await;
+                ctx.check(a == 0 && b == 1 && c == 2, "FIFO").await;
+                ctx.join(producer).await;
             },
             ChessOptions { max_schedules: 2_000, ..ChessOptions::default() },
         );
@@ -835,9 +874,9 @@ mod channel_tests {
     #[test]
     fn recv_on_never_filled_channel_deadlocks() {
         let report = explore(
-            |ctx| {
+            |ctx| async move {
                 let ch = ctx.channel::<i64>("buf");
-                let _ = ch.recv(ctx);
+                let _ = ch.recv(&ctx).await;
             },
             ChessOptions { max_schedules: 10, ..ChessOptions::default() },
         );
@@ -853,16 +892,16 @@ mod random_tests {
     use super::*;
     use crate::sched::FailureKind;
 
-    fn racy(ctx: &ThreadCtx) {
+    async fn racy(ctx: ThreadCtx) {
         let x = ctx.shared("x", 0i64);
         let xc = x.clone();
-        let t = ctx.spawn(move |ctx| {
-            let v = xc.read(ctx);
-            xc.write(ctx, v + 1);
-        });
-        let v = x.read(ctx);
-        x.write(ctx, v + 1);
-        ctx.join(t);
+        let t = ctx.spawn(move |ctx| async move {
+            let v = xc.read(&ctx).await;
+            xc.write(&ctx, v + 1).await;
+        }).await;
+        let v = x.read(&ctx).await;
+        x.write(&ctx, v + 1).await;
+        ctx.join(t).await;
     }
 
     #[test]

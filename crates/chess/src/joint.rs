@@ -23,8 +23,9 @@
 //! re-executes exactly that interleaving (twice, comparing byte-for-byte)
 //! from the hash alone.
 
-use crate::explore::{explore_dfs_scenario, ChessOptions, Report, ReplayPolicy, SearchMode};
-use crate::sched::{run_schedule, Failure, FailureKind, FaultScenario, ThreadCtx};
+use crate::explore::{explore_scenario, replay_under, ChessOptions, Report};
+use crate::sched::{Failure, FailureKind, FaultScenario, ThreadCtx};
+use std::future::Future;
 use std::rc::Rc;
 
 /// The exploration of one fault scenario.
@@ -100,30 +101,16 @@ impl JointReport {
     }
 }
 
-/// Run the configured exploration once under a fixed scenario.
-pub(crate) fn explore_scenario<F>(
-    test: Rc<F>,
-    scenario: &FaultScenario,
-    options: &ChessOptions,
-) -> Report
-where
-    F: Fn(&ThreadCtx) + 'static,
-{
-    match options.mode {
-        SearchMode::Dfs => explore_dfs_scenario(test, scenario, options),
-        SearchMode::Dpor => crate::dpor::explore_dpor_scenario(test, scenario, options),
-    }
-}
-
 /// Explore every scenario × every schedule of `test`.
-pub fn explore_joint<F>(test: F, scenarios: &[FaultScenario], options: &ChessOptions) -> JointReport
+pub fn explore_joint<F, Fut>(test: F, scenarios: &[FaultScenario], options: &ChessOptions) -> JointReport
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     let test = Rc::new(test);
     let mut joint = JointReport::default();
     for scenario in scenarios {
-        let report = explore_scenario(test.clone(), scenario, options);
+        let report = explore_scenario(&test, scenario, options);
         joint.combos += report.schedules;
         joint.total_steps += report.total_steps;
         joint.estimated_combos = joint.estimated_combos.saturating_add(report.estimated_total);
@@ -144,46 +131,35 @@ pub struct ReplayOutcome {
     pub byte_stable: bool,
 }
 
-/// Re-run one schedule under one scenario via the replay policy.
-fn replay_under<F>(
-    test: Rc<F>,
-    scenario: &FaultScenario,
-    schedule: &[usize],
-    max_steps: u64,
-) -> (Vec<usize>, Vec<Failure>, u64, u64)
-where
-    F: Fn(&ThreadCtx) + 'static,
-{
-    let mut policy = ReplayPolicy { schedule: schedule.to_vec() };
-    let run = run_schedule(test, &mut policy, max_steps, scenario);
-    (run.decisions, run.failures, run.steps, run.trace_hash)
-}
-
 /// Find the failure whose `sched_trace_hash` is `hash` by re-running the
 /// joint exploration (same options ⇒ same search ⇒ same hashes), then
 /// replay its interleaving twice and compare the replays byte-for-byte.
 /// Returns `None` when no explored failure carries the hash.
-pub fn replay_hash<F>(
+pub fn replay_hash<F, Fut>(
     test: F,
     scenarios: &[FaultScenario],
     options: &ChessOptions,
     hash: u64,
 ) -> Option<ReplayOutcome>
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
     let test = Rc::new(test);
     for scenario in scenarios {
-        let report = explore_scenario(test.clone(), scenario, options);
+        let report = explore_scenario(&test, scenario, options);
         if let Some(f) = report.failures.iter().find(|f| f.trace_hash == hash) {
-            let a = replay_under(test.clone(), scenario, &f.schedule, options.max_steps);
-            let b = replay_under(test.clone(), scenario, &f.schedule, options.max_steps);
-            let byte_stable = a == b
-                && a.1.iter().any(|g| g.kind == f.kind && g.trace_hash == hash);
+            let a = replay_under(&test, scenario, &f.schedule, options.max_steps);
+            let b = replay_under(&test, scenario, &f.schedule, options.max_steps);
+            let byte_stable = a.decisions == b.decisions
+                && a.failures == b.failures
+                && a.steps == b.steps
+                && a.trace_hash == b.trace_hash
+                && a.failures.iter().any(|g| g.kind == f.kind && g.trace_hash == hash);
             return Some(ReplayOutcome {
                 scenario: scenario.clone(),
                 schedule: f.schedule.clone(),
-                failures: a.1,
+                failures: a.failures,
                 byte_stable,
             });
         }
@@ -198,33 +174,33 @@ mod tests {
 
     /// A two-stage pipeline with fault points at both stages; clean under
     /// the no-fault scenario.
-    fn faulty_pipeline(ctx: &ThreadCtx) {
+    async fn faulty_pipeline(ctx: ThreadCtx) {
         let ch = ctx.channel::<i64>("buf");
         let out = ctx.shared("out", 0i64);
         let chp = ch.clone();
-        let producer = ctx.spawn(move |ctx| {
+        let producer = ctx.spawn(move |ctx| async move {
             for i in 0..2 {
-                let v = match ctx.fault_point("stage_a") {
+                let v = match ctx.fault_point("stage_a").await {
                     Inject::Run => i * 2,
                     Inject::Drop => -1,
                 };
-                chp.send(ctx, v);
+                chp.send(&ctx, v).await;
             }
-        });
+        }).await;
         let (chc, oc) = (ch.clone(), out.clone());
-        let consumer = ctx.spawn(move |ctx| {
+        let consumer = ctx.spawn(move |ctx| async move {
             let mut sum = 0;
             for _ in 0..2 {
-                let v = chc.recv(ctx);
-                if ctx.fault_point("stage_b") == Inject::Run && v >= 0 {
+                let v = chc.recv(&ctx).await;
+                if ctx.fault_point("stage_b").await == Inject::Run && v >= 0 {
                     sum += v;
                 }
             }
-            oc.write(ctx, sum);
-        });
-        ctx.join(producer);
-        ctx.join(consumer);
-        ctx.check(out.read(ctx) >= 0, "sum stays non-negative");
+            oc.write(&ctx, sum).await;
+        }).await;
+        ctx.join(producer).await;
+        ctx.join(consumer).await;
+        ctx.check(out.read(&ctx).await >= 0, "sum stays non-negative").await;
     }
 
     fn scenarios() -> Vec<FaultScenario> {

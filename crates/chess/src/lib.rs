@@ -17,24 +17,31 @@
 //! strictly fewer schedules. The joint explorer ([`explore_joint`])
 //! drives schedules × injected faults ([`FaultScenario`]) in one search.
 //!
-//! Tests are ordinary closures over a [`ThreadCtx`] that spawn controlled
-//! tasks and touch [`Shared`] cells / [`CMutex`] mutexes; every access
-//! is a deterministic scheduling point.
+//! A test is a closure from a [`ThreadCtx`] to an `async` block —
+//! `|ctx| async move { … .await }` — that spawns controlled tasks of the
+//! same shape and touches [`Shared`] cells / [`CMutex`] mutexes /
+//! [`CChannel`] channels. Every such operation is an `async fn`: its
+//! `.await` is the deterministic scheduling point where the task parks
+//! until the scheduler grants it a step (tasks are polled futures, see
+//! [`sched`]). Bodies must be deterministic between yield points and must
+//! not hold a `RefCell` borrow of their own across an `.await`.
 //!
 //! ```
 //! use patty_chess::{explore, ChessOptions, FailureKind};
 //!
 //! let report = explore(
-//!     |ctx| {
+//!     |ctx| async move {
 //!         let x = ctx.shared("x", 0i64);
 //!         let xc = x.clone();
-//!         let t = ctx.spawn(move |ctx| {
-//!             let v = xc.read(ctx);
-//!             xc.write(ctx, v + 1);
-//!         });
-//!         let v = x.read(ctx); // races with the spawned thread
-//!         x.write(ctx, v + 1);
-//!         ctx.join(t);
+//!         let t = ctx
+//!             .spawn(move |ctx| async move {
+//!                 let v = xc.read(&ctx).await;
+//!                 xc.write(&ctx, v + 1).await;
+//!             })
+//!             .await;
+//!         let v = x.read(&ctx).await; // races with the spawned task
+//!         x.write(&ctx, v + 1).await;
+//!         ctx.join(t).await;
 //!     },
 //!     ChessOptions::default(),
 //! );
@@ -56,5 +63,5 @@ pub use explore::{
 pub use joint::{explore_joint, replay_hash, JointReport, ReplayOutcome, ScenarioReport};
 pub use sched::{
     CChannel, CMutex, Failure, FailureKind, FaultPoint, FaultScenario, Inject, InjectKind,
-    JoinHandle, Shared, ThreadCtx,
+    JoinHandle, Shared, TaskFuture, ThreadCtx,
 };

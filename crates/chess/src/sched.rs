@@ -10,17 +10,27 @@
 //! `max_steps` abort is byte-reproducible — no wall-clock timeout can
 //! smear a verdict.
 //!
-//! ## Resumption by replay
+//! ## Polled tasks
 //!
-//! A task is an ordinary `Fn(&ThreadCtx)` closure. Granting a task one
-//! step re-executes its closure from the start: operations already
-//! performed return their memoized results from the task's effect log
-//! (without re-executing effects or re-feeding the race detector), the
-//! first un-logged operation executes live against the shared state, and
-//! the next operation unwinds the closure with a private panic payload,
-//! suspending the task. User code between yield points must therefore be
-//! deterministic — the same contract CHESS imposes (the DFS explorer
-//! asserts it by comparing runnable sets on replay).
+//! A task body is an `async` block: `|ctx| async move { … .await }`. The
+//! scheduler stores it as a boxed future and every decision op is an
+//! `async fn` that first waits on one private *grant gate*. Granting a
+//! task one step sets the grant and polls its future once: the op the
+//! task was parked on takes the grant and executes against the shared
+//! state, user code runs on, and the next op finds the grant spent and
+//! returns `Pending` — so a step performs exactly one fresh op and runs
+//! user code up to (not into) the next one. The compiler-generated state
+//! machine is the task's program counter; nothing is re-executed and
+//! values keep their types. A blocked attempt (`lock` on a held mutex,
+//! `recv` on an empty channel, `join` on a live task) spends its grant,
+//! marks the task blocked and waits at the gate again; an aborted run
+//! simply stops polling.
+//!
+//! Two rules for test authors: user code between yield points must be
+//! deterministic — the same contract CHESS imposes (the explorers assert
+//! it by comparing runnable sets along the replayed prefix) — and a body
+//! must not hold a `RefCell` borrow of its own across an `.await`, since
+//! other tasks run while it is parked there.
 //!
 //! ## Trace hashes
 //!
@@ -39,8 +49,11 @@ use crate::clock::VectorClock;
 use std::any::Any;
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+use std::future::{poll_fn, Future};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// What went wrong on some schedule.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -236,36 +249,23 @@ pub(crate) struct StepInfo {
     pub clock: VectorClock,
 }
 
-/// Memoized result of one performed operation.
-#[derive(Clone)]
-enum Saved {
-    Unit,
-    /// A spawned task id or a created cell/mutex/channel id.
-    Id(usize),
-    /// A value read or received (downcast to the concrete type on replay).
-    Value(Rc<dyn Any>),
-    /// Fault point outcome: `true` = drop the item.
-    Inject(bool),
-}
+/// A task body as the scheduler stores it. Test bodies that must name
+/// their type (fn pointers, `impl Fn` returns) box into this.
+pub type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct Task {
-    body: Rc<dyn Fn(&ThreadCtx)>,
+    /// The suspended body; `None` while it is being polled and once the
+    /// task has finished or panicked.
+    future: Option<TaskFuture>,
     state: TState,
-    /// Effect log; replayed from the start on every resumption.
-    log: Vec<Saved>,
-    /// Replay position within `log` for the current resumption.
-    cursor: usize,
+    /// Frozen once the task finishes: joiners read it as the finish clock.
     clock: VectorClock,
-    finish_clock: Option<VectorClock>,
 }
 
 struct CellMeta {
     name: String,
     last_write: Option<(usize, VectorClock)>,
     reads: Vec<(usize, VectorClock)>,
-    /// `Rc<RefCell<T>>` behind `dyn Any`: replayed creations must hand
-    /// back the *same* storage, not a fresh copy of the initial value.
-    data: Rc<dyn Any>,
 }
 
 struct MutexMeta {
@@ -273,21 +273,15 @@ struct MutexMeta {
     clock: VectorClock,
 }
 
-struct ChannelMeta {
-    /// Sender clocks of queued messages (FIFO), joined at receive to
-    /// establish the happens-before edge of the handoff.
-    queue: VecDeque<VectorClock>,
-    /// `Rc<RefCell<VecDeque<T>>>` behind `dyn Any` (same reason as cells).
-    data: Rc<dyn Any>,
-}
-
 pub(crate) struct State {
     tasks: Vec<Task>,
-    /// Whether the current step's single live-operation grant is unspent.
+    /// Whether the current step's single operation grant is unspent.
     granted: bool,
     cells: Vec<CellMeta>,
     mutexes: Vec<MutexMeta>,
-    channels: Vec<ChannelMeta>,
+    /// Per channel, the sender clocks of queued messages (FIFO), joined
+    /// at receive to establish the happens-before edge of the handoff.
+    channels: Vec<VecDeque<VectorClock>>,
     failures: Vec<Failure>,
     /// Chosen tids, in order — the schedule of this run.
     decisions: Vec<usize>,
@@ -312,24 +306,80 @@ impl State {
         match r {
             BlockReason::Mutex(m) => self.mutexes[*m].owner.is_none(),
             BlockReason::Join(t) => matches!(self.tasks[*t].state, TState::Finished),
-            BlockReason::Recv(c) => !self.channels[*c].queue.is_empty(),
+            BlockReason::Recv(c) => !self.channels[*c].is_empty(),
             BlockReason::Until(t) => self.virtual_time >= *t,
+        }
+    }
+
+    /// Record a failure (deduplicated by kind) with the current schedule
+    /// prefix and trace hash; does not abort by itself.
+    fn observe(&mut self, kind: FailureKind) {
+        if self.failures.iter().any(|f| f.kind == kind) {
+            return;
+        }
+        self.failures.push(Failure {
+            kind,
+            schedule: self.decisions.clone(),
+            trace_hash: self.cur_hash,
+            fault_induced: self.any_fault_fired,
+        });
+    }
+
+    fn register_task(&mut self, parent: Option<usize>, future: TaskFuture) -> usize {
+        let tid = self.tasks.len();
+        let mut clock = match parent {
+            Some(p) => self.tasks[p].clock.clone(),
+            None => VectorClock::new(),
+        };
+        clock.tick(tid);
+        if let Some(p) = parent {
+            self.tasks[p].clock.tick(p);
+            clock.join(&self.tasks[p].clock);
+        }
+        self.tasks.push(Task { future: Some(future), state: TState::Runnable, clock });
+        tid
+    }
+
+    /// Record the step of a decision op — performed, or attempted and
+    /// blocked (blocked attempts are scheduling decisions too).
+    fn record_op(&mut self, tid: usize, key: OpKey) {
+        let clock = self.tasks[tid].clock.clone();
+        self.step_infos.push(StepInfo { tid, op: Some(key), clock });
+    }
+
+    /// Record `key` and put the task to sleep for `ticks`. The caller then
+    /// yields to the driver, so the task stops before the code that
+    /// follows until the clock reaches the target and it is granted a step.
+    fn sleep(&mut self, tid: usize, key: OpKey, ticks: u64) {
+        let target = self.virtual_time + ticks;
+        self.record_op(tid, key);
+        self.tasks[tid].state = TState::Blocked(BlockReason::Until(target));
+    }
+
+    fn race_check(&mut self, tid: usize, cell_id: usize, is_write: bool) {
+        self.tasks[tid].clock.tick(tid);
+        let clock = &self.tasks[tid].clock;
+        let cell = &mut self.cells[cell_id];
+        let mut race =
+            cell.last_write.as_ref().is_some_and(|(wt, wc)| *wt != tid && !wc.le(clock));
+        if is_write {
+            race |= cell.reads.iter().any(|(rt, rc)| *rt != tid && !rc.le(clock));
+            cell.last_write = Some((tid, clock.clone()));
+            cell.reads.clear();
+        } else {
+            cell.reads.push((tid, clock.clone()));
+        }
+        if race {
+            let name = cell.name.clone();
+            self.observe(FailureKind::Race { cell: name });
         }
     }
 }
 
-/// Panic payload used to suspend a task at a yield point; never escapes
-/// the scheduler.
-struct Suspend;
-
-/// Panic payload used to unwind a task when the run is aborted; not a
-/// user-visible failure.
-struct Abort;
-
 thread_local! {
-    /// True while a controlled task body is executing: the panic hook
-    /// stays silent (suspension unwinds are panics by mechanism, not by
-    /// meaning, and user panics are caught and recorded as failures).
+    /// True while a task is being polled: the panic hook stays silent for
+    /// panics raised by user code or an injected fault inside a task —
+    /// they are caught at the poll and recorded as failures.
     static IN_TASK: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -354,6 +404,20 @@ fn payload_str(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "<non-string panic>".into())
 }
 
+/// Return `Pending` once, handing control back to the driver: the task
+/// resumes here on its next granted step with that step's grant unspent.
+async fn yield_to_driver() {
+    let mut yielded = false;
+    poll_fn(|_| {
+        if std::mem::replace(&mut yielded, true) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    })
+    .await
+}
+
 pub(crate) struct Sched {
     state: RefCell<State>,
     max_steps: u64,
@@ -369,9 +433,8 @@ pub(crate) struct RunResult {
 }
 
 impl Sched {
-    pub(crate) fn new(max_steps: u64, scenario: FaultScenario) -> Rc<Sched> {
+    fn new(max_steps: u64, scenario: FaultScenario, seed: u64) -> Rc<Sched> {
         install_quiet_hook();
-        let cur_hash = scenario_seed(&scenario);
         let fault_fired = vec![false; scenario.faults.len()];
         Rc::new(Sched {
             state: RefCell::new(State {
@@ -385,7 +448,7 @@ impl Sched {
                 steps: 0,
                 aborted: false,
                 virtual_time: 0,
-                cur_hash,
+                cur_hash: seed,
                 scenario,
                 fault_fired,
                 fault_calls: Vec::new(),
@@ -396,125 +459,53 @@ impl Sched {
         })
     }
 
-    /// Record a failure (deduplicated by kind) with the current schedule
-    /// prefix and trace hash; does not abort by itself.
-    fn observe_in(st: &mut State, kind: FailureKind) {
-        if st.failures.iter().any(|f| f.kind == kind) {
-            return;
-        }
-        let schedule = st.decisions.clone();
-        st.failures.push(Failure {
-            kind,
-            schedule,
-            trace_hash: st.cur_hash,
-            fault_induced: st.any_fault_fired,
-        });
-    }
-
-    fn register_task(st: &mut State, parent: Option<usize>, body: Rc<dyn Fn(&ThreadCtx)>) -> usize {
-        let tid = st.tasks.len();
-        let mut clock = match parent {
-            Some(p) => {
-                let mut c = st.tasks[p].clock.clone();
-                c.tick(tid);
-                c
+    /// The grant gate every decision op waits on: resolves, spending the
+    /// grant, on the first poll that finds this step's grant unspent.
+    /// Only the task being polled can reach it, so the grant needs no
+    /// owner.
+    async fn granted(&self) -> RefMut<'_, State> {
+        poll_fn(|_| {
+            let mut st = self.state.borrow_mut();
+            if std::mem::take(&mut st.granted) {
+                Poll::Ready(st)
+            } else {
+                Poll::Pending
             }
-            None => {
-                let mut c = VectorClock::new();
-                c.tick(tid);
-                c
+        })
+        .await
+    }
+
+    /// A decision op that can block: each grant makes one attempt. A
+    /// failed attempt marks the task blocked on `reason`, records the
+    /// attempted op and waits for the next grant to retry.
+    async fn attempt<R>(
+        &self,
+        tid: usize,
+        reason: BlockReason,
+        key: OpKey,
+        mut op: impl FnMut(&mut State) -> Option<R>,
+    ) -> R {
+        loop {
+            let mut st = self.granted().await;
+            if let Some(done) = op(&mut st) {
+                st.record_op(tid, key);
+                return done;
             }
-        };
-        if let Some(p) = parent {
-            st.tasks[p].clock.tick(p);
-            let pc = st.tasks[p].clock.clone();
-            clock.join(&pc);
+            st.tasks[tid].state = TState::Blocked(reason);
+            st.record_op(tid, key);
         }
-        st.tasks.push(Task {
-            body,
-            state: TState::Runnable,
-            log: Vec::new(),
-            cursor: 0,
-            clock,
-            finish_clock: None,
-        });
-        tid
     }
 
-    /// Gate for a decision op: `Some(saved)` replays a memoized result,
-    /// `None` means "perform live now" (this step's grant was consumed).
-    /// Unwinds the task when the grant is already spent.
-    fn decision(&self, tid: usize) -> Option<Saved> {
-        let mut st = self.state.borrow_mut();
-        if st.aborted {
-            drop(st);
-            panic_any(Abort);
-        }
-        let t = &mut st.tasks[tid];
-        if t.cursor < t.log.len() {
-            let s = t.log[t.cursor].clone();
-            t.cursor += 1;
-            return Some(s);
-        }
-        if st.granted {
-            st.granted = false;
-            return None;
-        }
-        drop(st);
-        panic_any(Suspend);
-    }
-
-    /// Gate for a silent op (cell/mutex/channel creation): replays or
-    /// signals "perform live" without consuming the grant — creation is
-    /// not a scheduling decision.
-    fn silent(&self, tid: usize) -> Option<Saved> {
-        let mut st = self.state.borrow_mut();
-        let t = &mut st.tasks[tid];
-        if t.cursor < t.log.len() {
-            let s = t.log[t.cursor].clone();
-            t.cursor += 1;
-            return Some(s);
-        }
-        None
-    }
-
-    /// Log a completed live decision op and its step record.
-    fn commit(st: &mut State, tid: usize, saved: Saved, key: OpKey) {
-        st.tasks[tid].log.push(saved);
-        st.tasks[tid].cursor += 1;
-        let clock = st.tasks[tid].clock.clone();
-        st.step_infos.push(StepInfo { tid, op: Some(key), clock });
-    }
-
-    /// Log a completed live silent op (no step record).
-    fn commit_silent(st: &mut State, tid: usize, saved: Saved) {
-        st.tasks[tid].log.push(saved);
-        st.tasks[tid].cursor += 1;
-    }
-
-    /// Abandon the live attempt: mark the task blocked, record the
-    /// attempted op (blocked attempts are scheduling decisions too), and
-    /// suspend. The op is *not* logged — the next grant retries it.
-    fn block(&self, mut st: RefMut<'_, State>, tid: usize, reason: BlockReason, key: OpKey) -> ! {
-        st.tasks[tid].state = TState::Blocked(reason);
-        let clock = st.tasks[tid].clock.clone();
-        st.step_infos.push(StepInfo { tid, op: Some(key), clock });
-        drop(st);
-        panic_any(Suspend);
-    }
-
-    /// The sorted set of tasks the driver may grant the next step to.
-    fn runnable(&self) -> Vec<usize> {
+    /// Fill `out` with the sorted set of tasks the driver may grant the
+    /// next step to.
+    fn runnable(&self, out: &mut Vec<usize>) {
         let st = self.state.borrow();
-        st.tasks
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| match &t.state {
-                TState::Runnable => Some(i),
-                TState::Blocked(r) => st.block_cleared(r).then_some(i),
-                TState::Finished => None,
-            })
-            .collect()
+        out.clear();
+        out.extend(st.tasks.iter().enumerate().filter_map(|(i, t)| match &t.state {
+            TState::Runnable => Some(i),
+            TState::Blocked(r) => st.block_cleared(r).then_some(i),
+            TState::Finished => None,
+        }));
     }
 
     /// Jump the virtual clock to the earliest sleeper's wake target.
@@ -547,52 +538,42 @@ impl Sched {
         st.steps += 1;
         st.virtual_time += 1;
         if st.steps > self.max_steps {
-            Sched::observe_in(&mut st, FailureKind::StepLimit);
+            st.observe(FailureKind::StepLimit);
             st.aborted = true;
             return false;
         }
         true
     }
 
-    /// Give `tid` one step: re-execute its closure, replaying the effect
-    /// log and performing exactly one fresh decision op.
-    fn step_task(self: &Rc<Sched>, tid: usize) {
-        let body = {
+    /// Give `tid` one step: set the grant and poll its future once.
+    fn step_task(&self, tid: usize) {
+        let mut future = {
             let mut st = self.state.borrow_mut();
             st.granted = true;
             let t = &mut st.tasks[tid];
-            t.cursor = 0;
             t.state = TState::Runnable;
-            t.body.clone()
+            t.future.take().expect("a runnable task has a future")
         };
-        let ctx = ThreadCtx { tid, sched: self.clone() };
         let prev = IN_TASK.with(|f| f.replace(true));
-        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+        let polled = catch_unwind(AssertUnwindSafe(|| {
+            future.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+        }));
         IN_TASK.with(|f| f.set(prev));
         let mut st = self.state.borrow_mut();
         st.granted = false;
-        match result {
-            Ok(()) => {
-                let t = &mut st.tasks[tid];
-                t.finish_clock = Some(t.clock.clone());
-                t.state = TState::Finished;
-            }
+        match polled {
+            // Parked at a gate (suspended, blocked or aborted): the op it
+            // waits on already set the task's state.
+            Ok(Poll::Pending) => st.tasks[tid].future = Some(future),
+            Ok(Poll::Ready(())) => st.tasks[tid].state = TState::Finished,
+            // A user or injected panic: record it and declare the task
+            // dead (joiners proceed, like joining a panicked thread;
+            // starved channel peers deadlock — a separate, correctly
+            // attributed failure). Its future is dropped, never polled
+            // again.
             Err(payload) => {
-                if payload.downcast_ref::<Suspend>().is_some()
-                    || payload.downcast_ref::<Abort>().is_some()
-                {
-                    // Suspended / blocked / aborted: state already set.
-                } else {
-                    // A real panic: record it and declare the task dead
-                    // (joiners proceed, like joining a panicked thread;
-                    // starved channel peers deadlock — a separate,
-                    // correctly-attributed failure).
-                    let msg = payload_str(payload.as_ref());
-                    Sched::observe_in(&mut st, FailureKind::Panic(msg));
-                    let t = &mut st.tasks[tid];
-                    t.finish_clock = Some(t.clock.clone());
-                    t.state = TState::Finished;
-                }
+                st.observe(FailureKind::Panic(payload_str(payload.as_ref())));
+                st.tasks[tid].state = TState::Finished;
             }
         }
         // Keep step records aligned 1:1 with decisions even when the task
@@ -603,50 +584,39 @@ impl Sched {
         }
     }
 
-    /// End-of-run bookkeeping: classify an empty runnable set.
-    fn finish_run(&self) {
+    /// End of a run: classify an empty runnable set, move the results out
+    /// and drop every task future. The futures own the tasks' handles,
+    /// each of which holds an `Rc<Sched>`; dropping them here is what
+    /// lets the scheduler and everything a still-parked task captured be
+    /// freed when the run returns.
+    fn finish_run(&self) -> RunResult {
         let mut st = self.state.borrow_mut();
-        if st.aborted {
-            return;
+        if !st.aborted && st.tasks.iter().any(|t| t.state != TState::Finished) {
+            st.observe(FailureKind::Deadlock);
         }
-        let all_done = st.tasks.iter().all(|t| matches!(t.state, TState::Finished));
-        if !all_done {
-            Sched::observe_in(&mut st, FailureKind::Deadlock);
-        }
-    }
-
-    fn take_result(&self) -> RunResult {
-        let st = self.state.borrow();
-        RunResult {
-            failures: st.failures.clone(),
-            decisions: st.decisions.clone(),
+        let tasks = std::mem::take(&mut st.tasks);
+        let result = RunResult {
+            failures: std::mem::take(&mut st.failures),
+            decisions: std::mem::take(&mut st.decisions),
             steps: st.steps,
             trace_hash: st.cur_hash,
-            step_infos: st.step_infos.clone(),
-        }
+            step_infos: std::mem::take(&mut st.step_infos),
+        };
+        // User destructors run outside the borrow.
+        drop(st);
+        drop(tasks);
+        result
     }
+}
 
-    fn race_check(st: &mut State, tid: usize, cell_id: usize, is_write: bool) {
-        st.tasks[tid].clock.tick(tid);
-        let clock = st.tasks[tid].clock.clone();
-        let cell = &mut st.cells[cell_id];
-        let mut race = cell
-            .last_write
-            .as_ref()
-            .map(|(wt, wc)| *wt != tid && !wc.le(&clock))
-            .unwrap_or(false);
-        if is_write {
-            race |= cell.reads.iter().any(|(rt, rc)| *rt != tid && !rc.le(&clock));
-            cell.last_write = Some((tid, clock));
-            cell.reads.clear();
-        } else {
-            cell.reads.push((tid, clock));
-        }
-        if race {
-            let name = st.cells[cell_id].name.clone();
-            Sched::observe_in(st, FailureKind::Race { cell: name });
-        }
-    }
+/// Box `body` as `ctx`'s task future. The body is first called inside the
+/// task's first poll, so a panic anywhere in it is the task's.
+fn task_future<F, Fut>(ctx: ThreadCtx, body: F) -> TaskFuture
+where
+    F: FnOnce(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
+{
+    Box::pin(async move { body(ctx).await })
 }
 
 /// Handle to a controlled task.
@@ -669,243 +639,138 @@ impl ThreadCtx {
         self.tid
     }
 
-    /// Spawn a controlled task (a scheduling decision). The closure is
-    /// `Fn` because suspended tasks resume by replaying it from the
-    /// start.
-    pub fn spawn<F>(&self, f: F) -> JoinHandle
+    /// Spawn a controlled task (a scheduling decision).
+    pub async fn spawn<F, Fut>(&self, body: F) -> JoinHandle
     where
-        F: Fn(&ThreadCtx) + 'static,
+        F: FnOnce(ThreadCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Id(tid)) => JoinHandle { tid },
-            Some(_) => unreachable!("replay log diverged at spawn"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let tid = Sched::register_task(&mut st, Some(self.tid), Rc::new(f));
-                Sched::commit(&mut st, self.tid, Saved::Id(tid), OpKey::Spawn);
-                JoinHandle { tid }
-            }
-        }
+        let mut st = self.sched.granted().await;
+        let child = ThreadCtx { tid: st.tasks.len(), sched: self.sched.clone() };
+        let tid = st.register_task(Some(self.tid), task_future(child, body));
+        st.record_op(self.tid, OpKey::Spawn);
+        JoinHandle { tid }
     }
 
     /// Join a controlled task (blocks this task in the model; joining a
     /// panicked task succeeds, as with real threads).
-    pub fn join(&self, handle: JoinHandle) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at join"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if !matches!(st.tasks[handle.tid].state, TState::Finished) {
-                    self.sched.block(
-                        st,
-                        self.tid,
-                        BlockReason::Join(handle.tid),
-                        OpKey::Join(handle.tid),
-                    );
+    pub async fn join(&self, handle: JoinHandle) {
+        let (me, child) = (self.tid, handle.tid);
+        self.sched
+            .attempt(me, BlockReason::Join(child), OpKey::Join(child), |st| {
+                if st.tasks[child].state != TState::Finished {
+                    return None;
                 }
-                let fc = st.tasks[handle.tid].finish_clock.clone().expect("finished");
-                st.tasks[self.tid].clock.join(&fc);
-                st.tasks[self.tid].clock.tick(self.tid);
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Join(handle.tid));
-            }
-        }
+                let finish_clock = st.tasks[child].clock.clone();
+                st.tasks[me].clock.join(&finish_clock);
+                st.tasks[me].clock.tick(me);
+                Some(())
+            })
+            .await
     }
 
     /// Create a shared cell participating in scheduling and race
     /// detection (not itself a scheduling decision).
-    pub fn shared<T: Clone + 'static>(&self, name: &str, init: T) -> Shared<T> {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => {
-                let st = self.sched.state.borrow();
-                let data = st.cells[id]
-                    .data
-                    .clone()
-                    .downcast::<RefCell<T>>()
-                    .unwrap_or_else(|_| unreachable!("cell type diverged on replay"));
-                Shared { id, data, sched: self.sched.clone() }
-            }
-            Some(_) => unreachable!("replay log diverged at shared"),
-            None => {
-                let data = Rc::new(RefCell::new(init));
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.cells.len();
-                st.cells.push(CellMeta {
-                    name: name.to_string(),
-                    last_write: None,
-                    reads: Vec::new(),
-                    data: data.clone(),
-                });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                Shared { id, data, sched: self.sched.clone() }
-            }
+    pub fn shared<T: Clone>(&self, name: &str, init: T) -> Shared<T> {
+        let mut st = self.sched.state.borrow_mut();
+        st.cells.push(CellMeta { name: name.to_string(), last_write: None, reads: Vec::new() });
+        Shared {
+            id: st.cells.len() - 1,
+            data: Rc::new(RefCell::new(init)),
+            sched: self.sched.clone(),
         }
     }
 
     /// Create a controlled mutex.
     pub fn mutex(&self, _name: &str) -> CMutex {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => CMutex { id, sched: self.sched.clone() },
-            Some(_) => unreachable!("replay log diverged at mutex"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.mutexes.len();
-                st.mutexes.push(MutexMeta { owner: None, clock: VectorClock::new() });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                CMutex { id, sched: self.sched.clone() }
-            }
-        }
+        let mut st = self.sched.state.borrow_mut();
+        st.mutexes.push(MutexMeta { owner: None, clock: VectorClock::new() });
+        CMutex { id: st.mutexes.len() - 1, sched: self.sched.clone() }
     }
 
     /// Create a controlled FIFO channel (models a pipeline buffer: the
     /// send→receive handoff is a happens-before edge).
-    pub fn channel<T: Clone + 'static>(&self, _name: &str) -> CChannel<T> {
-        match self.sched.silent(self.tid) {
-            Some(Saved::Id(id)) => {
-                let st = self.sched.state.borrow();
-                let data = st.channels[id]
-                    .data
-                    .clone()
-                    .downcast::<RefCell<VecDeque<T>>>()
-                    .unwrap_or_else(|_| unreachable!("channel type diverged on replay"));
-                CChannel { id, data, sched: self.sched.clone() }
-            }
-            Some(_) => unreachable!("replay log diverged at channel"),
-            None => {
-                let data: Rc<RefCell<VecDeque<T>>> = Rc::new(RefCell::new(VecDeque::new()));
-                let mut st = self.sched.state.borrow_mut();
-                let id = st.channels.len();
-                st.channels.push(ChannelMeta { queue: VecDeque::new(), data: data.clone() });
-                Sched::commit_silent(&mut st, self.tid, Saved::Id(id));
-                CChannel { id, data, sched: self.sched.clone() }
-            }
+    pub fn channel<T>(&self, _name: &str) -> CChannel<T> {
+        let mut st = self.sched.state.borrow_mut();
+        st.channels.push(VecDeque::new());
+        CChannel {
+            id: st.channels.len() - 1,
+            data: Rc::new(RefCell::new(VecDeque::new())),
+            sched: self.sched.clone(),
         }
     }
 
     /// Assert a property of the current schedule; a failure is recorded
     /// with the reproducing schedule + trace hash and the run is aborted.
-    pub fn check(&self, cond: bool, msg: &str) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at check"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Check);
-                if !cond {
-                    Sched::observe_in(&mut st, FailureKind::CheckFailed(msg.to_string()));
-                    st.aborted = true;
-                    drop(st);
-                    panic_any(Abort);
-                }
+    pub async fn check(&self, cond: bool, msg: &str) {
+        {
+            let mut st = self.sched.granted().await;
+            st.record_op(self.tid, OpKey::Check);
+            if cond {
+                return;
             }
+            st.observe(FailureKind::CheckFailed(msg.to_string()));
+            st.aborted = true;
         }
+        // The driver stops polling an aborted run.
+        std::future::pending().await
     }
 
     /// A scheduling point without a memory access (models local work).
-    pub fn step(&self) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at step"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Step);
-            }
-        }
+    pub async fn step(&self) {
+        self.sched.granted().await.record_op(self.tid, OpKey::Step);
     }
 
     /// Sleep `ticks` on the virtual clock: a deterministic stand-in for
     /// wall-clock sleeps. When only sleepers remain, the driver jumps the
     /// clock to the earliest wake target — no real time passes.
-    pub fn sleep(&self, ticks: u64) {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at sleep"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let target = st.virtual_time + ticks;
-                Sched::commit(&mut st, self.tid, Saved::Unit, OpKey::Sleep);
-                st.tasks[self.tid].state = TState::Blocked(BlockReason::Until(target));
-                drop(st);
-                panic_any(Suspend);
-            }
-        }
+    pub async fn sleep(&self, ticks: u64) {
+        self.sched.granted().await.sleep(self.tid, OpKey::Sleep, ticks);
+        yield_to_driver().await;
     }
 
     /// A named fault point: under a [`FaultScenario`] the matching armed
     /// fault fires here (panic / virtual delay / drop), making fault
     /// injection a scheduler decision point. Call counts are shared
     /// across tasks per label, mirroring faultsim's per-stage counters.
-    pub fn fault_point(&self, label: &str) -> Inject {
-        match self.sched.decision(self.tid) {
-            Some(Saved::Inject(drop_item)) => {
-                if drop_item {
-                    Inject::Drop
-                } else {
-                    Inject::Run
+    pub async fn fault_point(&self, label: &str) -> Inject {
+        let (fired, call) = {
+            let mut st = self.sched.granted().await;
+            let label_id = match st.fault_calls.iter().position(|(l, _)| l == label) {
+                Some(i) => i,
+                None => {
+                    st.fault_calls.push((label.to_string(), 0));
+                    st.fault_calls.len() - 1
                 }
+            };
+            let call = st.fault_calls[label_id].1;
+            st.fault_calls[label_id].1 += 1;
+            let key = OpKey::Fault(label_id);
+            let armed = (0..st.scenario.faults.len()).find(|&i| {
+                !st.fault_fired[i]
+                    && st.scenario.faults[i].label == label
+                    && st.scenario.faults[i].nth == call
+            });
+            let Some(i) = armed else {
+                st.record_op(self.tid, key);
+                return Inject::Run;
+            };
+            st.fault_fired[i] = true;
+            st.any_fault_fired = true;
+            let kind = st.scenario.faults[i].kind.clone();
+            match kind {
+                InjectKind::DelayTicks(n) => st.sleep(self.tid, key, n),
+                InjectKind::Panic | InjectKind::DropItem => st.record_op(self.tid, key),
             }
-            Some(_) => unreachable!("replay log diverged at fault_point"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                let label_id = match st.fault_calls.iter().position(|(l, _)| l == label) {
-                    Some(i) => i,
-                    None => {
-                        st.fault_calls.push((label.to_string(), 0));
-                        st.fault_calls.len() - 1
-                    }
-                };
-                let call = st.fault_calls[label_id].1;
-                st.fault_calls[label_id].1 += 1;
-                let armed = (0..st.scenario.faults.len()).find(|&i| {
-                    !st.fault_fired[i]
-                        && st.scenario.faults[i].label == label
-                        && st.scenario.faults[i].nth == call
-                });
-                match armed {
-                    None => {
-                        Sched::commit(&mut st, self.tid, Saved::Inject(false), OpKey::Fault(label_id));
-                        Inject::Run
-                    }
-                    Some(i) => {
-                        st.fault_fired[i] = true;
-                        st.any_fault_fired = true;
-                        match st.scenario.faults[i].kind.clone() {
-                            InjectKind::Panic => {
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(false),
-                                    OpKey::Fault(label_id),
-                                );
-                                drop(st);
-                                panic!("chess-fault: injected panic at `{label}` call {call}");
-                            }
-                            InjectKind::DelayTicks(n) => {
-                                let target = st.virtual_time + n;
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(false),
-                                    OpKey::Fault(label_id),
-                                );
-                                st.tasks[self.tid].state =
-                                    TState::Blocked(BlockReason::Until(target));
-                                drop(st);
-                                panic_any(Suspend);
-                            }
-                            InjectKind::DropItem => {
-                                Sched::commit(
-                                    &mut st,
-                                    self.tid,
-                                    Saved::Inject(true),
-                                    OpKey::Fault(label_id),
-                                );
-                                Inject::Drop
-                            }
-                        }
-                    }
-                }
+            (kind, call)
+        };
+        match fired {
+            InjectKind::Panic => panic!("chess-fault: injected panic at `{label}` call {call}"),
+            InjectKind::DelayTicks(_) => {
+                yield_to_driver().await;
+                Inject::Run
             }
+            InjectKind::DropItem => Inject::Drop,
         }
     }
 }
@@ -924,68 +789,33 @@ impl<T> Clone for Shared<T> {
     }
 }
 
-impl<T: Clone + 'static> Shared<T> {
+impl<T: Clone> Shared<T> {
     /// Read the cell.
-    pub fn read(&self, ctx: &ThreadCtx) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at read"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at read"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, false);
-                let value = self.data.borrow().clone();
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(value.clone())),
-                    OpKey::Read(self.id),
-                );
-                value
-            }
-        }
+    pub async fn read(&self, ctx: &ThreadCtx) -> T {
+        let mut st = self.sched.granted().await;
+        st.race_check(ctx.tid, self.id, false);
+        st.record_op(ctx.tid, OpKey::Read(self.id));
+        self.data.borrow().clone()
     }
 
     /// Write the cell.
-    pub fn write(&self, ctx: &ThreadCtx, value: T) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at write"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, true);
-                *self.data.borrow_mut() = value;
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Write(self.id));
-            }
-        }
+    pub async fn write(&self, ctx: &ThreadCtx, value: T) {
+        let mut st = self.sched.granted().await;
+        st.race_check(ctx.tid, self.id, true);
+        st.record_op(ctx.tid, OpKey::Write(self.id));
+        *self.data.borrow_mut() = value;
     }
 
     /// Atomic read-modify-write (a single yield point; models an atomic
-    /// instruction — no race window inside). `f` must be deterministic:
-    /// it is not re-applied on replay.
-    pub fn fetch_modify(&self, ctx: &ThreadCtx, f: impl FnOnce(T) -> T) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at fetch_modify"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at fetch_modify"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                Sched::race_check(&mut st, ctx.tid, self.id, true);
-                let old = self.data.borrow().clone();
-                *self.data.borrow_mut() = f(old.clone());
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(old.clone())),
-                    OpKey::Write(self.id),
-                );
-                old
-            }
-        }
+    /// instruction — no race window inside). Returns the old value.
+    pub async fn fetch_modify(&self, ctx: &ThreadCtx, f: impl FnOnce(T) -> T) -> T {
+        let mut st = self.sched.granted().await;
+        st.race_check(ctx.tid, self.id, true);
+        st.record_op(ctx.tid, OpKey::Write(self.id));
+        drop(st);
+        let old = self.data.borrow().clone();
+        *self.data.borrow_mut() = f(old.clone());
+        old
     }
 }
 
@@ -1004,56 +834,31 @@ impl Clone for CMutex {
 
 impl CMutex {
     /// Acquire the mutex (blocking in the model).
-    pub fn lock(&self, ctx: &ThreadCtx) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at lock"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if st.mutexes[self.id].owner == Some(ctx.tid) {
-                    drop(st);
-                    panic!("recursive lock of a CMutex");
+    pub async fn lock(&self, ctx: &ThreadCtx) {
+        let (me, id) = (ctx.tid, self.id);
+        self.sched
+            .attempt(me, BlockReason::Mutex(id), OpKey::Lock(id), |st| {
+                match st.mutexes[id].owner {
+                    Some(owner) if owner == me => panic!("recursive lock of a CMutex"),
+                    Some(_) => return None,
+                    None => st.mutexes[id].owner = Some(me),
                 }
-                if st.mutexes[self.id].owner.is_some() {
-                    self.sched.block(
-                        st,
-                        ctx.tid,
-                        BlockReason::Mutex(self.id),
-                        OpKey::Lock(self.id),
-                    );
-                }
-                st.mutexes[self.id].owner = Some(ctx.tid);
-                let mclock = st.mutexes[self.id].clock.clone();
-                st.tasks[ctx.tid].clock.join(&mclock);
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Lock(self.id));
-            }
-        }
+                let State { tasks, mutexes, .. } = st;
+                tasks[me].clock.join(&mutexes[id].clock);
+                tasks[me].clock.tick(me);
+                Some(())
+            })
+            .await
     }
 
     /// Release the mutex.
-    pub fn unlock(&self, ctx: &ThreadCtx) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at unlock"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                assert_eq!(st.mutexes[self.id].owner, Some(ctx.tid), "unlock by non-owner");
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let thread_clock = st.tasks[ctx.tid].clock.clone();
-                st.mutexes[self.id].clock = thread_clock;
-                st.mutexes[self.id].owner = None;
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Unlock(self.id));
-            }
-        }
-    }
-
-    /// Run `f` under the lock.
-    pub fn with<R>(&self, ctx: &ThreadCtx, f: impl FnOnce() -> R) -> R {
-        self.lock(ctx);
-        let r = f();
-        self.unlock(ctx);
-        r
+    pub async fn unlock(&self, ctx: &ThreadCtx) {
+        let mut st = self.sched.granted().await;
+        assert_eq!(st.mutexes[self.id].owner, Some(ctx.tid), "unlock by non-owner");
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        let thread_clock = st.tasks[ctx.tid].clock.clone();
+        st.mutexes[self.id] = MutexMeta { owner: None, clock: thread_clock };
+        st.record_op(ctx.tid, OpKey::Unlock(self.id));
     }
 }
 
@@ -1073,60 +878,29 @@ impl<T> Clone for CChannel<T> {
     }
 }
 
-impl<T: Clone + 'static> CChannel<T> {
+impl<T> CChannel<T> {
     /// Send a value (never blocks; the model channel is unbounded).
-    pub fn send(&self, ctx: &ThreadCtx, value: T) {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Unit) => {}
-            Some(_) => unreachable!("replay log diverged at send"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let clock = st.tasks[ctx.tid].clock.clone();
-                st.channels[self.id].queue.push_back(clock);
-                self.data.borrow_mut().push_back(value);
-                Sched::commit(&mut st, ctx.tid, Saved::Unit, OpKey::Send(self.id));
-            }
-        }
+    pub async fn send(&self, ctx: &ThreadCtx, value: T) {
+        let mut st = self.sched.granted().await;
+        st.tasks[ctx.tid].clock.tick(ctx.tid);
+        let clock = st.tasks[ctx.tid].clock.clone();
+        st.channels[self.id].push_back(clock);
+        self.data.borrow_mut().push_back(value);
+        st.record_op(ctx.tid, OpKey::Send(self.id));
     }
 
     /// Receive a value, blocking (in the model) while the channel is
     /// empty.
-    pub fn recv(&self, ctx: &ThreadCtx) -> T {
-        match self.sched.decision(ctx.tid) {
-            Some(Saved::Value(v)) => v
-                .downcast_ref::<T>()
-                .unwrap_or_else(|| unreachable!("replay log diverged at recv"))
-                .clone(),
-            Some(_) => unreachable!("replay log diverged at recv"),
-            None => {
-                let mut st = self.sched.state.borrow_mut();
-                if st.channels[self.id].queue.is_empty() {
-                    self.sched.block(
-                        st,
-                        ctx.tid,
-                        BlockReason::Recv(self.id),
-                        OpKey::Recv(self.id),
-                    );
-                }
-                let sender_clock =
-                    st.channels[self.id].queue.pop_front().expect("checked nonempty");
-                st.tasks[ctx.tid].clock.join(&sender_clock);
-                st.tasks[ctx.tid].clock.tick(ctx.tid);
-                let value = self
-                    .data
-                    .borrow_mut()
-                    .pop_front()
-                    .expect("data and clock queues stay in sync");
-                Sched::commit(
-                    &mut st,
-                    ctx.tid,
-                    Saved::Value(Rc::new(value.clone())),
-                    OpKey::Recv(self.id),
-                );
-                value
-            }
-        }
+    pub async fn recv(&self, ctx: &ThreadCtx) -> T {
+        let (me, id) = (ctx.tid, self.id);
+        self.sched
+            .attempt(me, BlockReason::Recv(id), OpKey::Recv(id), |st| {
+                let sender_clock = st.channels[id].pop_front()?;
+                st.tasks[me].clock.join(&sender_clock);
+                st.tasks[me].clock.tick(me);
+                self.data.borrow_mut().pop_front()
+            })
+            .await
     }
 }
 
@@ -1141,36 +915,33 @@ pub(crate) trait Policy {
     fn observe_step(&mut self, _info: &StepInfo) {}
 }
 
-/// Run one schedule of `test` under `policy` and `scenario`; the whole
-/// run executes cooperatively on the calling thread.
-pub(crate) fn run_schedule<F>(
-    test: Rc<F>,
+/// Run one schedule of `test` under `policy` and `scenario` (`seed` is
+/// its [`scenario_seed`], computed once per search); the whole run
+/// executes cooperatively on the calling thread.
+pub(crate) fn run_schedule<F, Fut>(
+    test: &Rc<F>,
     policy: &mut dyn Policy,
     max_steps: u64,
     scenario: &FaultScenario,
+    seed: u64,
 ) -> RunResult
 where
-    F: Fn(&ThreadCtx) + 'static,
+    F: Fn(ThreadCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let sched = Sched::new(max_steps, scenario.clone());
-    {
-        let mut st = sched.state.borrow_mut();
-        let body: Rc<dyn Fn(&ThreadCtx)> = test;
-        let tid = Sched::register_task(&mut st, None, body);
-        debug_assert_eq!(tid, 0);
-    }
+    let sched = Sched::new(max_steps, scenario.clone(), seed);
+    let test = test.clone();
+    let root = ThreadCtx { tid: 0, sched: sched.clone() };
+    sched.state.borrow_mut().register_task(None, task_future(root, move |ctx| test(ctx)));
+    let mut runnable = Vec::new();
     let mut last: Option<usize> = None;
     let mut step = 0usize;
-    loop {
-        if sched.state.borrow().aborted {
-            break;
-        }
-        let runnable = sched.runnable();
+    while !sched.state.borrow().aborted {
+        sched.runnable(&mut runnable);
         if runnable.is_empty() {
             if sched.advance_time() {
                 continue;
             }
-            sched.finish_run();
             break;
         }
         let tid = policy.choose(step, &runnable, last);
@@ -1179,14 +950,256 @@ where
             break;
         }
         sched.step_task(tid);
-        {
-            let st = sched.state.borrow();
-            if let Some(info) = st.step_infos.last() {
-                policy.observe_step(info);
-            }
+        if let Some(info) = sched.state.borrow().step_infos.last() {
+            policy.observe_step(info);
         }
         last = Some(tid);
         step += 1;
     }
-    sched.take_result()
+    sched.finish_run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::{explore, ChessOptions};
+
+    /// Follows `order` while it names a runnable task (else the lowest
+    /// runnable tid) and shows every executed step to `probe`.
+    struct Scripted<P: FnMut(&StepInfo)> {
+        order: Vec<usize>,
+        probe: P,
+    }
+
+    impl<P: FnMut(&StepInfo)> Policy for Scripted<P> {
+        fn choose(&mut self, step: usize, runnable: &[usize], _last: Option<usize>) -> usize {
+            self.order.get(step).copied().filter(|t| runnable.contains(t)).unwrap_or(runnable[0])
+        }
+
+        fn observe_step(&mut self, info: &StepInfo) {
+            (self.probe)(info);
+        }
+    }
+
+    /// One run; also holds every run in this module to the 1:1 alignment
+    /// of step records and decisions (the decision that trips the step
+    /// limit is recorded but never executed).
+    fn run<F, Fut>(
+        test: F,
+        order: &[usize],
+        max_steps: u64,
+        scenario: &FaultScenario,
+        probe: impl FnMut(&StepInfo),
+    ) -> RunResult
+    where
+        F: Fn(ThreadCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        let mut policy = Scripted { order: order.to_vec(), probe };
+        let seed = scenario_seed(scenario);
+        let result = run_schedule(&Rc::new(test), &mut policy, max_steps, scenario, seed);
+        let unexecuted = result.failures.iter().any(|f| f.kind == FailureKind::StepLimit);
+        assert_eq!(result.step_infos.len() + usize::from(unexecuted), result.decisions.len());
+        result
+    }
+
+    fn ops(result: &RunResult) -> Vec<(usize, Option<OpKey>)> {
+        result.step_infos.iter().map(|s| (s.tid, s.op)).collect()
+    }
+
+    /// Counts its drops.
+    struct Token(Rc<Cell<usize>>);
+
+    impl Drop for Token {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn code_after_a_sleep_waits_for_the_sleepers_next_granted_step() {
+        // Task 1 sleeps (by `sleep`, or by a delay fault), then creates a
+        // cell and steps. Whenever any *other* step executes, the cell
+        // count says whether task 1 has run past its sleep.
+        for scenario in [FaultScenario::none(), FaultScenario::one("f", 0, InjectKind::DelayTicks(3))] {
+            let delayed = !scenario.faults.is_empty();
+            let cells_seen = Rc::new(Cell::new(0usize));
+            let seen = cells_seen.clone();
+            let mut created_at_step = Vec::new();
+            let result = run(
+                move |ctx| {
+                    let seen = seen.clone();
+                    async move {
+                        let sleeper = ctx.spawn(move |ctx| async move {
+                            if delayed {
+                                ctx.fault_point("f").await;
+                            } else {
+                                ctx.sleep(3).await;
+                            }
+                            let _cell = ctx.shared("after_sleep", 0i64);
+                            seen.set(seen.get() + 1);
+                            ctx.step().await;
+                        });
+                        let sleeper = sleeper.await;
+                        for _ in 0..4 {
+                            ctx.step().await;
+                        }
+                        ctx.join(sleeper).await;
+                    }
+                },
+                &[0, 1],
+                100,
+                &scenario,
+                |_| created_at_step.push(cells_seen.get()),
+            );
+            assert!(result.failures.is_empty(), "{:?}", result.failures);
+            let slept = if delayed { OpKey::Fault(0) } else { OpKey::Sleep };
+            let executed = ops(&result);
+            assert_eq!(executed[1], (1, Some(slept)));
+            let woke = executed.iter().skip(2).position(|&(tid, _)| tid == 1).unwrap() + 2;
+            assert!(woke > 2, "other tasks ran while task 1 slept: {executed:?}");
+            assert_eq!(executed[woke], (1, Some(OpKey::Step)));
+            assert!(created_at_step[..woke].iter().all(|&n| n == 0), "{created_at_step:?}");
+            assert_eq!(created_at_step[woke], 1);
+        }
+    }
+
+    #[test]
+    fn a_task_that_reaches_no_op_still_records_its_step() {
+        let result = run(
+            |ctx| async move {
+                let idle = ctx.spawn(|_| async {}).await;
+                ctx.join(idle).await;
+            },
+            &[0, 1],
+            100,
+            &FaultScenario::none(),
+            |_| {},
+        );
+        assert_eq!(
+            ops(&result),
+            [(0, Some(OpKey::Spawn)), (1, None), (0, Some(OpKey::Join(1)))]
+        );
+    }
+
+    #[test]
+    fn a_panicked_task_is_never_polled_again_and_its_joiner_proceeds() {
+        let (polls, drops) = (Rc::new(Cell::new(0usize)), Rc::new(Cell::new(0usize)));
+        let (p, d) = (polls.clone(), drops.clone());
+        let result = run(
+            move |ctx| {
+                let (p, token) = (p.clone(), Token(d.clone()));
+                async move {
+                    let doomed = ctx.spawn(move |ctx| async move {
+                        let _token = token;
+                        ctx.step().await;
+                        p.set(p.get() + 1);
+                        panic!("boom");
+                    });
+                    let doomed = doomed.await;
+                    ctx.join(doomed).await;
+                    ctx.step().await;
+                }
+            },
+            &[0, 0, 1],
+            100,
+            &FaultScenario::none(),
+            |info| {
+                if info.tid == 0 && info.op == Some(OpKey::Step) {
+                    assert_eq!(drops.get(), 1, "the dead task's future was dropped at the panic");
+                }
+            },
+        );
+        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
+        assert_eq!(kinds, [FailureKind::Panic("boom".into())]);
+        assert_eq!(
+            ops(&result),
+            [
+                (0, Some(OpKey::Spawn)),
+                (0, Some(OpKey::Join(1))), // blocked attempt
+                (1, Some(OpKey::Step)),    // panics after the op, within the step
+                (0, Some(OpKey::Join(1))),
+                (0, Some(OpKey::Step)),
+            ]
+        );
+        assert_eq!(polls.get(), 1);
+    }
+
+    #[test]
+    fn an_aborted_run_performs_no_further_ops_in_any_task() {
+        // Both tasks count the ops they complete; once `check` fails (or
+        // the step limit trips) nothing may complete any more.
+        let body = |done: Rc<Cell<usize>>, fail_check: bool| {
+            move |ctx: ThreadCtx| {
+                let done = done.clone();
+                async move {
+                    let d = done.clone();
+                    let _worker = ctx.spawn(move |ctx| async move {
+                        loop {
+                            ctx.step().await;
+                            d.set(d.get() + 1);
+                        }
+                    });
+                    let _worker = _worker.await;
+                    done.set(done.get() + 1);
+                    ctx.check(!fail_check, "stop here").await;
+                    loop {
+                        ctx.step().await;
+                        done.set(done.get() + 1);
+                    }
+                }
+            }
+        };
+        let done = Rc::new(Cell::new(0usize));
+        let result = run(body(done.clone(), true), &[0, 1, 1, 0], 100, &FaultScenario::none(), |_| {});
+        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
+        assert_eq!(kinds, [FailureKind::CheckFailed("stop here".into())]);
+        assert_eq!(result.decisions, [0, 1, 1, 0], "the failed check is the last decision");
+        assert_eq!(done.get(), 3, "spawn + two worker steps; nothing after the check");
+
+        let done = Rc::new(Cell::new(0usize));
+        let result = run(body(done.clone(), false), &[], 6, &FaultScenario::none(), |_| {});
+        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
+        assert_eq!(kinds, [FailureKind::StepLimit]);
+        assert_eq!(result.steps, 7);
+        // Six executed steps: spawn, check, four `step`s — the check does
+        // not bump the counter, the spawn does.
+        assert_eq!(done.get(), 5);
+    }
+
+    #[test]
+    fn values_held_by_parked_tasks_are_dropped_when_the_search_returns() {
+        // One token moves into a task that parks on a never-filled channel
+        // (the run deadlocks), one into a task that is never even started
+        // because the root's failed check aborts the run first.
+        for abort in [false, true] {
+            let (made, dropped) = (Rc::new(Cell::new(0usize)), Rc::new(Cell::new(0usize)));
+            let (m, d) = (made.clone(), dropped.clone());
+            let report = explore(
+                move |ctx| {
+                    m.set(m.get() + 1);
+                    let token = Token(d.clone());
+                    async move {
+                        let ch = ctx.channel::<i64>("never_filled");
+                        let parked = ctx.spawn(move |ctx| async move {
+                            let _token = token;
+                            ch.recv(&ctx).await;
+                        });
+                        let parked = parked.await;
+                        ctx.check(!abort, "abort").await;
+                        ctx.join(parked).await;
+                    }
+                },
+                ChessOptions::default(),
+            );
+            let expected = if abort {
+                FailureKind::CheckFailed("abort".into())
+            } else {
+                FailureKind::Deadlock
+            };
+            assert!(report.failures.iter().any(|f| f.kind == expected), "{:?}", report.failures);
+            assert!(made.get() >= 1);
+            assert_eq!(dropped.get(), made.get(), "every schedule's token was dropped");
+        }
+    }
 }

@@ -42,7 +42,9 @@ fn has_conflict(shape: &Shape) -> bool {
 fn run_shape(shape: &Shape, locked: bool) -> patty_chess::Report {
     let shape = Arc::new(shape.clone());
     explore(
-        move |ctx: &ThreadCtx| {
+        move |ctx: ThreadCtx| {
+            let shape = shape.clone();
+            async move {
             let cells: Vec<_> = (0..shape.cells)
                 .map(|i| ctx.shared(&format!("c{i}"), 0i64))
                 .collect();
@@ -51,25 +53,26 @@ fn run_shape(shape: &Shape, locked: bool) -> patty_chess::Report {
             for ops in shape.threads.clone() {
                 let cells = cells.clone();
                 let mutex = mutex.clone();
-                handles.push(ctx.spawn(move |ctx| {
+                handles.push(ctx.spawn(move |ctx| async move {
                     for &(cell, is_write) in &ops {
                         if locked {
-                            mutex.lock(ctx);
+                            mutex.lock(&ctx).await;
                         }
                         if is_write {
-                            let v = cells[cell].read(ctx);
-                            cells[cell].write(ctx, v + 1);
+                            let v = cells[cell].read(&ctx).await;
+                            cells[cell].write(&ctx, v + 1).await;
                         } else {
-                            let _ = cells[cell].read(ctx);
+                            let _ = cells[cell].read(&ctx).await;
                         }
                         if locked {
-                            mutex.unlock(ctx);
+                            mutex.unlock(&ctx).await;
                         }
                     }
-                }));
+                }).await);
             }
             for h in handles {
-                ctx.join(h);
+                ctx.join(h).await;
+            }
             }
         },
         ChessOptions { max_schedules: 400, ..ChessOptions::default() },

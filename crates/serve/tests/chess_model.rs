@@ -37,10 +37,15 @@ fn lookup(entries: &[(i64, i64)], key: i64) -> bool {
 
 /// Insert `key` with the next stamp and evict the LRU entry past the
 /// bound — the caller must hold the shard's lock.
-fn insert_lru(ctx: &ThreadCtx, data: &Shared<Vec<(i64, i64)>>, clock: &Shared<i64>, key: i64) {
-    let stamp = clock.read(ctx) + 1;
-    clock.write(ctx, stamp);
-    let mut entries = data.read(ctx);
+async fn insert_lru(
+    ctx: &ThreadCtx,
+    data: &Shared<Vec<(i64, i64)>>,
+    clock: &Shared<i64>,
+    key: i64,
+) {
+    let stamp = clock.read(ctx).await + 1;
+    clock.write(ctx, stamp).await;
+    let mut entries = data.read(ctx).await;
     entries.retain(|&(k, _)| k != key);
     entries.push((key, stamp));
     while entries.len() > CAP {
@@ -52,12 +57,12 @@ fn insert_lru(ctx: &ThreadCtx, data: &Shared<Vec<(i64, i64)>>, clock: &Shared<i6
             .unwrap();
         entries.remove(lru);
     }
-    data.write(ctx, entries);
+    data.write(ctx, entries).await;
 }
 
 /// The model. `locked_reader` toggles the seeded bug: when false, the
 /// auditing thread reads shard 0 without taking its lock.
-fn cache_model(ctx: &ThreadCtx, locked_reader: bool) {
+async fn cache_model(ctx: ThreadCtx, locked_reader: bool) {
     // Shard 0 starts full (stamps 1 and 2) so both inserts evict.
     let d0 = ctx.shared("shard0", vec![(8i64, 1i64), (9, 2)]);
     let clock0 = ctx.shared("clock0", 2i64);
@@ -76,30 +81,30 @@ fn cache_model(ctx: &ThreadCtx, locked_reader: bool) {
     for _ in 0..2 {
         let (d0, clock0, m0) = (d0.clone(), clock0.clone(), m0.clone());
         let (inflight, computes, flight) = (inflight.clone(), computes.clone(), flight.clone());
-        getters.push(ctx.spawn(move |ctx| {
-            m0.lock(ctx);
-            let hit = lookup(&d0.read(ctx), 1);
-            let leader = !hit && inflight.read(ctx) == 0;
+        getters.push(ctx.spawn(move |ctx| async move {
+            m0.lock(&ctx).await;
+            let hit = lookup(&d0.read(&ctx).await, 1);
+            let leader = !hit && inflight.read(&ctx).await == 0;
             if leader {
-                inflight.write(ctx, 1);
+                inflight.write(&ctx, 1).await;
             }
             let waiter = !hit && !leader;
-            m0.unlock(ctx);
+            m0.unlock(&ctx).await;
             if leader {
                 // Compute outside the shard lock (as the service does),
                 // then publish atomically with the flag reset.
-                computes.write(ctx, computes.read(ctx) + 1);
-                ctx.step();
-                m0.lock(ctx);
-                insert_lru(ctx, &d0, &clock0, 1);
-                inflight.write(ctx, 0);
-                m0.unlock(ctx);
-                flight.send(ctx, 100);
+                computes.write(&ctx, computes.read(&ctx).await + 1).await;
+                ctx.step().await;
+                m0.lock(&ctx).await;
+                insert_lru(&ctx, &d0, &clock0, 1).await;
+                inflight.write(&ctx, 0).await;
+                m0.unlock(&ctx).await;
+                flight.send(&ctx, 100).await;
             } else if waiter {
-                let artifact = flight.recv(ctx);
-                ctx.check(artifact == 100, "waiter shares the leader's artifact");
+                let artifact = flight.recv(&ctx).await;
+                ctx.check(artifact == 100, "waiter shares the leader's artifact").await;
             }
-        }));
+        }).await);
     }
 
     // A writer inserting a different key into shard 0 (forcing LRU
@@ -108,53 +113,53 @@ fn cache_model(ctx: &ThreadCtx, locked_reader: bool) {
     let writer = {
         let (d0, clock0, m0) = (d0.clone(), clock0.clone(), m0.clone());
         let (d1, clock1, m1) = (d1.clone(), clock1.clone(), m1.clone());
-        ctx.spawn(move |ctx| {
+        ctx.spawn(move |ctx| async move {
             if locked_reader {
-                m0.lock(ctx);
-                insert_lru(ctx, &d0, &clock0, 2);
-                m0.unlock(ctx);
+                m0.lock(&ctx).await;
+                insert_lru(&ctx, &d0, &clock0, 2).await;
+                m0.unlock(&ctx).await;
             } else {
                 // BUG: audits the shard without its lock — races with
                 // the leader's locked insert.
-                let snapshot = d0.read(ctx);
-                ctx.check(snapshot.len() <= CAP, "bound audit");
-                m0.lock(ctx);
-                insert_lru(ctx, &d0, &clock0, 2);
-                m0.unlock(ctx);
+                let snapshot = d0.read(&ctx).await;
+                ctx.check(snapshot.len() <= CAP, "bound audit").await;
+                m0.lock(&ctx).await;
+                insert_lru(&ctx, &d0, &clock0, 2).await;
+                m0.unlock(&ctx).await;
             }
-            m1.lock(ctx);
-            let miss = !lookup(&d1.read(ctx), 5);
+            m1.lock(&ctx).await;
+            let miss = !lookup(&d1.read(&ctx).await, 5);
             if miss {
-                insert_lru(ctx, &d1, &clock1, 5);
+                insert_lru(&ctx, &d1, &clock1, 5).await;
             }
-            m1.unlock(ctx);
-        })
+            m1.unlock(&ctx).await;
+        }).await
     };
 
     for handle in getters {
-        ctx.join(handle);
+        ctx.join(handle).await;
     }
-    ctx.join(writer);
+    ctx.join(writer).await;
 
     // Joins give happens-before, so these final reads are race-free.
-    let entries0 = d0.read(ctx);
-    ctx.check(entries0.len() == CAP, "shard 0 holds exactly its LRU bound");
-    ctx.check(lookup(&entries0, 1), "computed artifact stays resident");
-    ctx.check(lookup(&entries0, 2), "writer's artifact stays resident");
+    let entries0 = d0.read(&ctx).await;
+    ctx.check(entries0.len() == CAP, "shard 0 holds exactly its LRU bound").await;
+    ctx.check(lookup(&entries0, 1), "computed artifact stays resident").await;
+    ctx.check(lookup(&entries0, 2), "writer's artifact stays resident").await;
     ctx.check(
         !lookup(&entries0, 8) && !lookup(&entries0, 9),
         "the seeded LRU entries were evicted",
-    );
-    ctx.check(computes.read(ctx) == 1, "single-flight computed exactly once");
-    ctx.check(lookup(&d1.read(ctx), 5), "shard 1 insert landed");
+    ).await;
+    ctx.check(computes.read(&ctx).await == 1, "single-flight computed exactly once").await;
+    ctx.check(lookup(&d1.read(&ctx).await, 5), "shard 1 insert landed").await;
 }
 
-fn correct_model(ctx: &ThreadCtx) {
-    cache_model(ctx, true);
+async fn correct_model(ctx: ThreadCtx) {
+    cache_model(ctx, true).await;
 }
 
-fn buggy_model(ctx: &ThreadCtx) {
-    cache_model(ctx, false);
+async fn buggy_model(ctx: ThreadCtx) {
+    cache_model(ctx, false).await;
 }
 
 #[test]

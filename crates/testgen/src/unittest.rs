@@ -19,7 +19,7 @@
 use patty_analysis::SemanticModel;
 use patty_chess::{
     explore, explore_joint, replay_hash, ChessOptions, FaultScenario, Inject, JointReport,
-    ReplayOutcome, Report, ThreadCtx,
+    ReplayOutcome, Report, TaskFuture, ThreadCtx,
 };
 use patty_minilang::profile::{AccessKind, DynLoc};
 use patty_patterns::PatternInstance;
@@ -165,10 +165,10 @@ pub fn generate_unit_test(
 /// exists). Duplicate `(cell, kind)` ops within one element collapse to
 /// one occurrence — the happens-before pair the detector needs survives.
 /// None of this can change a race/deadlock/panic verdict; it only removes
-/// equivalent interleavings, which otherwise blow up the schedule space
-/// quadratically (every step re-executes the task's effect log, so a
-/// row-render loop with thousands of per-pixel accesses makes each
-/// schedule cost seconds instead of microseconds).
+/// equivalent interleavings: every op kept is a decision point, so each
+/// one multiplies the number of schedules the search must visit (a
+/// row-render loop with thousands of per-pixel accesses would put any
+/// schedule budget out of reach).
 fn prune_unracing_ops(test: &mut ParallelUnitTest) {
     // Map every (stage, element) to the scheduler task that performs it,
     // mirroring doall_body (one task per element) and pipeline_body (one
@@ -264,24 +264,28 @@ pub fn fault_labels(test: &ParallelUnitTest) -> Vec<String> {
 fn doall_body(
     test: Arc<ParallelUnitTest>,
     with_faults: bool,
-) -> impl Fn(&ThreadCtx) + 'static {
-    move |ctx: &ThreadCtx| {
-            let cells = make_cells(ctx, &test.cells);
+) -> impl Fn(ThreadCtx) -> TaskFuture + 'static {
+    move |ctx| {
+        let test = test.clone();
+        Box::pin(async move {
+            let cells = make_cells(&ctx, &test.cells);
             let mut handles = Vec::new();
             let stage = &test.stages[0];
             for e in 0..test.elements {
                 let ops = stage.ops[e].clone();
                 let cells = cells.clone();
                 let label = stage.name.clone();
-                handles.push(ctx.spawn(move |ctx| {
-                    if !with_faults || ctx.fault_point(&label) == Inject::Run {
-                        perform(ctx, &cells, &ops);
+                let task = ctx.spawn(move |ctx| async move {
+                    if !with_faults || ctx.fault_point(&label).await == Inject::Run {
+                        perform(&ctx, &cells, &ops).await;
                     }
-                }));
+                });
+                handles.push(task.await);
             }
             for h in handles {
-                ctx.join(h);
+                ctx.join(h).await;
             }
+        })
     }
 }
 
@@ -291,9 +295,11 @@ fn doall_body(
 fn pipeline_body(
     test: Arc<ParallelUnitTest>,
     with_faults: bool,
-) -> impl Fn(&ThreadCtx) + 'static {
-    move |ctx: &ThreadCtx| {
-            let cells = make_cells(ctx, &test.cells);
+) -> impl Fn(ThreadCtx) -> TaskFuture + 'static {
+    move |ctx| {
+        let test = test.clone();
+        Box::pin(async move {
+            let cells = make_cells(&ctx, &test.cells);
             let n_stages = test.stages.len();
             // Input channels, one per (stage, replica).
             let mut in_chs: Vec<Vec<patty_chess::CChannel<usize>>> = Vec::new();
@@ -334,29 +340,30 @@ fn pipeline_body(
                     let replicas = stage.replicas.max(1);
                     let elements = test.elements;
                     let label = stage.name.clone();
-                    handles.push(ctx.spawn(move |ctx| {
+                    let task = ctx.spawn(move |ctx| async move {
                         for e in 0..elements {
                             if replicas > 1 && e % replicas != replica {
                                 continue;
                             }
                             // Receive one token per predecessor stage.
                             for _ in 0..preds {
-                                let _ = my_in.recv(ctx);
+                                let _ = my_in.recv(&ctx).await;
                             }
                             // Under a fault scenario a dropped item skips
                             // the stage's work but still forwards its
                             // tokens, so the stream stays drainable.
-                            if !with_faults || ctx.fault_point(&label) == Inject::Run {
-                                perform(ctx, &cells, &ops[e]);
+                            if !with_faults || ctx.fault_point(&label).await == Inject::Run {
+                                perform(&ctx, &cells, &ops[e]).await;
                             }
                             // Hand the element to every successor stage
                             // (to the replica that will process it).
                             for succ_chs in &outs {
                                 let r = succ_chs.len();
-                                succ_chs[e % r].send(ctx, e);
+                                succ_chs[e % r].send(&ctx, e).await;
                             }
                         }
-                    }));
+                    });
+                    handles.push(task.await);
                 }
             }
             // StreamGenerator: feed the first level.
@@ -364,13 +371,14 @@ fn pipeline_body(
                 for e in 0..test.elements {
                     for &si in first_level {
                         let r = in_chs[si].len();
-                        in_chs[si][e % r].send(ctx, e);
+                        in_chs[si][e % r].send(&ctx, e).await;
                     }
                 }
             }
             for h in handles {
-                ctx.join(h);
+                ctx.join(h).await;
             }
+        })
     }
 }
 
@@ -386,16 +394,20 @@ fn make_cells(
     )
 }
 
-fn perform(ctx: &ThreadCtx, cells: &BTreeMap<String, patty_chess::Shared<i64>>, ops: &[Op]) {
+async fn perform(
+    ctx: &ThreadCtx,
+    cells: &BTreeMap<String, patty_chess::Shared<i64>>,
+    ops: &[Op],
+) {
     for op in ops {
         let cell = &cells[&op.cell];
         match op.kind {
             AccessKind::Read => {
-                let _ = cell.read(ctx);
+                let _ = cell.read(ctx).await;
             }
             AccessKind::Write => {
-                let v = cell.read(ctx);
-                cell.write(ctx, v + 1);
+                let v = cell.read(ctx).await;
+                cell.write(ctx, v + 1).await;
             }
         }
     }
