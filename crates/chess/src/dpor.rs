@@ -227,8 +227,7 @@ fn advance(nodes: &mut Vec<Node>, step_infos: &[StepInfo]) -> bool {
     }
 }
 
-/// DPOR exploration under a fixed fault scenario (used by the joint
-/// schedule×fault explorer).
+/// DPOR exploration under a fixed fault scenario.
 pub(crate) fn explore_dpor_scenario<F, Fut>(
     test: &Rc<F>,
     scenario: &FaultScenario,

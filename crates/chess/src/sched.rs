@@ -487,12 +487,14 @@ impl Sched {
     ) -> R {
         loop {
             let mut st = self.granted().await;
-            if let Some(done) = op(&mut st) {
-                st.record_op(tid, key);
+            let done = op(&mut st);
+            if done.is_none() {
+                st.tasks[tid].state = TState::Blocked(reason);
+            }
+            st.record_op(tid, key);
+            if let Some(done) = done {
                 return done;
             }
-            st.tasks[tid].state = TState::Blocked(reason);
-            st.record_op(tid, key);
         }
     }
 
@@ -1003,6 +1005,10 @@ mod tests {
         result
     }
 
+    fn kinds(result: &RunResult) -> Vec<FailureKind> {
+        result.failures.iter().map(|f| f.kind.clone()).collect()
+    }
+
     fn ops(result: &RunResult) -> Vec<(usize, Option<OpKey>)> {
         result.step_infos.iter().map(|s| (s.tid, s.op)).collect()
     }
@@ -1110,8 +1116,7 @@ mod tests {
                 }
             },
         );
-        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
-        assert_eq!(kinds, [FailureKind::Panic("boom".into())]);
+        assert_eq!(kinds(&result), [FailureKind::Panic("boom".into())]);
         assert_eq!(
             ops(&result),
             [
@@ -1152,15 +1157,13 @@ mod tests {
         };
         let done = Rc::new(Cell::new(0usize));
         let result = run(body(done.clone(), true), &[0, 1, 1, 0], 100, &FaultScenario::none(), |_| {});
-        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
-        assert_eq!(kinds, [FailureKind::CheckFailed("stop here".into())]);
+        assert_eq!(kinds(&result), [FailureKind::CheckFailed("stop here".into())]);
         assert_eq!(result.decisions, [0, 1, 1, 0], "the failed check is the last decision");
         assert_eq!(done.get(), 3, "spawn + two worker steps; nothing after the check");
 
         let done = Rc::new(Cell::new(0usize));
         let result = run(body(done.clone(), false), &[], 6, &FaultScenario::none(), |_| {});
-        let kinds: Vec<_> = result.failures.iter().map(|f| f.kind.clone()).collect();
-        assert_eq!(kinds, [FailureKind::StepLimit]);
+        assert_eq!(kinds(&result), [FailureKind::StepLimit]);
         assert_eq!(result.steps, 7);
         // Six executed steps: spawn, check, four `step`s — the check does
         // not bump the counter, the spawn does.

@@ -3,7 +3,7 @@
 //! properties — mutex-disciplined programs never race, and unsynchronized
 //! conflicting writers always do.
 
-use patty_chess::{explore, ChessOptions, FailureKind, ThreadCtx};
+use patty_chess::{explore, ChessOptions, FailureKind};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -42,37 +42,37 @@ fn has_conflict(shape: &Shape) -> bool {
 fn run_shape(shape: &Shape, locked: bool) -> patty_chess::Report {
     let shape = Arc::new(shape.clone());
     explore(
-        move |ctx: ThreadCtx| {
+        move |ctx| {
             let shape = shape.clone();
             async move {
-            let cells: Vec<_> = (0..shape.cells)
-                .map(|i| ctx.shared(&format!("c{i}"), 0i64))
-                .collect();
-            let mutex = ctx.mutex("m");
-            let mut handles = Vec::new();
-            for ops in shape.threads.clone() {
-                let cells = cells.clone();
-                let mutex = mutex.clone();
-                handles.push(ctx.spawn(move |ctx| async move {
-                    for &(cell, is_write) in &ops {
-                        if locked {
-                            mutex.lock(&ctx).await;
+                let cells: Vec<_> = (0..shape.cells)
+                    .map(|i| ctx.shared(&format!("c{i}"), 0i64))
+                    .collect();
+                let mutex = ctx.mutex("m");
+                let mut handles = Vec::new();
+                for ops in shape.threads.clone() {
+                    let cells = cells.clone();
+                    let mutex = mutex.clone();
+                    handles.push(ctx.spawn(move |ctx| async move {
+                        for &(cell, is_write) in &ops {
+                            if locked {
+                                mutex.lock(&ctx).await;
+                            }
+                            if is_write {
+                                let v = cells[cell].read(&ctx).await;
+                                cells[cell].write(&ctx, v + 1).await;
+                            } else {
+                                let _ = cells[cell].read(&ctx).await;
+                            }
+                            if locked {
+                                mutex.unlock(&ctx).await;
+                            }
                         }
-                        if is_write {
-                            let v = cells[cell].read(&ctx).await;
-                            cells[cell].write(&ctx, v + 1).await;
-                        } else {
-                            let _ = cells[cell].read(&ctx).await;
-                        }
-                        if locked {
-                            mutex.unlock(&ctx).await;
-                        }
-                    }
-                }).await);
-            }
-            for h in handles {
-                ctx.join(h).await;
-            }
+                    }).await);
+                }
+                for h in handles {
+                    ctx.join(h).await;
+                }
             }
         },
         ChessOptions { max_schedules: 400, ..ChessOptions::default() },
