@@ -82,7 +82,9 @@ pub fn run(program: &Program, options: InterpOptions) -> Result<Outcome, LangErr
 }
 
 /// Run a named free function with arguments, on the engine selected by
-/// `options.engine`.
+/// `options.engine`. One-shot: on the VM every call compiles the whole
+/// program again, so a loop of calls on one program compiles it once and
+/// uses [`crate::vm::run_compiled`] instead.
 pub fn run_func(
     program: &Program,
     name: &str,

@@ -8,17 +8,32 @@
 use crate::ast::*;
 use std::fmt::Write;
 
-/// Render a whole program as source text.
+/// Render a whole program as source text: every class, then every free
+/// function, each exactly as [`print_class`] / [`print_func`] render it.
 pub fn print_program(p: &Program) -> String {
     let mut out = String::new();
     for c in &p.classes {
-        print_class(&mut out, c);
-        out.push('\n');
+        out.push_str(&print_class(c));
     }
     for f in &p.funcs {
-        print_func(&mut out, f, 0);
-        out.push('\n');
+        out.push_str(&print_func(f));
     }
+    out
+}
+
+/// Render one top-level class declaration, separator line included.
+pub fn print_class(c: &ClassDecl) -> String {
+    let mut out = String::new();
+    write_class(&mut out, c);
+    out.push('\n');
+    out
+}
+
+/// Render one top-level function declaration, separator line included.
+pub fn print_func(f: &FuncDecl) -> String {
+    let mut out = String::new();
+    write_func(&mut out, f, 0);
+    out.push('\n');
     out
 }
 
@@ -28,7 +43,7 @@ fn indent(out: &mut String, level: usize) {
     }
 }
 
-fn print_class(out: &mut String, c: &ClassDecl) {
+fn write_class(out: &mut String, c: &ClassDecl) {
     let _ = writeln!(out, "class {} {{", c.name);
     for f in &c.fields {
         indent(out, 1);
@@ -42,12 +57,12 @@ fn print_class(out: &mut String, c: &ClassDecl) {
         }
     }
     for m in &c.methods {
-        print_func(out, m, 1);
+        write_func(out, m, 1);
     }
     out.push_str("}\n");
 }
 
-fn print_func(out: &mut String, f: &FuncDecl, level: usize) {
+fn write_func(out: &mut String, f: &FuncDecl, level: usize) {
     indent(out, level);
     let _ = write!(out, "fn {}({})", f.name, f.params.join(", "));
     out.push(' ');

@@ -44,10 +44,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Compile `program`, apply the default (statically-synthesized) PGO
-/// pass, and run a named free function on the VM. One-shot runs always
-/// get fusion this way; callers with a measured [`OpProfile`] compile
-/// and [`optimize`] themselves for the full treatment.
+/// The one-shot path: compile `program`, apply the default
+/// (statically-synthesized) PGO pass, and run a named free function on the
+/// VM — the whole program is compiled and optimized on every call. A loop
+/// of calls on one program compiles once and goes through
+/// [`run_compiled`]; callers with a measured [`OpProfile`] compile and
+/// [`optimize`] themselves for the full treatment.
 pub fn run_func(
     program: &Program,
     name: &str,
@@ -69,11 +71,30 @@ pub fn run_compiled(
     args: Vec<Value>,
     options: InterpOptions,
 ) -> Result<Outcome, LangError> {
-    let func = lookup_entry(compiled, name, &options)?;
+    run_compiled_metered(compiled, name, args, options).0
+}
+
+/// [`run_compiled`], plus the virtual cost the run consumed. A failed run
+/// reports what it spent too, which is what a caller that hands out
+/// `step_limit` from a shared fuel budget has to charge.
+pub fn run_compiled_metered(
+    compiled: &CompiledProgram,
+    name: &str,
+    args: Vec<Value>,
+    options: InterpOptions,
+) -> (Result<Outcome, LangError>, u64) {
+    let func = match lookup_entry(compiled, name, &options) {
+        Ok(func) => func,
+        Err(e) => return (Err(e), 0),
+    };
     let mut vm = Vm::new(compiled, options);
-    let result = vm.run(func, args)?;
-    let profile = vm.build_profile();
-    Ok(Outcome { result, output: vm.output, profile })
+    match vm.run(func, args) {
+        Ok(result) => {
+            let profile = vm.build_profile();
+            (Ok(Outcome { result, output: vm.output, profile }), vm.cost)
+        }
+        Err(e) => (Err(e), vm.cost),
+    }
 }
 
 /// Run with opcode/pair frequency counters and operand-type feedback

@@ -13,7 +13,7 @@
 //! that fault scenario, twice, and reports whether the replays were
 //! byte-identical.
 
-use crate::process::{Patty, PattyError, PattyRun};
+use crate::process::{Patty, PattyRun};
 use patty_chess::{FaultScenario, JointReport, ReplayOutcome};
 use patty_faultsim::chess::scenario_matrix;
 use patty_testgen::{fault_labels, replay_unit_test_hash, run_unit_test_joint};
@@ -199,16 +199,6 @@ pub fn render_replay(arch: &str, outcome: &ReplayOutcome) -> String {
     out
 }
 
-/// Build the run (mode 2 on annotated sources, mode 1 otherwise) for the
-/// chess and faultcheck commands.
-pub fn chess_run(patty: &Patty, source: &str) -> Result<PattyRun, PattyError> {
-    if source.contains("#region TADL:") {
-        patty.run_annotated(source)
-    } else {
-        patty.run_automatic(source)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +211,7 @@ mod tests {
     #[test]
     fn avistream_matrix_passes_and_failures_replay_from_their_hashes() {
         let patty = Patty::new();
-        let run = chess_run(&patty, avistream_program().source).unwrap();
+        let run = patty.run(avistream_program().source).unwrap();
         let report = chess_explore(&patty, &run);
         assert!(!report.is_empty(), "avistream must have a unit test");
         assert!(report.passed(), "{}", report.render());

@@ -118,11 +118,7 @@ impl FaultcheckReport {
 
 /// Run the fault matrix for every architecture detected in `source`.
 pub fn faultcheck(patty: &Patty, source: &str) -> Result<FaultcheckReport, PattyError> {
-    let run = if source.contains("#region TADL:") {
-        patty.run_annotated(source)?
-    } else {
-        patty.run_automatic(source)?
-    };
+    let run = patty.run(source)?;
     let telemetry = Telemetry::enabled();
     let mut scenarios = Vec::new();
     for artifacts in &run.artifacts {

@@ -34,7 +34,7 @@ pub mod process;
 pub mod servecmd;
 pub mod statscmd;
 
-pub use chesscmd::{chess_explore, chess_replay, chess_run, render_replay, ChessReport};
+pub use chesscmd::{chess_explore, chess_replay, render_replay, ChessReport};
 pub use servecmd::{
     analyze_artifact, faultcheck_artifact, render_tune_artifact, trace_artifact, tune_artifact,
     tune_cached, PattyJobRunner,

@@ -146,13 +146,7 @@ fn run(args: &[String]) -> i32 {
             }
         };
     }
-    let annotated_input = source.contains("#region TADL:");
-    let run = if annotated_input {
-        patty.run_annotated(&source)
-    } else {
-        patty.run_automatic(&source)
-    };
-    let run = match run {
+    let run = match patty.run(&source) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("patty: {e}");
@@ -208,7 +202,7 @@ fn chess(patty: &Patty, source: &str, flags: &[String]) -> i32 {
     }
     let mut patty = patty.clone();
     patty.options.chess.mode = mode;
-    let run = match patty_tool::chess_run(&patty, source) {
+    let run = match patty.run(source) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("patty: {e}");
@@ -361,7 +355,7 @@ fn faultcheck(patty: &Patty, source: &str, flags: &[String]) -> i32 {
         i += 2;
     }
     if let Some(hash) = replay {
-        let run = match patty_tool::chess_run(patty, source) {
+        let run = match patty.run(source) {
             Ok(run) => run,
             Err(e) => {
                 eprintln!("patty: {e}");

@@ -15,10 +15,10 @@ use patty_chess::{ChessOptions, Report, SearchMode};
 use patty_minilang::{parse, InterpOptions, LangError};
 use patty_patterns::{detect_patterns, DetectOptions, PatternInstance};
 use patty_tadl::ArchitectureDescription;
-use patty_testgen::{generate_unit_test, run_unit_test, ParallelUnitTest};
+use patty_testgen::{generate_test_inputs, generate_unit_test, run_unit_test, ParallelUnitTest};
 use patty_transform::{
-    annotate_source, extract_annotations, generate_plan, instance_from_annotation,
-    ParallelPlan, PipelineSimEvaluator, SimParams,
+    extract_annotations, generate_plan, instance_from_annotation, Annotator, ParallelPlan,
+    PipelineSimEvaluator, SimParams,
 };
 use patty_telemetry::Telemetry;
 use patty_trace::{Trace, TraceReport, Tracer};
@@ -114,6 +114,12 @@ impl From<LangError> for PattyError {
     }
 }
 
+/// Whether `source` carries engineer-written TADL annotations, which
+/// select operation mode 2.
+pub fn is_annotated(source: &str) -> bool {
+    source.contains("#region TADL:")
+}
+
 /// The Patty tool.
 #[derive(Clone, Debug, Default)]
 pub struct Patty {
@@ -136,21 +142,16 @@ impl Patty {
         self
     }
 
+    /// Run the process in the mode `source` selects: TADL annotations make
+    /// it mode 2, a plain file mode 1.
+    pub fn run(&self, source: &str) -> Result<PattyRun, PattyError> {
+        self.process(source, is_annotated(source))
+    }
+
     /// **Operation mode 1 — automatic parallelization**: all four phases,
     /// no user action required.
     pub fn run_automatic(&self, source: &str) -> Result<PattyRun, PattyError> {
-        let (model, instances) = self.telemetry.timed("phase.detect", || {
-            let program = parse(source)?;
-            let model = SemanticModel::build(&program, self.options.interp.clone())?;
-            let instances = detect_patterns(&model, &self.options.detect);
-            Ok::<_, PattyError>((model, instances))
-        })?;
-        let artifacts = instances
-            .into_iter()
-            .map(|inst| self.transform_instance(&model, inst))
-            .collect::<Result<Vec<_>, _>>()?;
-        let test_inputs = generate_test_inputs(&model.program);
-        Ok(PattyRun { model, artifacts, test_inputs })
+        self.process(source, false)
     }
 
     /// **Operation mode 2 — architecture-based parallel programming**:
@@ -158,47 +159,70 @@ impl Patty {
     /// annotations drive transformation (tuning and correctness artifacts
     /// are still generated automatically).
     pub fn run_annotated(&self, source: &str) -> Result<PattyRun, PattyError> {
-        let (model, annotations) = self.telemetry.timed("phase.detect", || {
+        self.process(source, true)
+    }
+
+    /// The four phases. The modes differ only in where the instances come
+    /// from; everything built from the program is built once — one parse,
+    /// one traced run for the model, one printed program for the
+    /// annotations, one compiled program for path coverage — and every
+    /// instance and function borrows it.
+    fn process(&self, source: &str, annotated: bool) -> Result<PattyRun, PattyError> {
+        let (model, instances) = self.telemetry.timed("phase.detect", || {
             let program = parse(source)?;
             let model = SemanticModel::build(&program, self.options.interp.clone())?;
-            let annotations =
-                extract_annotations(&program).map_err(PattyError::Annotation)?;
-            Ok::<_, PattyError>((model, annotations))
+            let instances = if annotated {
+                extract_annotations(&model.program)
+                    .map_err(PattyError::Annotation)?
+                    .iter()
+                    .map(|ann| instance_from_annotation(&model, ann))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(PattyError::Annotation)?
+            } else {
+                detect_patterns(&model, &self.options.detect)
+            };
+            Ok::<_, PattyError>((model, instances))
         })?;
-        let artifacts = annotations
-            .iter()
-            .map(|ann| {
-                let inst = instance_from_annotation(&model, ann)
-                    .map_err(PattyError::Annotation)?;
-                self.transform_instance(&model, inst)
+        // Printed inside the first instance's span: a program without
+        // instances is never printed, and the span count stays one per
+        // instance.
+        let mut annotator = None;
+        let artifacts = instances
+            .into_iter()
+            .map(|instance| {
+                let annotated_source = self.telemetry.timed("phase.annotate", || {
+                    if annotator.is_none() {
+                        annotator = Some(Annotator::new(&model.program)?);
+                    }
+                    annotator.as_ref().expect("built above").annotate(&instance)
+                })?;
+                Ok(self.transform_instance(&model, instance, annotated_source))
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect::<Result<Vec<_>, PattyError>>()?;
         let test_inputs = generate_test_inputs(&model.program);
         Ok(PattyRun { model, artifacts, test_inputs })
     }
 
-    /// Phases 3–4 for one instance.
+    /// Phase 4 for one annotated instance.
     fn transform_instance(
         &self,
         model: &SemanticModel,
         instance: PatternInstance,
-    ) -> Result<InstanceArtifacts, PattyError> {
-        let annotated_source = self
-            .telemetry
-            .timed("phase.annotate", || annotate_source(&model.program, &instance))?;
+        annotated_source: String,
+    ) -> InstanceArtifacts {
         let _span = self.telemetry.span("phase.transform");
         let body_cost = loop_body_cost(model, &instance);
         let plan = generate_plan(&instance, body_cost);
         let tuning_json = instance.tuning.to_json();
         let unit_test = generate_unit_test(model, &instance, self.options.unit_test_elements);
-        Ok(InstanceArtifacts {
+        InstanceArtifacts {
             arch: instance.arch.clone(),
             annotated_source,
             plan,
             tuning_json,
             unit_test,
             instance,
-        })
+        }
     }
 
     /// **`patty profile`** — run the full process with telemetry enabled,
@@ -213,11 +237,7 @@ impl Patty {
         // `fault.panics_caught: 0`).
         patty_runtime::register_fault_counters(&telemetry);
         let patty = self.clone().with_telemetry(telemetry.clone());
-        let run = if source.contains("#region TADL:") {
-            patty.run_annotated(source)?
-        } else {
-            patty.run_automatic(source)?
-        };
+        let run = patty.run(source)?;
         for a in &run.artifacts {
             execute_plan(a, &telemetry, &Tracer::disabled())?;
         }
@@ -240,11 +260,7 @@ impl Patty {
     /// aggregated [`TraceReport`] (for the summary/flame views).
     pub fn trace(&self, source: &str) -> Result<(Trace, TraceReport), PattyError> {
         let tracer = Tracer::enabled();
-        let run = if source.contains("#region TADL:") {
-            self.run_annotated(source)?
-        } else {
-            self.run_automatic(source)?
-        };
+        let run = self.run(source)?;
         for a in &run.artifacts {
             execute_plan(a, &self.telemetry, &tracer)?;
         }
@@ -377,28 +393,6 @@ pub(crate) fn execute_plan(
         }
     }
     Ok(())
-}
-
-/// Path-coverage input generation for every parameterized free function
-/// (the inputs the generated unit tests run on).
-fn generate_test_inputs(
-    program: &patty_minilang::Program,
-) -> Vec<(String, patty_testgen::CoverageReport)> {
-    program
-        .funcs
-        .iter()
-        .filter(|f| !f.params.is_empty() && f.name != "main")
-        .map(|f| {
-            let report = patty_testgen::path_coverage_inputs(
-                program,
-                &f.name,
-                &[-3, -1, 0, 1, 2, 7],
-                4,
-                512,
-            );
-            (f.name.clone(), report)
-        })
-        .collect()
 }
 
 /// Per-element virtual cost of the instance's loop body.

@@ -14,7 +14,7 @@
 //! unchanged file is served from disk instead of recomputed — even
 //! across processes.
 
-use crate::process::{Patty, PattyError, PattyRun};
+use crate::process::{is_annotated, Patty, PattyError, PattyRun};
 use patty_json::Json;
 use patty_serve::{
     job_hash, AdmissionConfig, CacheConfig, JobCtl, JobKind, JobRunner, ServeConfig, Service,
@@ -23,20 +23,10 @@ use patty_serve::{
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Run the process model the same way the one-shot CLI does: TADL
-/// annotations select mode 2, plain files run mode 1.
-fn run_for(patty: &Patty, source: &str) -> Result<PattyRun, PattyError> {
-    if source.contains("#region TADL:") {
-        patty.run_annotated(source)
-    } else {
-        patty.run_automatic(source)
-    }
-}
-
 /// The `analyze` artifact: detected candidates with their parsed
 /// tuning configuration.
 pub fn analyze_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
-    let run = run_for(patty, source)?;
+    let run = patty.run(source)?;
     let candidates = run
         .artifacts
         .iter()
@@ -51,7 +41,7 @@ pub fn analyze_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError>
     Ok(Json::obj()
         .with(
             "mode",
-            Json::Str(if source.contains("#region TADL:") {
+            Json::Str(if is_annotated(source) {
                 "annotated".into()
             } else {
                 "automatic".into()
@@ -170,7 +160,7 @@ impl JobRunner for PattyJobRunner {
         let result = match kind {
             JobKind::Analyze => analyze_artifact(&self.patty, source),
             JobKind::Tune => {
-                let run = run_for(&self.patty, source).map_err(|e| e.to_string())?;
+                let run = self.patty.run(source).map_err(|e| e.to_string())?;
                 ctl.checkpoint()?;
                 Ok(tune_artifact(&self.patty, &run))
             }
@@ -207,7 +197,7 @@ pub fn tune_cached(patty: &Patty, source: &str) -> i32 {
         );
         return 0;
     }
-    let run = match run_for(patty, source) {
+    let run = match patty.run(source) {
         Ok(run) => run,
         Err(e) => {
             eprintln!("patty: {e}");

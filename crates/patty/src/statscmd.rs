@@ -28,11 +28,7 @@ fn stats_run(patty: &Patty, source: &str) -> Result<(Patty, Telemetry, PattyRun)
     let telemetry = Telemetry::enabled();
     patty_runtime::register_fault_counters(&telemetry);
     let patty = patty.clone().with_telemetry(telemetry.clone());
-    let run = if source.contains("#region TADL:") {
-        patty.run_annotated(source)?
-    } else {
-        patty.run_automatic(source)?
-    };
+    let run = patty.run(source)?;
     Ok((patty, telemetry, run))
 }
 

@@ -84,6 +84,18 @@ fn validate_reports_clean_for_correct_detection() {
     assert!(stdout.contains("no parallel errors found"), "{stdout}");
 }
 
+/// A function that never returns is bounded by path coverage's fuel, not by
+/// its candidate count: the process finishes and offers no inputs for it.
+#[test]
+fn fuel_bounds_a_function_that_never_returns() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/spin.mini");
+    let (_, stderr, ok) = run_patty(&["analyze", fixture]);
+    assert!(ok, "stderr: {stderr}");
+    let (stdout, stderr, ok) = run_patty(&["validate", fixture]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("spin: 0 input set(s), 0/2 branch goals covered"), "{stdout}");
+}
+
 #[test]
 fn tune_reports_improvement() {
     let file = write_temp("tune.mini", PIPELINE_SRC);

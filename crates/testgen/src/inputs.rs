@@ -10,12 +10,27 @@
 //! search space tractable ("unit tests are rather small portions of a
 //! whole program, so we can keep the search space for parallel errors
 //! also rather small").
+//!
+//! Candidate runs are bounded by fuel (the VM's virtual cost), never by
+//! wall clock: each run may spend [`CANDIDATE_FUEL`], all runs of one
+//! function together [`FUNCTION_FUEL`], and evaluation stops when that is
+//! spent. The source may come from anyone (`patty serve`), and a function
+//! that never returns must not cost one full run per candidate.
 
-use patty_minilang::ast::{Program, Stmt, StmtKind};
-use patty_minilang::interp::{run_func, InterpOptions};
+use patty_minilang::ast::{FuncDecl, Program, Stmt, StmtKind};
+use patty_minilang::bytecode::compile;
 use patty_minilang::span::NodeId;
-use patty_minilang::Value;
+use patty_minilang::vm::run_compiled_metered;
+use patty_minilang::{optimize, CompiledProgram, InterpOptions, OpProfile, PgoOptions, Value};
 use std::collections::BTreeSet;
+
+/// Virtual cost one candidate run may spend.
+const CANDIDATE_FUEL: u64 = 2_000_000;
+
+/// Virtual cost all candidates of one function may spend together. Fuel,
+/// not wall clock: a function that never terminates costs four candidate
+/// runs instead of one per candidate, on any host.
+const FUNCTION_FUEL: u64 = 4 * CANDIDATE_FUEL;
 
 /// A coverage goal: a branch direction of a conditional statement.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -42,67 +57,90 @@ pub struct CoverageReport {
     pub achievable: usize,
     /// All goals in the function under test.
     pub total: usize,
+    /// Candidates executed before the domain or the function's fuel ran
+    /// out.
+    pub candidates_run: usize,
 }
 
-/// All branch-coverage goals of a function.
-pub fn goals_of(program: &Program, func: &str) -> BTreeSet<Goal> {
-    let mut goals = BTreeSet::new();
-    let Some(f) = program.func(func) else { return goals };
-    patty_minilang::ast::visit_block(&f.body, &mut |s: &Stmt| match &s.kind {
-        StmtKind::If { .. } => {
-            goals.insert(Goal::Then(s.id));
-            goals.insert(Goal::Else(s.id));
-        }
-        StmtKind::While { .. } | StmtKind::For { .. } | StmtKind::Foreach { .. } => {
-            goals.insert(Goal::LoopBody(s.id));
-            goals.insert(Goal::LoopSkipped(s.id));
-        }
-        _ => {}
+/// A statement that carries two goals, and the first statement of the arm
+/// whose hit count tells them apart.
+struct Site {
+    stmt: NodeId,
+    first_in_arm: Option<NodeId>,
+    is_loop: bool,
+}
+
+/// The branch points of a function, in source order.
+fn sites_of(f: &FuncDecl) -> Vec<Site> {
+    let mut sites = Vec::new();
+    patty_minilang::ast::visit_block(&f.body, &mut |s: &Stmt| {
+        let (arm, is_loop) = match &s.kind {
+            StmtKind::If { then_blk, .. } => (then_blk, false),
+            StmtKind::While { body, .. }
+            | StmtKind::For { body, .. }
+            | StmtKind::Foreach { body, .. } => (body, true),
+            _ => return,
+        };
+        sites.push(Site { stmt: s.id, first_in_arm: arm.stmts.first().map(|t| t.id), is_loop });
     });
-    goals
+    sites
 }
 
 /// Goals covered by one execution, derived from statement hit counts.
-fn covered_goals(program: &Program, func: &str, hits: &dyn Fn(NodeId) -> u64) -> BTreeSet<Goal> {
+fn covered_goals(sites: &[Site], hits: impl Fn(NodeId) -> u64) -> BTreeSet<Goal> {
     let mut covered = BTreeSet::new();
-    let Some(f) = program.func(func) else { return covered };
-    patty_minilang::ast::visit_block(&f.body, &mut |s: &Stmt| match &s.kind {
-        StmtKind::If { then_blk, .. } => {
-            let own = hits(s.id);
-            if own == 0 {
-                return;
-            }
-            let then_hits = then_blk.stmts.first().map(|t| hits(t.id)).unwrap_or(0);
-            if then_hits > 0 {
-                covered.insert(Goal::Then(s.id));
-            }
-            if then_hits < own {
-                covered.insert(Goal::Else(s.id));
-            }
+    for site in sites {
+        let own = hits(site.stmt);
+        if own == 0 {
+            continue;
         }
-        StmtKind::While { body, .. }
-        | StmtKind::For { body, .. }
-        | StmtKind::Foreach { body, .. } => {
-            let own = hits(s.id);
-            if own == 0 {
-                return;
-            }
-            let body_hits = body.stmts.first().map(|t| hits(t.id)).unwrap_or(0);
-            if body_hits > 0 {
-                covered.insert(Goal::LoopBody(s.id));
+        let arm_hits = site.first_in_arm.map(&hits).unwrap_or(0);
+        if site.is_loop {
+            covered.insert(if arm_hits > 0 {
+                Goal::LoopBody(site.stmt)
             } else {
-                covered.insert(Goal::LoopSkipped(s.id));
+                Goal::LoopSkipped(site.stmt)
+            });
+        } else {
+            if arm_hits > 0 {
+                covered.insert(Goal::Then(site.stmt));
+            }
+            if arm_hits < own {
+                covered.insert(Goal::Else(site.stmt));
             }
         }
-        _ => {}
-    });
+    }
     covered
+}
+
+/// `program` compiled the way a coverage run executes it: untraced, with
+/// the default (statically-synthesized) PGO pass.
+fn compile_for_coverage(program: &Program) -> CompiledProgram {
+    let compiled = compile(program);
+    let profile = OpProfile::synthetic(&compiled);
+    optimize(&compiled, &profile, &PgoOptions::exec()).0
+}
+
+/// Path-coverage input sets for every parameterized free function of
+/// `program` (the inputs the generated unit tests run on). The program is
+/// compiled once; every candidate of every function runs on that one
+/// compiled program.
+pub fn generate_test_inputs(program: &Program) -> Vec<(String, CoverageReport)> {
+    let compiled = compile_for_coverage(program);
+    program
+        .funcs
+        .iter()
+        .filter(|f| !f.params.is_empty() && f.name != "main")
+        .map(|f| (f.name.clone(), cover(&compiled, f, &[-3, -1, 0, 1, 2, 7], 4, 512)))
+        .collect()
 }
 
 /// Generate a small input set for `func` maximizing branch coverage over
 /// the integer candidate domain `ints` (each parameter independently).
 /// The candidate product is capped at `max_candidates`; at most
-/// `max_inputs` inputs are selected (greedy set cover).
+/// `max_inputs` inputs are selected (greedy set cover). One-shot: this
+/// compiles `program` for the one function; [`generate_test_inputs`]
+/// compiles once for all of them.
 pub fn path_coverage_inputs(
     program: &Program,
     func: &str,
@@ -110,14 +148,26 @@ pub fn path_coverage_inputs(
     max_inputs: usize,
     max_candidates: usize,
 ) -> CoverageReport {
-    let goals = goals_of(program, func);
-    let Some(f) = program.func(func) else {
-        return CoverageReport { inputs: vec![], covered: 0, achievable: 0, total: goals.len() };
-    };
-    let arity = f.params.len();
+    match program.func(func) {
+        Some(f) => cover(&compile_for_coverage(program), f, ints, max_inputs, max_candidates),
+        None => {
+            CoverageReport { inputs: vec![], covered: 0, achievable: 0, total: 0, candidates_run: 0 }
+        }
+    }
+}
+
+/// The coverage search for one function of an already-compiled program.
+fn cover(
+    compiled: &CompiledProgram,
+    f: &FuncDecl,
+    ints: &[i64],
+    max_inputs: usize,
+    max_candidates: usize,
+) -> CoverageReport {
+    let sites = sites_of(f);
     // Cartesian product of the int domain, capped.
     let mut candidates: Vec<Vec<Value>> = vec![vec![]];
-    for _ in 0..arity {
+    for _ in 0..f.params.len() {
         let mut next = Vec::new();
         'outer: for c in &candidates {
             for v in ints {
@@ -132,15 +182,28 @@ pub fn path_coverage_inputs(
         candidates = next;
     }
 
-    // Execute every candidate and record its coverage.
-    let opts = InterpOptions { trace_loops: false, step_limit: 2_000_000, ..InterpOptions::default() };
+    // Execute candidates and record their coverage until the domain or the
+    // function's fuel is exhausted.
+    let mut fuel = FUNCTION_FUEL;
+    let mut candidates_run = 0;
     let mut evaluated: Vec<(Vec<Value>, BTreeSet<Goal>)> = Vec::new();
     for cand in candidates {
-        let Ok(outcome) = run_func(program, func, cand.clone(), opts.clone()) else {
+        if fuel == 0 {
+            break;
+        }
+        let opts = InterpOptions {
+            trace_loops: false,
+            step_limit: CANDIDATE_FUEL.min(fuel),
+            ..InterpOptions::default()
+        };
+        let (outcome, cost) = run_compiled_metered(compiled, &f.name, cand.clone(), opts);
+        candidates_run += 1;
+        fuel = fuel.saturating_sub(cost);
+        let Ok(outcome) = outcome else {
             continue; // crashing inputs are not useful unit-test inputs
         };
         let hits = outcome.profile.stmt_hits;
-        let covered = covered_goals(program, func, &|id| hits.get(&id).copied().unwrap_or(0));
+        let covered = covered_goals(&sites, |id| hits.get(&id).copied().unwrap_or(0));
         evaluated.push((cand, covered));
     }
     let achievable: BTreeSet<Goal> = evaluated
@@ -168,7 +231,8 @@ pub fn path_coverage_inputs(
         inputs: chosen,
         covered: covered.len(),
         achievable: achievable.len(),
-        total: goals.len(),
+        total: 2 * sites.len(),
+        candidates_run,
     }
 }
 
@@ -277,5 +341,46 @@ mod tests {
         let r = path_coverage_inputs(&p, "f", &[1, 2, 3, 4], 2, 64);
         assert_eq!(r.inputs.len(), 2);
         assert!(r.covered < r.achievable);
+    }
+
+    const DOMAIN: [i64; 6] = [-3, -1, 0, 1, 2, 7];
+
+    #[test]
+    fn a_function_that_never_returns_costs_four_candidates() {
+        let src = "fn spin(a, b, c) { var x = 0; while (true) { x = x + 1; } return x; } \
+                   fn main() { print(1); }";
+        let p = parse(src).unwrap();
+        let r = path_coverage_inputs(&p, "spin", &DOMAIN, 4, 512);
+        assert!(r.candidates_run <= 4, "{} candidates ran", r.candidates_run);
+        assert!(r.inputs.is_empty());
+        assert_eq!((r.covered, r.total), (0, 2));
+    }
+
+    #[test]
+    fn a_crash_is_charged_what_it_spent() {
+        // Every candidate burns most of its fuel and then fails: the budget
+        // has to see the cost of a run that returned an error.
+        let src = "fn burn(a, b) { var x = 0; while (x < 250000) { x = x + 1; } return 1 / 0; } \
+                   fn main() { }";
+        let p = parse(src).unwrap();
+        let r = path_coverage_inputs(&p, "burn", &DOMAIN, 4, 512);
+        assert!(r.candidates_run < 36, "{} candidates ran", r.candidates_run);
+        assert!(r.inputs.is_empty());
+    }
+
+    #[test]
+    fn a_terminating_function_runs_its_whole_domain() {
+        let src = r#"
+            fn f(a, b, c) {
+                var s = 0;
+                for (var i = 0; i < a + b + c; i = i + 1) { s += i; }
+                return s;
+            }
+            fn main() { }
+        "#;
+        let p = parse(src).unwrap();
+        let r = path_coverage_inputs(&p, "f", &DOMAIN, 4, 512);
+        assert_eq!(r.candidates_run, 216);
+        assert_eq!(r.covered, 2);
     }
 }

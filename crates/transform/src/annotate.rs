@@ -7,8 +7,8 @@
 //! comprehensibility" (Section 2.1).
 
 use patty_analysis::SemanticModel;
-use patty_minilang::ast::{Block, Program, Stmt, StmtKind};
-use patty_minilang::pretty::print_program;
+use patty_minilang::ast::{visit_block, Block, FuncDecl, Program, Stmt, StmtKind};
+use patty_minilang::pretty::{print_class, print_func};
 use patty_minilang::span::{NodeId, Span};
 use patty_minilang::{parse, LangError};
 use patty_patterns::{PatternInstance, Stage};
@@ -16,61 +16,117 @@ use patty_tadl::{parse_region_label, ArchItem, ArchitectureDescription, PatternK
 use patty_tuning::{TuningConfig, TuningParam};
 use std::collections::BTreeMap;
 
-/// Produce the annotated source text for a detected instance: each stage's
-/// statements wrapped in an item region, the whole loop wrapped in the
-/// TADL architecture region.
+/// A program printed once, ready to be annotated one instance at a time.
+///
+/// Annotating changes one loop, so only the top-level declaration that
+/// owns the loop is rebuilt, printed and re-parsed; every other
+/// declaration's text is the one printed at construction.
+pub struct Annotator<'p> {
+    program: &'p Program,
+    /// Each top-level declaration's printed text, classes first then free
+    /// functions: concatenated, the printed program.
+    decl_texts: Vec<String>,
+    /// Loop id → index in `decl_texts` of the declaration that owns it.
+    loop_owner: BTreeMap<NodeId, usize>,
+}
+
+impl<'p> Annotator<'p> {
+    /// Print `program` declaration by declaration and check, once, that
+    /// the printed program parses.
+    pub fn new(program: &'p Program) -> Result<Annotator<'p>, LangError> {
+        let mut decl_texts = Vec::with_capacity(program.classes.len() + program.funcs.len());
+        let mut loop_owner = BTreeMap::new();
+        let mut own_loops = |f: &FuncDecl, decl: usize| {
+            visit_block(&f.body, &mut |s: &Stmt| {
+                if s.is_loop() {
+                    loop_owner.insert(s.id, decl);
+                }
+            });
+        };
+        for c in &program.classes {
+            c.methods.iter().for_each(|m| own_loops(m, decl_texts.len()));
+            decl_texts.push(print_class(c));
+        }
+        for f in &program.funcs {
+            own_loops(f, decl_texts.len());
+            decl_texts.push(print_func(f));
+        }
+        parse(&decl_texts.concat())?;
+        Ok(Annotator { program, decl_texts, loop_owner })
+    }
+
+    /// The annotated source text for a detected instance: each stage's
+    /// statements wrapped in an item region, the whole loop wrapped in the
+    /// TADL architecture region.
+    pub fn annotate(&self, instance: &PatternInstance) -> Result<String, LangError> {
+        let owner = *self
+            .loop_owner
+            .get(&instance.loop_id)
+            .ok_or_else(|| LangError::runtime(0, "loop to annotate not found"))?;
+        let classes = self.program.classes.len();
+        let text = if owner < classes {
+            let mut class = self.program.classes[owner].clone();
+            wrap_instance(class.methods.iter_mut().map(|m| &mut m.body), instance);
+            print_class(&class)
+        } else {
+            let mut func = self.program.funcs[owner - classes].clone();
+            wrap_instance(std::iter::once(&mut func.body), instance);
+            print_func(&func)
+        };
+        // Re-parse what changed to guarantee the annotation round-trips;
+        // the rest was parsed at construction.
+        parse(&text)?;
+        let mut out = String::with_capacity(
+            self.decl_texts.iter().map(String::len).sum::<usize>() + text.len(),
+        );
+        for (i, decl) in self.decl_texts.iter().enumerate() {
+            out.push_str(if i == owner { &text } else { decl });
+        }
+        Ok(out)
+    }
+}
+
+/// Produce the annotated source text for one detected instance. One-shot:
+/// this prints the whole program for the one instance; annotating several
+/// instances of a program goes through one [`Annotator`].
 pub fn annotate_source(program: &Program, instance: &PatternInstance) -> Result<String, LangError> {
-    let mut rewritten = program.clone();
+    Annotator::new(program)?.annotate(instance)
+}
+
+/// Wrap the instance's loop, which sits in one of `bodies`, in its regions.
+fn wrap_instance<'a>(mut bodies: impl Iterator<Item = &'a mut Block>, instance: &PatternInstance) {
+    // The first match is the loop itself: ids are unique in a parsed
+    // declaration, and `wrap_loop`'s placeholder nodes come after the search.
+    let stmt = bodies
+        .find_map(|b| find_stmt_mut(b, instance.loop_id))
+        .expect("the owner map names the declaration that holds the loop");
     let mut stages = instance.stages.clone();
     // Item regions must wrap statements in body order.
     stages.sort_by_key(|s| s.stmts.first().copied().unwrap_or(NodeId(u32::MAX)));
-    let label = instance.arch.annotation_label();
-    let mut found = false;
-    rewrite_program(&mut rewritten, &mut |stmt| {
-        // Guard on `found`: after wrapping, the rewriter descends into the
-        // synthesized region and would meet the loop again.
-        if !found && stmt.id == instance.loop_id {
-            found = true;
-            wrap_loop(stmt, &label, &stages);
-        }
-    });
-    if !found {
-        return Err(LangError::runtime(0, "loop to annotate not found"));
-    }
-    let text = print_program(&rewritten);
-    // Re-parse to guarantee the annotation round-trips.
-    parse(&text)?;
-    Ok(text)
+    wrap_loop(stmt, &instance.arch.annotation_label(), &stages);
 }
 
-/// Apply `f` to every statement of the program (mutably, pre-order).
-fn rewrite_program(program: &mut Program, f: &mut impl FnMut(&mut Stmt)) {
-    for func in program
-        .funcs
-        .iter_mut()
-        .chain(program.classes.iter_mut().flat_map(|c| c.methods.iter_mut()))
-    {
-        rewrite_block(&mut func.body, f);
-    }
-}
-
-fn rewrite_block(block: &mut Block, f: &mut impl FnMut(&mut Stmt)) {
+/// The statement with this id in `block`, searched pre-order.
+fn find_stmt_mut(block: &mut Block, id: NodeId) -> Option<&mut Stmt> {
     for stmt in &mut block.stmts {
-        f(stmt);
-        match &mut stmt.kind {
-            StmtKind::If { then_blk, else_blk, .. } => {
-                rewrite_block(then_blk, f);
-                if let Some(e) = else_blk {
-                    rewrite_block(e, f);
-                }
-            }
+        if stmt.id == id {
+            return Some(stmt);
+        }
+        let found = match &mut stmt.kind {
+            StmtKind::If { then_blk, else_blk, .. } => find_stmt_mut(then_blk, id)
+                .or_else(|| else_blk.as_mut().and_then(|e| find_stmt_mut(e, id))),
             StmtKind::While { body, .. }
-            | StmtKind::Foreach { body, .. } => rewrite_block(body, f),
-            StmtKind::For { body, .. } => rewrite_block(body, f),
-            StmtKind::Block(b) | StmtKind::Region { body: b, .. } => rewrite_block(b, f),
-            _ => {}
+            | StmtKind::For { body, .. }
+            | StmtKind::Foreach { body, .. }
+            | StmtKind::Block(body)
+            | StmtKind::Region { body, .. } => find_stmt_mut(body, id),
+            _ => None,
+        };
+        if found.is_some() {
+            return found;
         }
     }
+    None
 }
 
 /// Wrap the loop's body statements in item regions and the loop itself in

@@ -16,7 +16,9 @@ pub mod annotate;
 pub mod codegen;
 pub mod sim;
 
-pub use annotate::{annotate_source, extract_annotations, instance_from_annotation, Annotation};
+pub use annotate::{
+    annotate_source, extract_annotations, instance_from_annotation, Annotation, Annotator,
+};
 pub use codegen::{expr_levels, generate_plan, ParallelPlan, PlanStage};
 pub use sim::{
     simulate_doall, simulate_pipeline, DoallSimEvaluator, PipelineSimEvaluator, SimOutcome,
