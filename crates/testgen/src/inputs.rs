@@ -27,9 +27,7 @@ use std::collections::BTreeSet;
 /// Virtual cost one candidate run may spend.
 const CANDIDATE_FUEL: u64 = 2_000_000;
 
-/// Virtual cost all candidates of one function may spend together. Fuel,
-/// not wall clock: a function that never terminates costs four candidate
-/// runs instead of one per candidate, on any host.
+/// Virtual cost all candidates of one function may spend together.
 const FUNCTION_FUEL: u64 = 4 * CANDIDATE_FUEL;
 
 /// A coverage goal: a branch direction of a conditional statement.
@@ -126,11 +124,14 @@ fn compile_for_coverage(program: &Program) -> CompiledProgram {
 /// compiled once; every candidate of every function runs on that one
 /// compiled program.
 pub fn generate_test_inputs(program: &Program) -> Vec<(String, CoverageReport)> {
+    let targets: Vec<&FuncDecl> =
+        program.funcs.iter().filter(|f| !f.params.is_empty() && f.name != "main").collect();
+    if targets.is_empty() {
+        return Vec::new(); // nothing to run, so nothing to compile
+    }
     let compiled = compile_for_coverage(program);
-    program
-        .funcs
-        .iter()
-        .filter(|f| !f.params.is_empty() && f.name != "main")
+    targets
+        .into_iter()
         .map(|f| (f.name.clone(), cover(&compiled, f, &[-3, -1, 0, 1, 2, 7], 4, 512)))
         .collect()
 }

@@ -4,7 +4,7 @@
 #![allow(dead_code)]
 
 /// SplitMix64: the seed picks the fillers' constants, never their length.
-pub struct Rng(pub u64);
+struct Rng(u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {

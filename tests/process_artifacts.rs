@@ -22,15 +22,10 @@ const GOLDEN: &str = include_str!("golden/process_artifacts.txt");
 /// The 22 corpus programs, then `nbody` at ≈ ×1/×2/×4/×8 of its size and
 /// a ×2 variant whose last annotated loop sits in a class method.
 fn programs() -> Vec<(String, String)> {
-    let mut all: Vec<(String, String)> = all_programs()
-        .iter()
-        .map(|p| (p.name.to_string(), p.source.to_string()))
-        .collect();
-    let base = all_programs()
-        .into_iter()
-        .find(|p| p.name == "nbody")
-        .expect("nbody is in the corpus")
-        .source;
+    let corpus = all_programs();
+    let base = corpus.iter().find(|p| p.name == "nbody").expect("nbody is in the corpus").source;
+    let mut all: Vec<(String, String)> =
+        corpus.iter().map(|p| (p.name.to_string(), p.source.to_string())).collect();
     for scale in [1, 2, 4, 8] {
         all.push((format!("nbody_x{scale}"), common::scaled_source(base, scale, 22)));
     }
