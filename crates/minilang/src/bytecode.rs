@@ -270,7 +270,7 @@ pub(crate) struct CompiledClass {
 /// Compile-time metadata of one loop: its statement id and the ids of its
 /// direct body statements in slot order. The VM keeps per-loop counters in
 /// dense arrays indexed by these and only materializes the canonical
-/// `BTreeMap`-keyed [`crate::profile::LoopTrace`] once, at the end of a run.
+/// [`crate::profile::LoopTrace`] once, at the end of a run.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopInfo {
     pub(crate) id: NodeId,

@@ -11,7 +11,8 @@
 use crate::ast::*;
 use crate::builtins::{binary_op, call_builtin, call_builtin_method, BuiltinId, Host};
 use crate::error::LangError;
-use crate::profile::{AccessKind, DynLoc, Profile};
+use crate::fxhash::{FxHashMap, FxHashSet};
+use crate::profile::{AccessKind, DynLoc, LoopTrace, Profile};
 use crate::span::NodeId;
 use crate::value::{FieldTable, HeapId, ListData, ObjectData, Value};
 use std::cell::RefCell;
@@ -99,14 +100,8 @@ pub fn run_func(
         .func(name)
         .ok_or_else(|| LangError::runtime(0, format!("no function `{name}`")))?;
     let result = interp.call_func(func, None, args)?;
-    Ok(Outcome {
-        result,
-        output: interp.output,
-        profile: {
-            interp.profile.total_cost = interp.cost;
-            interp.profile
-        },
-    })
+    let output = std::mem::take(&mut interp.output);
+    Ok(Outcome { result, output, profile: interp.into_profile() })
 }
 
 /// Statement execution outcome for control flow.
@@ -148,38 +143,16 @@ impl Frame {
 
 /// An active loop-trace context: accesses made while executing direct body
 /// statement `cur_stmt` of loop `loop_id` during iteration `iter`.
-/// Shared with the bytecode VM, which maintains an identical stack.
-pub(crate) struct TraceCtx {
-    pub(crate) loop_id: NodeId,
-    pub(crate) iter: usize,
-    pub(crate) recording: bool,
-    pub(crate) cur_stmt: Option<NodeId>,
+struct TraceCtx {
+    loop_id: NodeId,
+    iter: usize,
+    recording: bool,
+    cur_stmt: Option<NodeId>,
 }
 
-/// Record one dynamic access into every active recording trace context.
-/// The single implementation keeps the tree-walker and the VM attributing
-/// accesses identically (nested loops record into outer contexts too).
-pub(crate) fn record_access(
-    profile: &mut Profile,
-    traces: &[TraceCtx],
-    loc: DynLoc,
-    kind: AccessKind,
-) {
-    for ctx in traces {
-        if !ctx.recording {
-            continue;
-        }
-        let Some(stmt) = ctx.cur_stmt else { continue };
-        let trace = profile.loop_traces.entry(ctx.loop_id).or_default();
-        while trace.traced.len() <= ctx.iter {
-            trace.traced.push(BTreeMap::new());
-        }
-        trace.traced[ctx.iter]
-            .entry(stmt)
-            .or_default()
-            .insert((loc.clone(), kind));
-    }
-}
+/// One loop's raw access records `(location id, iter, stmt, kind)`. A set,
+/// so a statement that repeats an access a million times holds it once.
+type Records = FxHashSet<(u32, u32, NodeId, AccessKind)>;
 
 struct Interp<'p> {
     program: &'p Program,
@@ -192,6 +165,11 @@ struct Interp<'p> {
     output: Vec<String>,
     profile: Profile,
     traces: Vec<TraceCtx>,
+    /// Every location a traced loop touched, numbered as first seen.
+    loc_ids: FxHashMap<DynLoc, u32>,
+    /// Raw records per traced loop, turned into the loops' access tables
+    /// when the run ends.
+    records: BTreeMap<NodeId, Records>,
     rng: u64,
     /// 1-based source line of the innermost executing statement, for
     /// runtime error positions.
@@ -212,6 +190,8 @@ impl<'p> Interp<'p> {
             output: Vec::new(),
             profile: Profile::default(),
             traces: Vec::new(),
+            loc_ids: FxHashMap::default(),
+            records: BTreeMap::new(),
             rng,
             current_line: 0,
         }
@@ -243,11 +223,39 @@ impl<'p> Interp<'p> {
         self.frames.last().map(|f| f.serial).unwrap_or(0)
     }
 
+    /// Record one dynamic access into every active recording trace context
+    /// (nested loops record into outer contexts too).
     fn record(&mut self, loc: DynLoc, kind: AccessKind) {
-        if !self.options.trace_loops {
+        let mut recording =
+            self.traces.iter().filter(|ctx| ctx.recording).filter_map(|ctx| Some((ctx, ctx.cur_stmt?))).peekable();
+        if recording.peek().is_none() {
             return;
         }
-        record_access(&mut self.profile, &self.traces, loc, kind);
+        let next = self.loc_ids.len() as u32;
+        let id = *self.loc_ids.entry(loc).or_insert(next);
+        for (ctx, stmt) in recording {
+            self.records.entry(ctx.loop_id).or_default().insert((id, ctx.iter as u32, stmt, kind));
+        }
+    }
+
+    /// The finished profile: total cost set, and every traced loop's raw
+    /// records folded into its access table.
+    fn into_profile(mut self) -> Profile {
+        self.profile.total_cost = self.cost;
+        // Locations are compared once, here; the records then sort by rank.
+        let mut by_rank: Vec<(DynLoc, u32)> = self.loc_ids.into_iter().collect();
+        by_rank.sort_unstable();
+        let mut rank_of = vec![0; by_rank.len()];
+        for (rank, (_, id)) in by_rank.iter().enumerate() {
+            rank_of[*id as usize] = rank;
+        }
+        for (loop_id, records) in self.records {
+            let t = self.profile.loop_traces.get_mut(&loop_id).expect("begin_loop made the entry");
+            let stmt_cost = std::mem::take(&mut t.stmt_cost);
+            let ranked = records.into_iter().map(|(id, iter, stmt, kind)| (rank_of[id as usize], iter, stmt, kind));
+            *t = LoopTrace::new(t.iterations, stmt_cost, ranked.collect(), |&rank| by_rank[rank].0.clone());
+        }
+        self.profile
     }
 
     fn next_rand(&mut self, n: i64) -> i64 {
@@ -1043,7 +1051,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelineable_loop_has_per_statement_intra_deps() {
+    fn pipelineable_loop_traces_each_direct_statement() {
         let src = r#"
             class Filter { var gain = 2; fn apply(x) { work(10); return x * this.gain; } }
             fn main() {
@@ -1067,10 +1075,9 @@ mod tests {
             .find(|t| t.iterations == 6)
             .unwrap();
         // three direct statements traced
-        assert_eq!(trace.traced[0].len(), 3);
-        // flow deps a -> b -> out within an iteration
-        let intra = trace.intra_deps();
-        assert!(intra.iter().filter(|d| d.kind == DepKind::Flow).count() >= 2);
+        let first: std::collections::BTreeSet<NodeId> =
+            trace.accesses().iter().filter(|a| a.iter == 0).map(|a| a.stmt).collect();
+        assert_eq!(first.len(), 3);
         // the two filter stages carry cost
         let costs: Vec<u64> = trace.stmt_cost.values().copied().collect();
         assert!(costs.iter().filter(|&&c| c > 50).count() >= 2);
@@ -1132,7 +1139,7 @@ mod tests {
         assert_eq!(out.output, vec!["4950"]);
         let t = out.profile.loop_traces.values().next().unwrap();
         assert_eq!(t.iterations, 100);
-        assert_eq!(t.traced.len(), 4);
+        assert_eq!(t.traced_iters(), 4);
     }
 }
 

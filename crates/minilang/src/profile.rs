@@ -5,13 +5,22 @@
 //! (Section 2.1). The [`Profile`] is that runtime information: per-statement
 //! hit counts, per-statement inclusive virtual cost (runtime shares drive
 //! the tuning parameters in rule PLTP), observed call edges, and — for each
-//! traced loop — exact per-iteration, per-statement memory access sets from
-//! which observed (loop-carried) dependencies are computed.
+//! traced loop — one flat table of the memory accesses its first iterations
+//! made ([`LoopTrace`]).
+//!
+//! The table is two vectors: the distinct locations in [`DynLoc`] order,
+//! and one [`Access`] `(iteration, statement, location id, kind)` per
+//! observed access, sorted and unique. Both engines end in the one
+//! constructor, [`LoopTrace::new`], so a location is materialised once however
+//! often it was touched, and every reader — loop-carried dependence
+//! extraction, unit-test generation, the JSON rendering, the size
+//! statistics — is a pass over integers.
 
 use crate::span::NodeId;
 use crate::value::HeapId;
-use std::rc::Rc;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::rc::Rc;
 
 /// Read or write, for memory accesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,12 +34,13 @@ pub enum AccessKind {
 /// Locals are identified by the frame serial so recursion and re-entry
 /// produce distinct cells; heap locations carry the exact object identity
 /// and (for elements) the index — this is what makes the dynamic analysis
-/// precise where the static one must be optimistic.
+/// precise where the static one must be optimistic. A trace holds each
+/// distinct location once, in this type's `Ord` order, and its accesses
+/// name it by position; names are shared `Rc<str>`s, so cloning one is a
+/// refcount bump.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DynLoc {
-    /// A local variable cell in a specific activation frame. Names are
-    /// shared `Rc<str>`s so materializing a record is a refcount bump,
-    /// not a string allocation (profiles hold tens of thousands).
+    /// A local variable cell in a specific activation frame.
     Local(u32, Rc<str>),
     /// A field of a specific heap object.
     Field(HeapId, Rc<str>),
@@ -41,20 +51,34 @@ pub enum DynLoc {
     ListStruct(HeapId),
 }
 
-/// Accesses of one direct loop-body statement during one loop iteration.
-pub type AccessSet = BTreeSet<(DynLoc, AccessKind)>;
+/// One observed access: direct body statement `stmt` touched location
+/// `locs()[loc]` during iteration `iter` of the loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Access {
+    pub iter: u32,
+    pub stmt: NodeId,
+    /// Index into [`LoopTrace::locs`], which is also the location's rank.
+    pub loc: u32,
+    pub kind: AccessKind,
+}
 
-/// Trace of one loop: the first `traced.len()` iterations, each mapping
-/// direct-body-statement id → access set.
-#[derive(Clone, Debug, Default)]
+/// Trace of one loop: how often it iterated, what each direct body
+/// statement cost, and the access table of its first iterations.
+///
+/// The table is canonical — `locs` distinct and ascending, `accesses`
+/// ascending and unique by `(iter, stmt, loc, kind)` — so two traces of
+/// the same behaviour are equal field for field whichever engine built
+/// them and in whatever order the records arrived. The traced prefix runs
+/// up to the last iteration that recorded anything.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoopTrace {
-    /// Total iterations executed (can exceed `traced.len()`).
+    /// Total iterations executed (can exceed `traced_iters()`).
     pub iterations: u64,
-    /// Per-iteration, per-direct-statement access sets (first K iterations).
-    pub traced: Vec<BTreeMap<NodeId, AccessSet>>,
     /// Virtual cost attributed to each direct body statement, summed over
     /// the whole run (inclusive of callees). Drives stage runtime shares.
     pub stmt_cost: BTreeMap<NodeId, u64>,
+    locs: Vec<DynLoc>,
+    accesses: Vec<Access>,
 }
 
 /// An observed cross-iteration (loop-carried) dependency between two direct
@@ -80,61 +104,147 @@ pub enum DepKind {
     Output,
 }
 
-impl LoopTrace {
-    /// All observed loop-carried dependencies between direct body
-    /// statements, over the traced prefix of iterations.
-    ///
-    /// A carried dependency exists when statement `src` accesses a location
-    /// in iteration `i`, statement `dst` accesses the same location in a
-    /// later iteration `j > i`, and at least one access is a write.
-    pub fn carried_deps(&self) -> BTreeSet<CarriedDep> {
-        // Index each iteration by location first; pairs of iterations are
-        // then joined per location instead of per access pair, which keeps
-        // the extraction near-linear in trace size.
-        let indexed: Vec<BTreeMap<&DynLoc, Vec<(NodeId, AccessKind)>>> =
-            self.traced.iter().map(index_iteration).collect();
-        let mut out = BTreeSet::new();
-        for i in 0..indexed.len() {
-            for j in (i + 1)..indexed.len() {
-                join_conflicts(&indexed[i], &indexed[j], &mut |src, dst, kind, loc| {
-                    out.insert(CarriedDep { src, dst, kind, loc: loc.clone() });
-                });
-            }
+impl DepKind {
+    /// The dependence an `earlier` access imposes on a `later` one to the
+    /// same location, if any (two reads impose none).
+    fn between(earlier: AccessKind, later: AccessKind) -> Option<DepKind> {
+        match (earlier, later) {
+            (AccessKind::Write, AccessKind::Read) => Some(DepKind::Flow),
+            (AccessKind::Read, AccessKind::Write) => Some(DepKind::Anti),
+            (AccessKind::Write, AccessKind::Write) => Some(DepKind::Output),
+            (AccessKind::Read, AccessKind::Read) => None,
         }
-        out
+    }
+}
+
+impl LoopTrace {
+    /// Build the canonical table from raw records `(key, iter, stmt, kind)`
+    /// in any order, repeats allowed. A key stands for the location
+    /// `materialize` turns it into and must order exactly as that location
+    /// does; `materialize` runs once per distinct key.
+    pub fn new<K: Ord>(
+        iterations: u64,
+        stmt_cost: BTreeMap<NodeId, u64>,
+        mut records: Vec<(K, u32, NodeId, AccessKind)>,
+        mut materialize: impl FnMut(&K) -> DynLoc,
+    ) -> LoopTrace {
+        // Location-major first: equal keys become neighbours, so ranking
+        // the locations is one scan.
+        records.sort_unstable();
+        records.dedup();
+        let mut locs = Vec::new();
+        let mut accesses = Vec::with_capacity(records.len());
+        for (i, (key, iter, stmt, kind)) in records.iter().enumerate() {
+            if i == 0 || records[i - 1].0 != *key {
+                locs.push(materialize(key));
+            }
+            accesses.push(Access { iter: *iter, stmt: *stmt, loc: locs.len() as u32 - 1, kind: *kind });
+        }
+        // Each location's accesses already ascend by (iter, stmt, kind), so
+        // a stable sort on (iter, stmt) alone lands in table order.
+        accesses.sort_by_key(|a| (a.iter, a.stmt));
+        LoopTrace { iterations, stmt_cost, locs, accesses }
     }
 
-    /// Observed *intra-iteration* dependencies: (earlier stmt, later stmt,
-    /// kind, loc) within the same iteration, in direct-statement order.
-    /// These define the pipeline data stream (rule PLDS).
-    pub fn intra_deps(&self) -> BTreeSet<CarriedDep> {
-        let mut out = BTreeSet::new();
-        for iter in &self.traced {
-            let indexed = index_iteration(iter);
-            for (loc, accesses) in &indexed {
-                for (a_idx, (src, k1)) in accesses.iter().enumerate() {
-                    for (dst, k2) in accesses.iter().skip(a_idx + 1) {
-                        if src == dst {
-                            continue;
+    /// The distinct locations the traced iterations touched, ascending.
+    pub fn locs(&self) -> &[DynLoc] {
+        &self.locs
+    }
+
+    /// Every observed access, ascending by `(iter, stmt, loc, kind)`.
+    pub fn accesses(&self) -> &[Access] {
+        &self.accesses
+    }
+
+    /// Length of the traced prefix: one past the last iteration that
+    /// recorded an access (earlier ones may have recorded none).
+    pub fn traced_iters(&self) -> usize {
+        self.accesses.last().map_or(0, |a| a.iter as usize + 1)
+    }
+
+    /// Visit every observed loop-carried dependence on a location `keep`
+    /// accepts, over the traced prefix of iterations; the same dependence
+    /// can be reported more than once.
+    ///
+    /// A carried dependence exists when statement `src` accesses a location
+    /// in iteration `i`, statement `dst` accesses the same location in a
+    /// later iteration `j > i`, and at least one access is a write. Only a
+    /// location that is written and touched in two iterations can carry
+    /// one; those are bucketed by id and each bucket is walked once against
+    /// the `(stmt, kind)` pairs its earlier iterations made.
+    pub fn carried(
+        &self,
+        keep: impl Fn(&DynLoc) -> bool,
+        mut emit: impl FnMut(NodeId, NodeId, DepKind, &DynLoc),
+    ) {
+        const WRITTEN: u8 = 1;
+        const REVISITED: u8 = 2;
+        let n = self.locs.len();
+        let mut first_iter = vec![u32::MAX; n];
+        let mut flags = vec![0u8; n];
+        // Accesses per location for now, bucket boundaries below.
+        let mut ends = vec![0usize; n];
+        for a in &self.accesses {
+            let l = a.loc as usize;
+            if a.kind == AccessKind::Write {
+                flags[l] |= WRITTEN;
+            }
+            if first_iter[l] == u32::MAX {
+                first_iter[l] = a.iter;
+            } else if first_iter[l] != a.iter {
+                flags[l] |= REVISITED;
+            }
+            ends[l] += 1;
+        }
+        let mut total = 0;
+        for l in 0..n {
+            let live = flags[l] == WRITTEN | REVISITED && keep(&self.locs[l]);
+            flags[l] = u8::from(live);
+            let count = std::mem::replace(&mut ends[l], total);
+            total += if live { count } else { 0 };
+        }
+        // Stable scatter: a bucket keeps (iter, stmt, kind) order, and
+        // `ends[l]` finishes as the end of bucket `l`.
+        let mut by_loc = vec![Access { iter: 0, stmt: NodeId(0), loc: 0, kind: AccessKind::Read }; total];
+        for a in &self.accesses {
+            let l = a.loc as usize;
+            if flags[l] != 0 {
+                by_loc[ends[l]] = *a;
+                ends[l] += 1;
+            }
+        }
+        let mut earlier: Vec<(NodeId, AccessKind)> = Vec::new();
+        let mut begin = 0;
+        for (loc, &end) in self.locs.iter().zip(&ends) {
+            earlier.clear();
+            for iteration in by_loc[begin..end].chunk_by(|a, b| a.iter == b.iter) {
+                for later in iteration {
+                    for &(src, kind) in &earlier {
+                        if let Some(dep) = DepKind::between(kind, later.kind) {
+                            emit(src, later.stmt, dep, loc);
                         }
-                        // Statement order within an iteration is body
-                        // order, which equals NodeId order.
-                        let (s, d, k1, k2) = if src < dst {
-                            (*src, *dst, *k1, *k2)
-                        } else {
-                            (*dst, *src, *k2, *k1)
-                        };
-                        let kind = match (k1, k2) {
-                            (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                            (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                            (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                            (AccessKind::Read, AccessKind::Read) => continue,
-                        };
-                        out.insert(CarriedDep { src: s, dst: d, kind, loc: (*loc).clone() });
+                    }
+                }
+                for a in iteration {
+                    if !earlier.contains(&(a.stmt, a.kind)) {
+                        earlier.push((a.stmt, a.kind));
                     }
                 }
             }
+            begin = end;
         }
+    }
+
+    /// All observed loop-carried dependencies between direct body
+    /// statements, as a set (see [`LoopTrace::carried`]).
+    pub fn carried_deps(&self) -> BTreeSet<CarriedDep> {
+        let mut out = BTreeSet::new();
+        self.carried(
+            |_| true,
+            |src, dst, kind, loc| {
+                out.insert(CarriedDep { src, dst, kind, loc: loc.clone() });
+            },
+        );
         out
     }
 
@@ -146,48 +256,6 @@ impl LoopTrace {
             return 0.0;
         }
         *self.stmt_cost.get(&stmt).unwrap_or(&0) as f64 / total as f64
-    }
-}
-
-/// Group one iteration's accesses by location.
-fn index_iteration(
-    iter: &BTreeMap<NodeId, AccessSet>,
-) -> BTreeMap<&DynLoc, Vec<(NodeId, AccessKind)>> {
-    let mut map: BTreeMap<&DynLoc, Vec<(NodeId, AccessKind)>> = BTreeMap::new();
-    for (stmt, set) in iter {
-        for (loc, kind) in set {
-            map.entry(loc).or_default().push((*stmt, *kind));
-        }
-    }
-    map
-}
-
-/// Join two iteration indexes on common locations, emitting every
-/// conflicting access pair (at least one write).
-fn join_conflicts(
-    earlier: &BTreeMap<&DynLoc, Vec<(NodeId, AccessKind)>>,
-    later: &BTreeMap<&DynLoc, Vec<(NodeId, AccessKind)>>,
-    emit: &mut impl FnMut(NodeId, NodeId, DepKind, &DynLoc),
-) {
-    for (loc, src_accesses) in earlier {
-        let Some(dst_accesses) = later.get(loc) else { continue };
-        // Skip read-only locations quickly.
-        let src_writes = src_accesses.iter().any(|(_, k)| *k == AccessKind::Write);
-        let dst_writes = dst_accesses.iter().any(|(_, k)| *k == AccessKind::Write);
-        if !src_writes && !dst_writes {
-            continue;
-        }
-        for (src, k1) in src_accesses {
-            for (dst, k2) in dst_accesses {
-                let kind = match (k1, k2) {
-                    (AccessKind::Write, AccessKind::Read) => DepKind::Flow,
-                    (AccessKind::Read, AccessKind::Write) => DepKind::Anti,
-                    (AccessKind::Write, AccessKind::Write) => DepKind::Output,
-                    (AccessKind::Read, AccessKind::Read) => continue,
-                };
-                emit(*src, *dst, kind, loc);
-            }
-        }
     }
 }
 
@@ -216,7 +284,8 @@ pub struct ProfileStats {
     pub loops: usize,
     /// Total traced (loop, iteration) pairs.
     pub traced_iterations: usize,
-    /// Total recorded (statement, location, kind) access entries.
+    /// Total recorded (iteration, statement, location, kind) access
+    /// entries: the summed length of the loops' access tables.
     pub recorded_accesses: usize,
     /// Statements with cost/hit counters.
     pub counted_statements: usize,
@@ -235,14 +304,8 @@ impl Profile {
     pub fn stats(&self) -> ProfileStats {
         ProfileStats {
             loops: self.loop_traces.len(),
-            traced_iterations: self.loop_traces.values().map(|t| t.traced.len()).sum(),
-            recorded_accesses: self
-                .loop_traces
-                .values()
-                .flat_map(|t| t.traced.iter())
-                .flat_map(|iter| iter.values())
-                .map(|set| set.len())
-                .sum(),
+            traced_iterations: self.loop_traces.values().map(|t| t.traced_iters()).sum(),
+            recorded_accesses: self.loop_traces.values().map(|t| t.accesses.len()).sum(),
             counted_statements: self.stmt_cost.len(),
         }
     }
@@ -258,82 +321,56 @@ impl Profile {
 
     /// Canonical JSON rendering of the complete profile.
     ///
-    /// All containers are ordered (`BTreeMap`/`BTreeSet`), so two profiles
-    /// are byte-identical here iff they are semantically identical — the
-    /// comparison the differential engine tests rely on.
+    /// Every container is ordered (`BTreeMap`/`BTreeSet`, the canonical
+    /// access tables), so two profiles are byte-identical here iff they
+    /// are semantically identical — the comparison the differential engine
+    /// tests rely on.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
-        s.push_str("{\"total_cost\":");
-        s.push_str(&self.total_cost.to_string());
-        s.push_str(",\"stmt_hits\":");
+        let _ = write!(s, "{{\"total_cost\":{},\"stmt_hits\":", self.total_cost);
         json_id_map(&mut s, &self.stmt_hits);
         s.push_str(",\"stmt_cost\":");
         json_id_map(&mut s, &self.stmt_cost);
-        s.push_str(",\"call_edges\":[");
-        for (i, (from, to)) in self.call_edges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            json_str(&mut s, from);
-            s.push(',');
-            json_str(&mut s, to);
-            s.push(']');
-        }
-        s.push_str("],\"loop_traces\":[");
-        for (i, (id, t)) in self.loop_traces.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push('[');
-            s.push_str(&id.0.to_string());
-            s.push_str(",{\"iterations\":");
-            s.push_str(&t.iterations.to_string());
-            s.push_str(",\"stmt_cost\":");
-            json_id_map(&mut s, &t.stmt_cost);
-            s.push_str(",\"traced\":[");
-            for (j, iter) in t.traced.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push('[');
-                for (k, (stmt, set)) in iter.iter().enumerate() {
-                    if k > 0 {
-                        s.push(',');
-                    }
-                    s.push('[');
-                    s.push_str(&stmt.0.to_string());
-                    s.push_str(",[");
-                    for (m, (loc, kind)) in set.iter().enumerate() {
-                        if m > 0 {
-                            s.push(',');
-                        }
-                        json_access(&mut s, loc, *kind);
-                    }
-                    s.push_str("]]");
-                }
-                s.push(']');
-            }
-            s.push_str("]}]");
-        }
-        s.push_str("]}");
+        s.push_str(",\"call_edges\":");
+        json_list(&mut s, &self.call_edges, |s, (from, to)| json_list(s, [from, to], |s, v| json_str(s, v)));
+        s.push_str(",\"loop_traces\":");
+        json_list(&mut s, &self.loop_traces, |s, (id, t)| {
+            let _ = write!(s, "[{},{{\"iterations\":{},\"stmt_cost\":", id.0, t.iterations);
+            json_id_map(s, &t.stmt_cost);
+            s.push_str(",\"traced\":");
+            let mut rest = t.accesses.as_slice();
+            json_list(s, 0..t.traced_iters() as u32, |s, iter| {
+                let (of_iter, later) = rest.split_at(rest.partition_point(|a| a.iter == iter));
+                rest = later;
+                json_list(s, of_iter.chunk_by(|a, b| a.stmt == b.stmt), |s, of_stmt| {
+                    let _ = write!(s, "[{},", of_stmt[0].stmt.0);
+                    json_list(s, of_stmt, |s, a| json_access(s, &t.locs[a.loc as usize], a.kind));
+                    s.push(']');
+                });
+            });
+            s.push_str("}]");
+        });
+        s.push('}');
         s
     }
 }
 
-fn json_id_map(s: &mut String, map: &BTreeMap<NodeId, u64>) {
+/// `[item,item,…]`, each item written by `each`.
+fn json_list<T>(s: &mut String, items: impl IntoIterator<Item = T>, mut each: impl FnMut(&mut String, T)) {
     s.push('[');
-    for (i, (id, v)) in map.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        s.push('[');
-        s.push_str(&id.0.to_string());
-        s.push(',');
-        s.push_str(&v.to_string());
-        s.push(']');
+        each(s, item);
     }
     s.push(']');
+}
+
+fn json_id_map(s: &mut String, map: &BTreeMap<NodeId, u64>) {
+    json_list(s, map, |s, (id, v)| {
+        let _ = write!(s, "[{},{v}]", id.0);
+    });
 }
 
 fn json_str(s: &mut String, v: &str) {
@@ -350,126 +387,76 @@ fn json_str(s: &mut String, v: &str) {
 }
 
 fn json_access(s: &mut String, loc: &DynLoc, kind: AccessKind) {
-    s.push_str("[[");
-    match loc {
-        DynLoc::Local(serial, name) => {
-            s.push_str("\"local\",");
-            s.push_str(&serial.to_string());
-            s.push(',');
-            json_str(s, name);
-        }
-        DynLoc::Field(id, name) => {
-            s.push_str("\"field\",");
-            s.push_str(&id.to_string());
-            s.push(',');
-            json_str(s, name);
-        }
-        DynLoc::Elem(id, idx) => {
-            s.push_str("\"elem\",");
-            s.push_str(&id.to_string());
-            s.push(',');
-            s.push_str(&idx.to_string());
-        }
-        DynLoc::ListStruct(id) => {
-            s.push_str("\"list\",");
-            s.push_str(&id.to_string());
-        }
+    let _ = match loc {
+        DynLoc::Local(serial, _) => write!(s, "[[\"local\",{serial},"),
+        DynLoc::Field(id, _) => write!(s, "[[\"field\",{id},"),
+        DynLoc::Elem(id, idx) => write!(s, "[[\"elem\",{id},{idx}"),
+        DynLoc::ListStruct(id) => write!(s, "[[\"list\",{id}"),
+    };
+    if let DynLoc::Local(_, name) | DynLoc::Field(_, name) = loc {
+        json_str(s, name);
     }
-    s.push_str("],");
     s.push_str(match kind {
-        AccessKind::Read => "\"r\"",
-        AccessKind::Write => "\"w\"",
+        AccessKind::Read => "],\"r\"]",
+        AccessKind::Write => "],\"w\"]",
     });
-    s.push(']');
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use AccessKind::{Read, Write};
 
     fn nid(n: u32) -> NodeId {
         NodeId(n)
     }
 
-    fn set(items: &[(DynLoc, AccessKind)]) -> AccessSet {
-        items.iter().cloned().collect()
+    /// A trace of `(iter, stmt, loc, kind)` records.
+    fn trace(records: &[(u32, u32, &DynLoc, AccessKind)]) -> LoopTrace {
+        let records = records.iter().map(|&(i, s, l, k)| (l.clone(), i, nid(s), k)).collect();
+        LoopTrace::new(0, BTreeMap::new(), records, DynLoc::clone)
     }
 
     #[test]
     fn carried_flow_dep_detected() {
         let loc = DynLoc::Field(7, "acc".into());
-        let mut t = LoopTrace::default();
         // iter 0: stmt 1 writes acc; iter 1: stmt 2 reads acc
-        t.traced.push(BTreeMap::from([(
-            nid(1),
-            set(&[(loc.clone(), AccessKind::Write)]),
-        )]));
-        t.traced.push(BTreeMap::from([(
-            nid(2),
-            set(&[(loc.clone(), AccessKind::Read)]),
-        )]));
-        let deps = t.carried_deps();
-        assert!(deps.contains(&CarriedDep {
-            src: nid(1),
-            dst: nid(2),
-            kind: DepKind::Flow,
-            loc
-        }));
+        let deps = trace(&[(0, 1, &loc, Write), (1, 2, &loc, Read)]).carried_deps();
+        assert!(deps.contains(&CarriedDep { src: nid(1), dst: nid(2), kind: DepKind::Flow, loc }));
     }
 
     #[test]
     fn read_read_is_not_a_dependency() {
         let loc = DynLoc::Elem(3, 0);
-        let mut t = LoopTrace::default();
-        t.traced.push(BTreeMap::from([(nid(1), set(&[(loc.clone(), AccessKind::Read)]))]));
-        t.traced.push(BTreeMap::from([(nid(1), set(&[(loc, AccessKind::Read)]))]));
-        assert!(t.carried_deps().is_empty());
+        assert!(trace(&[(0, 1, &loc, Read), (1, 1, &loc, Read)]).carried_deps().is_empty());
     }
 
     #[test]
     fn disjoint_indices_do_not_conflict() {
         // a[i] = ...: each iteration writes a different element — the
         // precise dynamic view shows no carried dependency (DOALL).
-        let mut t = LoopTrace::default();
-        for i in 0..4 {
-            t.traced.push(BTreeMap::from([(
-                nid(1),
-                set(&[(DynLoc::Elem(9, i), AccessKind::Write)]),
-            )]));
-        }
-        assert!(t.carried_deps().is_empty());
+        let elems: Vec<DynLoc> = (0..4).map(|i| DynLoc::Elem(9, i)).collect();
+        let records: Vec<_> = elems.iter().enumerate().map(|(i, l)| (i as u32, 1, l, Write)).collect();
+        assert!(trace(&records).carried_deps().is_empty());
     }
 
     #[test]
     fn anti_and_output_deps_classified() {
         let loc = DynLoc::Local(0, "x".into());
-        let mut t = LoopTrace::default();
-        t.traced.push(BTreeMap::from([(
-            nid(1),
-            set(&[(loc.clone(), AccessKind::Read), (loc.clone(), AccessKind::Write)]),
-        )]));
-        t.traced.push(BTreeMap::from([(
-            nid(1),
-            set(&[(loc.clone(), AccessKind::Read), (loc.clone(), AccessKind::Write)]),
-        )]));
+        let t = trace(&[(0, 1, &loc, Read), (0, 1, &loc, Write), (1, 1, &loc, Read), (1, 1, &loc, Write)]);
         let kinds: BTreeSet<DepKind> = t.carried_deps().into_iter().map(|d| d.kind).collect();
-        assert!(kinds.contains(&DepKind::Flow));
-        assert!(kinds.contains(&DepKind::Anti));
-        assert!(kinds.contains(&DepKind::Output));
+        assert_eq!(kinds, BTreeSet::from([DepKind::Flow, DepKind::Anti, DepKind::Output]));
     }
 
     #[test]
-    fn intra_deps_follow_statement_order() {
-        let loc = DynLoc::Local(0, "c".into());
-        let mut t = LoopTrace::default();
-        t.traced.push(BTreeMap::from([
-            (nid(1), set(&[(loc.clone(), AccessKind::Write)])),
-            (nid(2), set(&[(loc.clone(), AccessKind::Read)])),
-        ]));
-        let deps = t.intra_deps();
-        assert_eq!(deps.len(), 1);
-        let d = deps.iter().next().unwrap();
-        assert_eq!((d.src, d.dst, d.kind), (nid(1), nid(2), DepKind::Flow));
+    fn table_is_canonical_whatever_the_record_order() {
+        let (a, b) = (DynLoc::Local(1, "a".into()), DynLoc::Elem(2, -1));
+        let t = trace(&[(2, 5, &b, Write), (0, 4, &b, Read), (2, 5, &a, Read), (2, 5, &b, Write)]);
+        assert_eq!(t.locs(), [a, b]);
+        let rows: Vec<_> = t.accesses().iter().map(|x| (x.iter, x.stmt.0, x.loc, x.kind)).collect();
+        assert_eq!(rows, [(0, 4, 1, Read), (2, 5, 0, Read), (2, 5, 1, Write)]);
+        // Iteration 1 recorded nothing and is still part of the prefix.
+        assert_eq!(t.traced_iters(), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * profile bookkeeping is dense: statement hits/costs live in flat arrays
 //!   indexed by statement id, per-loop counters in arrays indexed by
 //!   compile-time loop/statement slots, and traced accesses in plain `Copy`
-//!   records. The canonical `BTreeMap`-shaped [`Profile`] — byte-identical
+//!   records. The canonical [`Profile`] — byte-identical
 //!   to the tree-walker's — is materialized once, after the run;
 //! * loop-trace recording hides behind one cached `record_active` flag,
 //!   maintained incrementally alongside the list of actively-recording
@@ -37,7 +37,7 @@ use crate::error::LangError;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::{InterpOptions, Outcome};
 use crate::pgo::{op_kind, optimize, OpCounters, OpProfile, PgoOptions};
-use crate::profile::{AccessKind, AccessSet, DynLoc, LoopTrace, Profile};
+use crate::profile::{AccessKind, DynLoc, LoopTrace, Profile};
 use crate::span::NodeId;
 use crate::value::{FieldTable, HeapId, ListData, ObjectData, Value};
 use std::cell::RefCell;
@@ -166,8 +166,8 @@ enum LocLite {
     ListStruct(HeapId),
 }
 
-/// One recorded access of a traced iteration (raw; deduplicated into the
-/// canonical ordered access sets when the profile is built).
+/// One recorded access of a traced iteration (raw; sorted, deduplicated
+/// and ranked into the loop's access table when the profile is built).
 #[derive(Clone, Copy)]
 struct AccessRec {
     iter: u32,
@@ -202,8 +202,8 @@ struct LoopRun {
     /// hash several times faster than the old 4-word tuple key, which
     /// dominated traced-mode time on trace-heavy programs. Interleaved
     /// same-loop activations (recursion) can alias a slot and re-admit a
-    /// duplicate, which is harmless: [`Vm::build_profile`] sorts and
-    /// dedups each iteration canonically anyway.
+    /// duplicate, which is harmless: the table constructor sorts and
+    /// dedups canonically anyway.
     seen: FxHashMap<u64, u32>,
     /// Direct-mapped shortcut in front of `seen`: repeat accesses arrive
     /// in bursts from the same few sites, so a tiny fixed-size cache of
@@ -583,25 +583,31 @@ impl<'p> Vm<'p> {
         (base + self.dyn_names.len() - 1) as u32
     }
 
-    fn loc_full(&self, loc: LocLite) -> DynLoc {
-        match loc {
-            LocLite::Local(serial, name) => DynLoc::Local(serial, self.resolve_rc(name)),
-            LocLite::Field(id, name) => DynLoc::Field(id, self.resolve_rc(name)),
-            LocLite::Elem(id, i) => DynLoc::Elem(id, i),
-            LocLite::ListStruct(id) => DynLoc::ListStruct(id),
-        }
-    }
-
-    /// Sort key for a [`LocLite`] that reproduces `DynLoc`'s `Ord` using
-    /// only integers: variant tag, then fields, with interned names mapped
-    /// through `name_rank` (their rank in string order) and `i64` indices
-    /// sign-flipped into ordered `u64`s.
-    fn loc_sort_key(loc: LocLite, name_rank: &[u32]) -> (u8, u64, u64) {
-        match loc {
+    /// Sort key for a [`LocLite`] that reproduces `DynLoc`'s `Ord` in one
+    /// integer: two bits of variant tag, 62 of frame serial or heap id (a
+    /// run cannot allocate 2^62 objects), then 64 of name or index —
+    /// interned names mapped through `name_rank` (their rank in string
+    /// order), `i64` indices sign-flipped into ordered `u64`s.
+    fn loc_sort_key(loc: LocLite, name_rank: &[u32]) -> u128 {
+        let (tag, a, b) = match loc {
             LocLite::Local(serial, name) => (0, serial as u64, name_rank[name as usize] as u64),
             LocLite::Field(id, name) => (1, id, name_rank[name as usize] as u64),
             LocLite::Elem(id, i) => (2, id, (i as u64) ^ (1 << 63)),
             LocLite::ListStruct(id) => (3, id, 0),
+        };
+        debug_assert!(a < 1 << 62);
+        (tag << 126) | ((a as u128) << 64) | b as u128
+    }
+
+    /// The location a [`Vm::loc_sort_key`] stands for; `ranked_names[r]` is
+    /// a name id of rank `r`.
+    fn loc_from_key(&self, key: u128, ranked_names: &[u32]) -> DynLoc {
+        let (a, b) = ((key >> 64) as u64 & (u64::MAX >> 2), key as u64);
+        match key >> 126 {
+            0 => DynLoc::Local(a as u32, self.resolve_rc(ranked_names[b as usize])),
+            1 => DynLoc::Field(a, self.resolve_rc(ranked_names[b as usize])),
+            2 => DynLoc::Elem(a, (b ^ (1 << 63)) as i64),
+            _ => DynLoc::ListStruct(a),
         }
     }
 
@@ -609,10 +615,10 @@ impl<'p> Vm<'p> {
     /// called on successful runs (errors discard the profile, like the
     /// tree-walker).
     ///
-    /// All maps are bulk-built from pre-sorted vectors instead of grown by
-    /// repeated inserts; record ordering uses integer ranks, so the only
-    /// per-record string work left is allocating the names that end up in
-    /// the output itself.
+    /// The maps are bulk-built from pre-sorted vectors instead of grown by
+    /// repeated inserts, and each loop's `Copy` records go to
+    /// [`LoopTrace::new`] under integer keys: the only `DynLoc`s built are
+    /// the table's distinct locations.
     fn build_profile(&mut self) -> Profile {
         let mut p = Profile { total_cost: self.cost, ..Profile::default() };
         p.stmt_hits = self
@@ -636,76 +642,47 @@ impl<'p> Vm<'p> {
             .collect();
 
         // Rank every name (compile-time and runtime-interned) by string
-        // order, assigning equal ranks to equal strings, so record ordering
-        // and deduplication below work on integers. Skipped when nothing
-        // was traced (tracing off, or no loop recorded an access).
+        // order, assigning equal ranks to equal strings, so record keys
+        // compare as integers. Skipped when nothing was traced (tracing
+        // off, or no loop recorded an access).
         let mut name_rank = Vec::new();
+        let mut ranked_names = Vec::new();
         if self.loop_runs.iter().any(|r| !r.records.is_empty()) {
             let n_names = self.prog.names.len() + self.dyn_names.len();
             let mut by_str: Vec<u32> = (0..n_names as u32).collect();
             by_str.sort_unstable_by_key(|&id| self.resolve_name(id));
             name_rank = vec![0u32; n_names];
-            let mut rank = 0u32;
             for (i, &id) in by_str.iter().enumerate() {
-                if i > 0 && self.resolve_name(by_str[i - 1]) != self.resolve_name(id) {
-                    rank += 1;
+                if i == 0 || self.resolve_name(by_str[i - 1]) != self.resolve_name(id) {
+                    ranked_names.push(id);
                 }
-                name_rank[id as usize] = rank;
+                name_rank[id as usize] = ranked_names.len() as u32 - 1;
             }
         }
 
         let loop_runs = std::mem::take(&mut self.loop_runs);
         let mut traces: Vec<(NodeId, LoopTrace)> = Vec::new();
-        // Scratch buffers reused across loops and iterations; `drain`
-        // empties them while keeping their capacity.
-        let mut stmt_sets: Vec<(NodeId, AccessSet)> = Vec::new();
-        let mut set_buf: Vec<(DynLoc, AccessKind)> = Vec::new();
         for (idx, run) in loop_runs.into_iter().enumerate() {
             if !run.entered {
                 continue;
             }
             let info = &self.prog.loop_infos[idx];
-            let mut t = LoopTrace { iterations: run.iterations, ..LoopTrace::default() };
-            t.stmt_cost = run
+            let stmt_cost = run
                 .stmt_seen
                 .iter()
                 .enumerate()
                 .filter(|&(_, &seen)| seen)
                 .map(|(slot, _)| (info.stmts[slot], run.stmt_cost[slot]))
                 .collect();
-            // One sort per loop over (iteration, canonical record key);
-            // keys are precomputed once per record so neither the sort nor
-            // the duplicate skip below recomputes them per comparison.
-            type RecKey = (u32, NodeId, (u8, u64, u64), AccessKind);
-            let mut keyed: Vec<(RecKey, LocLite)> = run
+            let records = run
                 .records
                 .iter()
-                .map(|r| ((r.iter, r.stmt, Self::loc_sort_key(r.loc, &name_rank), r.kind), r.loc))
+                .map(|r| (Self::loc_sort_key(r.loc, &name_rank), r.iter, r.stmt, r.kind))
                 .collect();
-            keyed.sort_unstable_by_key(|a| a.0);
-            let mut i = 0;
-            while i < keyed.len() {
-                let iter = keyed[i].0 .0;
-                // Iterations that recorded nothing still get their (empty)
-                // trace entry, exactly like the tree-walker's padding.
-                while t.traced.len() < iter as usize {
-                    t.traced.push(BTreeMap::new());
-                }
-                while i < keyed.len() && keyed[i].0 .0 == iter {
-                    let stmt = keyed[i].0 .1;
-                    while i < keyed.len() && keyed[i].0 .0 == iter && keyed[i].0 .1 == stmt {
-                        // Equal keys are duplicates by construction
-                        // (equal ranks mean equal name strings).
-                        if i == 0 || keyed[i].0 != keyed[i - 1].0 {
-                            set_buf.push((self.loc_full(keyed[i].1), keyed[i].0 .3));
-                        }
-                        i += 1;
-                    }
-                    stmt_sets.push((stmt, AccessSet::from_iter(set_buf.drain(..))));
-                }
-                t.traced.push(BTreeMap::from_iter(stmt_sets.drain(..)));
-            }
-            traces.push((info.id, t));
+            let trace = LoopTrace::new(run.iterations, stmt_cost, records, |key| {
+                self.loc_from_key(*key, &ranked_names)
+            });
+            traces.push((info.id, trace));
         }
         p.loop_traces = BTreeMap::from_iter(traces);
         p

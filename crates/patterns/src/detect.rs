@@ -27,6 +27,7 @@ use patty_analysis::loc::StaticLoc;
 use patty_analysis::loops::{jump_effects, LoopInfo};
 use patty_analysis::SemanticModel;
 use patty_minilang::ast::{AssignOp, ExprKind, LValueKind, StmtKind};
+use patty_minilang::profile::DynLoc;
 use patty_minilang::span::NodeId;
 use patty_tadl::{ArchItem, ArchitectureDescription, PatternKind, TadlExpr};
 use patty_tuning::{TuningConfig, TuningParam};
@@ -122,30 +123,28 @@ pub fn detect_loop(
         stmts.iter().enumerate().map(|(i, s)| (*s, i)).collect();
 
     // ---- PLDD with optimistic dynamic refinement ----
+    // Only a trace of two iterations or more can show (or rule out) a
+    // cross-iteration conflict; a static-only run never consults it.
     let trace = model
         .profile
         .as_ref()
-        .and_then(|p| p.loop_traces.get(&loop_info.id));
-    let dynamic_usable =
-        opts.use_dynamic && trace.map(|t| t.traced.len() >= 2).unwrap_or(false);
+        .filter(|_| opts.use_dynamic)
+        .and_then(|p| p.loop_traces.get(&loop_info.id))
+        .filter(|t| t.traced_iters() >= 2);
+    let dynamic_usable = trace.is_some();
     // Carried accesses to iteration-local variables are artifacts of the
     // interpreter reusing one cell per frame: the pipeline transform
     // privatizes those values into the per-element buffers (rule PLDS), so
     // they impose no cross-element ordering.
-    let observed_carried: BTreeSet<(NodeId, NodeId)> = trace
-        .map(|t| {
-            t.carried_deps()
-                .into_iter()
-                .filter(|d| match &d.loc {
-                    patty_minilang::profile::DynLoc::Local(_, name) => {
-                        !iteration_locals.contains(name.as_ref() as &str)
-                    }
-                    _ => true,
-                })
-                .map(|d| (d.src.min(d.dst), d.src.max(d.dst)))
-                .collect()
-        })
-        .unwrap_or_default();
+    let mut observed_carried: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
+    if let Some(t) = trace {
+        t.carried(
+            |loc| !matches!(loc, DynLoc::Local(_, name) if iteration_locals.contains(&**name)),
+            |src, dst, _, _| {
+                observed_carried.insert((src.min(dst), src.max(dst)));
+            },
+        );
+    }
 
     let mut carried_pairs: BTreeSet<(NodeId, NodeId)> = BTreeSet::new();
     for d in deps.carried() {
@@ -985,6 +984,33 @@ mod tests {
         let l = m.loops[0].clone();
         let r = detect_loop(&m, &l, &DetectOptions::default());
         assert!(r.is_err(), "static-only should not claim DOALL: {r:?}");
+    }
+
+    #[test]
+    fn use_dynamic_off_never_consults_the_trace() {
+        // Poison the loop's trace: every body statement writes one shared
+        // field in iterations 0 and 1, so every pair of statements carries
+        // a dependence — for whoever reads the trace.
+        use patty_minilang::profile::{AccessKind, DynLoc, LoopTrace};
+        let clean = model_of(AVISTREAM);
+        let l = clean.loops[0].clone();
+        let mut poisoned = model_of(AVISTREAM);
+        let t = poisoned.profile.as_mut().unwrap().loop_traces.get_mut(&l.id).unwrap();
+        let records = l
+            .body_stmts
+            .iter()
+            .flat_map(|s| [0, 1].map(|iter| (DynLoc::Field(99, "poison".into()), iter, *s, AccessKind::Write)))
+            .collect();
+        *t = LoopTrace::new(t.iterations, t.stmt_cost.clone(), records, DynLoc::clone);
+
+        let static_only = DetectOptions { use_dynamic: false, ..DetectOptions::default() };
+        let expected = detect_loop(&clean, &l, &static_only).unwrap();
+        let found = detect_loop(&poisoned, &l, &static_only).unwrap();
+        assert_eq!(found.arch.expr, expected.arch.expr);
+        assert_eq!(found.stages, expected.stages);
+        // With dynamic evidence on, the poison merges the body into one stage.
+        let dynamic = detect_loop(&poisoned, &l, &DetectOptions::default());
+        assert_eq!(dynamic.unwrap_err(), Rejection::SingleStage);
     }
 
     #[test]

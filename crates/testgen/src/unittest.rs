@@ -22,6 +22,7 @@ use patty_chess::{
     ReplayOutcome, Report, TaskFuture, ThreadCtx,
 };
 use patty_minilang::profile::{AccessKind, DynLoc};
+use patty_minilang::span::NodeId;
 use patty_patterns::PatternInstance;
 use patty_tadl::PatternKind;
 use patty_transform::expr_levels;
@@ -91,119 +92,118 @@ fn cell_name(
 /// Generate the parallel unit test for a detected pattern instance.
 /// Requires the dynamic trace (the paper's process always has one by this
 /// phase); returns `None` when the loop was never observed.
+///
+/// Operations that provably cannot participate in a failure are left out:
+/// ops on cells touched by a single scheduler task (program order already
+/// orders them) and ops on cells that are never written (no conflicting
+/// pair exists). Duplicate `(cell, kind)` ops within one element collapse
+/// to one occurrence — the happens-before pair the detector needs
+/// survives. None of this can change a race/deadlock/panic verdict; it
+/// only removes equivalent interleavings: every op kept is a decision
+/// point, so each one multiplies the number of schedules the search must
+/// visit (a row-render loop with thousands of per-pixel accesses would put
+/// any schedule budget out of reach). The pruning runs on the trace's
+/// location ids, so only a surviving cell is ever named.
 pub fn generate_unit_test(
     model: &SemanticModel,
     instance: &PatternInstance,
     max_elements: usize,
 ) -> Option<ParallelUnitTest> {
     let trace = model.profile.as_ref()?.loop_traces.get(&instance.loop_id)?;
-    if trace.traced.is_empty() {
+    if trace.traced_iters() == 0 {
         return None;
     }
     let deps = model.loop_deps.get(&instance.loop_id)?;
-    let elements = trace.traced.len().min(max_elements.max(1));
-    let levels_by_name = expr_levels(&instance.arch.expr);
-    let mut stages = Vec::new();
+    let elements = trace.traced_iters().min(max_elements.max(1));
+    let kind = instance.kind();
+    let mut stages: Vec<StagePlan> = Vec::new();
     let mut levels = Vec::new();
-    let mut cells = BTreeSet::new();
-    for level in &levels_by_name {
+    let mut stage_of: Vec<(NodeId, usize)> = Vec::new();
+    for level in &expr_levels(&instance.arch.expr) {
         let mut level_idx = Vec::new();
         for name in level {
             let stage = instance.stage(name)?;
-            let mut ops: Vec<Vec<Op>> = Vec::with_capacity(elements);
-            for e in 0..elements {
-                let mut elem_ops = Vec::new();
-                for stmt in &stage.stmts {
-                    if let Some(set) = trace.traced[e].get(stmt) {
-                        for (loc, kind) in set {
-                            if let Some(cell) =
-                                cell_name(loc, &deps.iteration_locals, &instance.reductions)
-                            {
-                                cells.insert(cell.clone());
-                                elem_ops.push(Op { cell, kind: *kind });
-                            }
-                        }
-                    }
-                }
-                // Reads before writes within one element mirrors
-                // evaluate-then-assign statement semantics.
-                elem_ops.sort_by_key(|o| (o.kind == AccessKind::Write, o.cell.clone()));
-                ops.push(elem_ops);
-            }
             let replicas = if stage.replicable
-                && (instance.kind() == PatternKind::DataParallelLoop
-                    || instance
-                        .arch
-                        .expr
-                        .replicable_items()
-                        .contains(&name.as_str()))
+                && (kind == PatternKind::DataParallelLoop
+                    || instance.arch.expr.replicable_items().contains(&name.as_str()))
             {
                 2
             } else {
                 1
             };
+            stage_of.extend(stage.stmts.iter().map(|stmt| (*stmt, stages.len())));
             level_idx.push(stages.len());
-            stages.push(StagePlan { name: name.clone(), ops, replicas });
+            stages.push(StagePlan { name: name.clone(), ops: vec![Vec::new(); elements], replicas });
         }
         levels.push(level_idx);
     }
-    let mut test = ParallelUnitTest {
-        name: format!("put_{}", instance.arch.name),
-        kind: instance.kind(),
-        stages,
-        levels,
-        elements,
-        cells,
+    // The modeled accesses, one run per (element, statement), each with the
+    // stages that own the statement.
+    let accesses = trace.accesses();
+    let modeled = &accesses[..accesses.partition_point(|a| (a.iter as usize) < elements)];
+    let runs = || {
+        modeled.chunk_by(|a, b| (a.iter, a.stmt) == (b.iter, b.stmt)).flat_map(|run| {
+            let owners = stage_of.iter().filter(|(stmt, _)| *stmt == run[0].stmt);
+            owners.map(move |&(_, si)| (si, run[0].iter as usize, run))
+        })
     };
-    prune_unracing_ops(&mut test);
-    Some(test)
-}
-
-/// Drop operations that provably cannot participate in a failure: ops on
-/// cells touched by a single scheduler task (program order already orders
-/// them) and ops on cells that are never written (no conflicting pair
-/// exists). Duplicate `(cell, kind)` ops within one element collapse to
-/// one occurrence — the happens-before pair the detector needs survives.
-/// None of this can change a race/deadlock/panic verdict; it only removes
-/// equivalent interleavings: every op kept is a decision point, so each
-/// one multiplies the number of schedules the search must visit (a
-/// row-render loop with thousands of per-pixel accesses would put any
-/// schedule budget out of reach).
-fn prune_unracing_ops(test: &mut ParallelUnitTest) {
-    // Map every (stage, element) to the scheduler task that performs it,
-    // mirroring doall_body (one task per element) and pipeline_body (one
-    // task per stage×replica; element e goes to replica e % replicas).
-    let task_of = |si: usize, e: usize| -> (usize, usize) {
-        if test.kind == PatternKind::DataParallelLoop {
-            (0, e)
+    // Which scheduler task performs (stage, element), mirroring doall_body
+    // (one task per element) and pipeline_body (one task per stage×replica;
+    // element e goes to replica e % replicas).
+    let task_of = |si: usize, e: usize| {
+        if kind == PatternKind::DataParallelLoop {
+            e
         } else {
-            (si, e % test.stages[si].replicas.max(1))
+            si * elements + e % stages[si].replicas
         }
     };
-    let mut accessors: BTreeMap<&str, BTreeSet<(usize, usize)>> = BTreeMap::new();
-    let mut written: BTreeSet<&str> = BTreeSet::new();
-    for (si, stage) in test.stages.iter().enumerate() {
-        for (e, elem_ops) in stage.ops.iter().enumerate() {
-            for op in elem_ops {
-                accessors.entry(&op.cell).or_default().insert(task_of(si, e));
-                if op.kind == AccessKind::Write {
-                    written.insert(&op.cell);
-                }
+    const WRITTEN: u8 = 1;
+    const SHARED: u8 = 2;
+    let mut first_task = vec![usize::MAX; trace.locs().len()];
+    let mut flags = vec![0u8; trace.locs().len()];
+    for (si, e, run) in runs() {
+        let task = task_of(si, e);
+        for a in run {
+            let l = a.loc as usize;
+            if a.kind == AccessKind::Write {
+                flags[l] |= WRITTEN;
+            }
+            if first_task[l] == usize::MAX {
+                first_task[l] = task;
+            } else if first_task[l] != task {
+                flags[l] |= SHARED;
             }
         }
     }
-    let keep: BTreeSet<String> = accessors
-        .iter()
-        .filter(|(cell, tasks)| tasks.len() >= 2 && written.contains(*cell))
-        .map(|(cell, _)| cell.to_string())
+    // Name the survivors, ascending by location id.
+    let named: Vec<(usize, String)> = (0..flags.len())
+        .filter(|&l| flags[l] == WRITTEN | SHARED)
+        .filter_map(|l| {
+            let cell = cell_name(&trace.locs()[l], &deps.iteration_locals, &instance.reductions)?;
+            Some((l, cell))
+        })
         .collect();
-    for stage in &mut test.stages {
-        for elem_ops in &mut stage.ops {
-            elem_ops.retain(|op| keep.contains(&op.cell));
-            elem_ops.dedup();
+    for (si, e, run) in runs() {
+        for a in run {
+            if let Ok(i) = named.binary_search_by_key(&(a.loc as usize), |(l, _)| *l) {
+                stages[si].ops[e].push(Op { cell: named[i].1.clone(), kind: a.kind });
+            }
         }
     }
-    test.cells = keep;
+    // Reads before writes within one element mirrors evaluate-then-assign
+    // statement semantics.
+    for ops in stages.iter_mut().flat_map(|s| &mut s.ops) {
+        ops.sort_unstable_by(|a, b| (a.kind, &a.cell).cmp(&(b.kind, &b.cell)));
+        ops.dedup();
+    }
+    Some(ParallelUnitTest {
+        name: format!("put_{}", instance.arch.name),
+        kind,
+        stages,
+        levels,
+        elements,
+        cells: named.into_iter().map(|(_, cell)| cell).collect(),
+    })
 }
 
 /// Execute a generated unit test on the CHESS explorer (search mode —

@@ -8,6 +8,8 @@
 //! `sched_trace_hash` and fault attribution. A scheduler change that
 //! alters any decision sequence changes this file's bytes.
 
+mod common;
+
 use patty_workspace::chess::corpus::{corpus, scenarios_for};
 use patty_workspace::chess::{explore_joint, ChessOptions, Report, SearchMode};
 use patty_workspace::corpus::all_programs;
@@ -62,21 +64,5 @@ fn actual() -> String {
 #[test]
 fn search_results_match_the_golden_file() {
     let actual = actual();
-    if actual == GOLDEN {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("chess_contract.actual.txt");
-    std::fs::write(&path, &actual).expect("write actual contract");
-    let line = actual
-        .lines()
-        .zip(GOLDEN.lines())
-        .position(|(a, g)| a != g)
-        .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-    panic!(
-        "chess contract diverged from tests/golden/chess_contract.txt at line {}:\n  golden: {}\n  actual: {}\n(full actual output: {})",
-        line + 1,
-        GOLDEN.lines().nth(line).unwrap_or("<end of file>"),
-        actual.lines().nth(line).unwrap_or("<end of file>"),
-        path.display()
-    );
+    common::assert_matches_golden("chess_contract", &actual, GOLDEN);
 }

@@ -1,7 +1,63 @@
-//! Size-scaled programs for the process-model tests: a corpus program
-//! grown by appending seeded loop-nest functions, the shape of source a
-//! never-seen serve request carries.
+//! Shared by the integration tests: size-scaled programs for the
+//! process-model tests (a corpus program grown by appending seeded
+//! loop-nest functions, the shape of source a never-seen serve request
+//! carries), the golden-file comparison, and the counting allocator.
 #![allow(dead_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, counting what passes through it. A test that
+/// installs it as `#[global_allocator]` holds exactly one `#[test]`: its
+/// own binary, no sibling test threads allocating alongside.
+pub struct Counting;
+
+pub static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+pub static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are bookkeeping only.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// FNV-1a, for pinning a long text by length and digest.
+pub fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// Pass if `actual` is `golden` (the bytes of `tests/golden/<name>.txt`);
+/// otherwise write `actual` next to the test binaries and panic on the
+/// first line that differs.
+pub fn assert_matches_golden(name: &str, actual: &str, golden: &str) {
+    if actual == golden {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{name}.actual.txt"));
+    std::fs::write(&path, actual).expect("write actual output");
+    let line = actual
+        .lines()
+        .zip(golden.lines())
+        .position(|(a, g)| a != g)
+        .unwrap_or_else(|| actual.lines().count().min(golden.lines().count()));
+    panic!(
+        "output diverged from tests/golden/{name}.txt at line {}:\n  golden: {}\n  actual: {}\n(full actual output: {})",
+        line + 1,
+        golden.lines().nth(line).unwrap_or("<end of file>"),
+        actual.lines().nth(line).unwrap_or("<end of file>"),
+        path.display()
+    );
+}
 
 /// SplitMix64: the seed picks the fillers' constants, never their length.
 struct Rng(u64);

@@ -10,6 +10,7 @@
 
 mod common;
 
+use common::fnv1a;
 use patty_workspace::corpus::all_programs;
 use patty_workspace::minilang::{parse, Value};
 use patty_workspace::patty::{Patty, PattyRun};
@@ -35,10 +36,6 @@ fn programs() -> Vec<(String, String)> {
 
 fn run(source: &str) -> PattyRun {
     Patty::new().run_automatic(source).expect("the program runs")
-}
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
 }
 
 fn render_inputs(inputs: &[Vec<Value>]) -> String {
@@ -91,24 +88,7 @@ fn artifacts_match_the_golden_file() {
     for (name, source) in programs() {
         render(&mut actual, &name, &source, &run(&source));
     }
-    if actual == GOLDEN {
-        return;
-    }
-    let path =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("process_artifacts.actual.txt");
-    std::fs::write(&path, &actual).expect("write actual artifacts");
-    let line = actual
-        .lines()
-        .zip(GOLDEN.lines())
-        .position(|(a, g)| a != g)
-        .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-    panic!(
-        "process artifacts diverged from tests/golden/process_artifacts.txt at line {}:\n  golden: {}\n  actual: {}\n(full actual output: {})",
-        line + 1,
-        GOLDEN.lines().nth(line).unwrap_or("<end of file>"),
-        actual.lines().nth(line).unwrap_or("<end of file>"),
-        path.display()
-    );
+    common::assert_matches_golden("process_artifacts", &actual, GOLDEN);
 }
 
 #[test]

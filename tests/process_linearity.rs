@@ -10,29 +10,10 @@
 
 mod common;
 
+use common::{Counting, ALLOCATED_BYTES};
 use patty_workspace::corpus::all_programs;
 use patty_workspace::patty::Patty;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-struct Counting;
-
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is bookkeeping only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed on as they are.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;

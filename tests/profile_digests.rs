@@ -11,6 +11,9 @@
 //! profile is stored and how the unit test is derived from it are
 //! implementation details; these bytes are not.
 
+mod common;
+
+use common::fnv1a;
 use patty_workspace::corpus::all_programs;
 use patty_workspace::minilang::profile::AccessKind;
 use patty_workspace::minilang::{run, Engine, InterpOptions};
@@ -20,10 +23,6 @@ use patty_workspace::testgen::{generate_unit_test, ParallelUnitTest};
 use std::fmt::Write;
 
 const GOLDEN: &str = include_str!("golden/profile_digests.txt");
-
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
 
 /// Everything of a unit test the chess bodies read, one line per fact.
 fn render_unit_test(t: &ParallelUnitTest) -> String {
@@ -97,21 +96,5 @@ fn profiles_and_unit_tests_match_the_golden_file() {
             }
         }
     }
-    if actual == GOLDEN {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_digests.actual.txt");
-    std::fs::write(&path, &actual).expect("write actual digests");
-    let line = actual
-        .lines()
-        .zip(GOLDEN.lines())
-        .position(|(a, g)| a != g)
-        .unwrap_or_else(|| actual.lines().count().min(GOLDEN.lines().count()));
-    panic!(
-        "profile digests diverged from tests/golden/profile_digests.txt at line {}:\n  golden: {}\n  actual: {}\n(full actual output: {})",
-        line + 1,
-        GOLDEN.lines().nth(line).unwrap_or("<end of file>"),
-        actual.lines().nth(line).unwrap_or("<end of file>"),
-        path.display()
-    );
+    common::assert_matches_golden("profile_digests", &actual, GOLDEN);
 }
