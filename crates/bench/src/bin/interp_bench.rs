@@ -2,9 +2,9 @@
 //!
 //! Runs every corpus program under both engines and reports
 //! wall-nanoseconds per virtual cost unit. Both engines produce identical
-//! profiles (asserted here per program before timing — including the
-//! PGO-optimized bytecode vs the tree-walker), so `total_cost` is a
-//! common denominator and the ns/cost ratio equals the wall-time ratio.
+//! profiles (asserted here per program before timing — on the raw and on
+//! the fused bytecode), so `total_cost` is a common denominator and the
+//! ns/cost ratio equals the wall-time ratio.
 //!
 //! Two modes are timed:
 //!
@@ -16,13 +16,12 @@
 //!   and the flattened one-sort-per-loop trace build lift this floor
 //!   enough to guard a 1.8× geomean and ≥1× per program.
 //!
-//! The VM is timed in its intended "compile once, profile once, optimize,
-//! execute many" shape: the program is lowered to bytecode once, an
-//! instrumented run collects opcode/pair/type frequencies, and
-//! `patty_minilang::optimize` rewrites the code (superinstruction fusion,
-//! type specialization, trace-op stripping in exec mode) before the timed
-//! reruns. The tree-walker has no comparable preparation step — it walks
-//! the same parsed AST each sample.
+//! The VM is timed in its "compile once, execute many" shape, on the
+//! bytecode every `patty` command runs: `patty_minilang::compile_fused`
+//! lowers the program once per mode (superinstruction fusion, tick
+//! hoisting, trace-op stripping in exec mode) before the timed reruns.
+//! The tree-walker has no comparable preparation step — it walks the same
+//! parsed AST each sample.
 //!
 //! Prints a table, writes machine-readable `BENCH_interp.json` with one
 //! `{guard, result, detail}` record per regression guard
@@ -33,7 +32,7 @@ use patty_bench::{print_table, time_min_batched};
 use patty_corpus::all_programs;
 use patty_json::Json;
 use patty_minilang::{
-    bytecode, optimize, run, vm, CompiledProgram, Engine, InterpOptions, PgoOptions, Program,
+    bytecode, compile_fused, run, vm, CompiledProgram, Engine, InterpOptions, Program,
 };
 use std::hint::black_box;
 
@@ -43,17 +42,17 @@ use std::hint::black_box;
 const SAMPLES: usize = 7;
 const BATCH: std::time::Duration = std::time::Duration::from_millis(2);
 
-/// Release-mode guard thresholds. Exec floors are calibrated to what PGO
-/// actually delivers on this corpus — measured exec geomeans land around
-/// 4.0–4.2× (raytracer 3.4–3.7×) across runs, up from 3.29× (raytracer
-/// ~3×) before the PGO stage. The original 6× aspiration assumed
+/// Release-mode guard thresholds. Exec floors are calibrated to what the
+/// fusion pass actually delivers on this corpus — measured exec geomeans
+/// land around 4.0–4.2× (raytracer 3.4–3.7×) across runs, up from 3.29×
+/// (raytracer ~3×) on raw bytecode. The original 6× aspiration assumed
 /// dispatch cost dominated; measured profiles show the remaining exec
 /// time is split across slot traffic, heap/value cloning and tick
-/// accounting, which fusion and specialization cannot remove without
+/// accounting, which fusion cannot remove without
 /// changing observable behavior (the tick stream is part of the
 /// step-limit error contract). Floors sit ~15% under the worst measured
 /// run so a loaded host does not flake the guard, while still failing
-/// on any real regression of the PGO pipeline.
+/// on any real regression of the VM.
 const EXEC_GEOMEAN_FLOOR: f64 = 3.5;
 /// Traced geomean measures 1.95–2.0× across runs (from 1.51× before the
 /// packed-key dedup + flattened trace build); 1.8 keeps the same
@@ -99,25 +98,10 @@ impl Row {
     }
 }
 
-/// Collect a measured op profile under `trace` options and return the
-/// bytecode optimized for that mode. The instrumented run doubles as an
-/// identity check against the tree-walker's outcome.
-fn profiled_optimize(
-    name: &str,
-    compiled: &CompiledProgram,
-    trace: bool,
-    popts: &PgoOptions,
-) -> CompiledProgram {
-    let (_, profile) = vm::profile_ops(compiled, "main", vec![], opts(Engine::Vm, trace))
-        .unwrap_or_else(|e| panic!("{name} failed under op profiling: {e}"));
-    let (optimized, _) = optimize(compiled, &profile, popts);
-    optimized
-}
-
 fn bench_program(name: &'static str, program: &Program) -> Row {
     // Identity checks first — the ratios below are only meaningful (and
     // the engines only interchangeable) if the profiles match
-    // byte-for-byte, *including* after profile-guided optimization.
+    // byte-for-byte, *including* after fusion.
     let ast_out = run(program, opts(Engine::Ast, true))
         .unwrap_or_else(|e| panic!("{name} failed on the tree-walker: {e}"));
     let compiled = bytecode::compile(program);
@@ -130,14 +114,14 @@ fn bench_program(name: &'static str, program: &Program) -> Row {
     );
     assert_eq!(ast_out.output, vm_out.output, "{name}: engines produced different output");
 
-    let opt_traced = profiled_optimize(name, &compiled, true, &PgoOptions::traced());
-    let opt_exec = profiled_optimize(name, &compiled, false, &PgoOptions::exec());
+    let opt_traced = compile_fused(program, true);
+    let opt_exec = compile_fused(program, false);
     let opt_out = vm::run_compiled(&opt_traced, "main", vec![], opts(Engine::Vm, true))
-        .unwrap_or_else(|e| panic!("{name} failed on the optimized VM: {e}"));
+        .unwrap_or_else(|e| panic!("{name} failed on the fused VM: {e}"));
     assert_eq!(
         ast_out.profile.to_json(),
         opt_out.profile.to_json(),
-        "{name}: PGO-optimized bytecode changed the profile"
+        "{name}: fused bytecode changed the profile"
     );
     let exec_out = vm::run_compiled(&opt_exec, "main", vec![], opts(Engine::Vm, false))
         .unwrap_or_else(|e| panic!("{name} failed on the stripped VM: {e}"));

@@ -1,11 +1,14 @@
 //! Diagnostic probe: per-feature engine timings on focused microprograms.
 //!
 //! Each program isolates one language feature so the ast-vs-vm ratio shows
-//! where the VM wins and where shared costs dominate. Not a regression
-//! gate — a tool for directing optimization work.
+//! where the VM wins and where shared costs dominate. The VM always runs
+//! the bytecode the product runs (`compile_fused`); the last section
+//! counts what it dispatches, next to the raw bytecode's counts. Not a
+//! regression gate — a tool for directing optimization work.
 
 use patty_bench::{print_table, time_median};
-use patty_minilang::{bytecode, optimize, parse, run, vm, Engine, InterpOptions, PgoOptions};
+use patty_minilang::{bytecode, compile_fused, parse, run, vm, Engine, InterpOptions};
+use std::collections::BTreeMap;
 use std::hint::black_box;
 
 const SAMPLES: usize = 7;
@@ -66,7 +69,7 @@ fn main() {
     let mut rows = Vec::new();
     for (name, src) in PROBES {
         let program = parse(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let compiled = bytecode::compile(&program);
+        let compiled = compile_fused(&program, opts(Engine::Vm).trace_loops);
         let out = run(&program, opts(Engine::Ast)).unwrap();
         let cost = out.profile.total_cost.max(1);
         let ast_t = time_median(SAMPLES, || {
@@ -93,7 +96,7 @@ fn main() {
 
     // Split execution vs loop-trace recording on the heaviest corpus
     // programs (plus the traced-mode stragglers): same run with tracing
-    // on and off, with the VM in its PGO-optimized shape for each mode.
+    // on and off, on the bytecode fused for each mode.
     let mut rows = Vec::new();
     for p in patty_corpus::all_programs() {
         if ![
@@ -111,15 +114,8 @@ fn main() {
             continue;
         }
         let program = p.parse();
-        let compiled = bytecode::compile(&program);
         let cost = run(&program, opts(Engine::Ast)).unwrap().profile.total_cost.max(1);
-        let optimized = |trace: bool| {
-            let o = InterpOptions { trace_loops: trace, ..InterpOptions::default() };
-            let (_, profile) = vm::profile_ops(&compiled, "main", vec![], o).unwrap();
-            let popts = if trace { PgoOptions::traced() } else { PgoOptions::exec() };
-            optimize(&compiled, &profile, &popts).0
-        };
-        let (opt_on, opt_off) = (optimized(true), optimized(false));
+        let (opt_on, opt_off) = (compile_fused(&program, true), compile_fused(&program, false));
         let t = |engine: Engine, trace: bool| {
             let o = InterpOptions { engine, trace_loops: trace, ..InterpOptions::default() };
             let code = if trace { &opt_on } else { &opt_off };
@@ -146,74 +142,90 @@ fn main() {
         ]);
     }
     print_table(
-        "trace recording split (ns/cost, PGO-optimized VM)",
+        "trace recording split (ns/cost, fused bytecode)",
         &["program", "ast on", "ast off", "vm on", "vm off", "off-ratio", "on-ratio"],
         &rows,
     );
 
-    // PGO diagnostics: the measured top-10 opcode pairs across the corpus
-    // (what the fusion pass sees), per-program fusion reports, and an
-    // optimized-vs-unoptimized A/B so fusion wins are visible in CI logs.
-    let mut pair_totals: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut opt_pair_totals: std::collections::BTreeMap<String, u64> =
-        std::collections::BTreeMap::new();
+    // Dispatch diagnostics: the top-10 opcode pairs across the corpus on
+    // raw and on fused bytecode, each superinstruction's share of the
+    // dispatched ops in both modes (which ones pay is ROADMAP item 5), and
+    // a fused-vs-raw A/B per program so fusion wins are visible in CI logs.
+    let add = |totals: &mut BTreeMap<String, u64>, pairs: &[(String, u64)]| {
+        for (pair, count) in pairs {
+            *totals.entry(pair.clone()).or_insert(0) += count;
+        }
+    };
+    let hottest = |totals: BTreeMap<String, u64>| {
+        let mut all: Vec<(String, u64)> = totals.into_iter().collect();
+        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        all.truncate(10);
+        all.into_iter().map(|(p, c)| vec![p, c.to_string()]).collect::<Vec<_>>()
+    };
+    let (mut raw_pairs, mut fused_pairs) = (BTreeMap::new(), BTreeMap::new());
+    // Per superinstruction: dispatches in [exec, traced] mode; and the
+    // total ops dispatched in each.
+    let mut fused_hits: BTreeMap<&'static str, [u64; 2]> = BTreeMap::new();
+    let mut dispatched = [0u64; 2];
     let mut rows = Vec::new();
     for p in patty_corpus::all_programs() {
         let program = p.parse();
-        let compiled = bytecode::compile(&program);
+        let raw = bytecode::compile(&program);
+        let fused = compile_fused(&program, false);
         let exec = InterpOptions { trace_loops: false, ..InterpOptions::default() };
-        let (_, profile) = vm::profile_ops(&compiled, "main", vec![], exec.clone())
+        let (_, raw_counts) = vm::profile_ops(&raw, "main", vec![], exec.clone())
             .unwrap_or_else(|e| panic!("{}: {e}", p.name));
-        for (pair, count) in profile.top_pairs(10) {
-            *pair_totals.entry(pair).or_insert(0) += count;
+        let (out, counts) = vm::profile_ops(&fused, "main", vec![], exec.clone())
+            .unwrap_or_else(|e| panic!("{} fused: {e}", p.name));
+        let (_, traced_counts) =
+            vm::profile_ops(&compile_fused(&program, true), "main", vec![], InterpOptions::default())
+                .unwrap_or_else(|e| panic!("{} fused for tracing: {e}", p.name));
+        add(&mut raw_pairs, &raw_counts.top_pairs);
+        add(&mut fused_pairs, &counts.top_pairs);
+        for (mode, c) in [&counts, &traced_counts].into_iter().enumerate() {
+            dispatched[mode] += c.total_ops;
+            for f in &c.fused {
+                fused_hits.entry(f.op).or_default()[mode] += f.hits;
+            }
         }
-        let (optimized, report) = optimize(&compiled, &profile, &PgoOptions::exec());
-        let (opt_out, opt_profile) = vm::profile_ops(&optimized, "main", vec![], exec.clone())
-            .unwrap_or_else(|e| panic!("{} optimized: {e}", p.name));
-        let cost = opt_out.profile.total_cost.max(1);
-        for (pair, count) in opt_profile.top_pairs(10) {
-            *opt_pair_totals.entry(pair).or_insert(0) += count;
-        }
-        let plain_t = time_median(SAMPLES, || {
-            black_box(vm::run_compiled(&compiled, "main", vec![], exec.clone()).unwrap());
+        let cost = out.profile.total_cost.max(1);
+        let raw_t = time_median(SAMPLES, || {
+            black_box(vm::run_compiled(&raw, "main", vec![], exec.clone()).unwrap());
         });
-        let opt_t = time_median(SAMPLES, || {
-            black_box(vm::run_compiled(&optimized, "main", vec![], exec.clone()).unwrap());
+        let fused_t = time_median(SAMPLES, || {
+            black_box(vm::run_compiled(&fused, "main", vec![], exec.clone()).unwrap());
         });
         rows.push(vec![
             p.name.to_string(),
-            format!("{} -> {}", report.ops_before, report.ops_after),
-            report.fused.iter().map(|f| f.sites).sum::<u64>().to_string(),
-            format!("{:.2}", profile.total_ops() as f64 / cost as f64),
-            format!("{:.2}", opt_profile.total_ops() as f64 / cost as f64),
-            format!("{:.2}x", plain_t.as_nanos() as f64 / opt_t.as_nanos().max(1) as f64),
+            format!("{} -> {}", raw.op_count(), fused.op_count()),
+            counts.fused.iter().map(|f| f.sites).sum::<u64>().to_string(),
+            format!("{:.2}", raw_counts.total_ops as f64 / cost as f64),
+            format!("{:.2}", counts.total_ops as f64 / cost as f64),
+            format!("{:.2}x", raw_t.as_nanos() as f64 / fused_t.as_nanos().max(1) as f64),
         ]);
     }
-    let mut pairs: Vec<(String, u64)> = pair_totals.into_iter().collect();
-    pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    pairs.truncate(10);
     print_table(
-        "top-10 measured opcode pairs (corpus, exec mode)",
+        "top-10 opcode pairs on raw bytecode (corpus, exec mode)",
         &["pair", "dynamic count"],
-        &pairs
-            .into_iter()
-            .map(|(p, c)| vec![p, c.to_string()])
-            .collect::<Vec<_>>(),
+        &hottest(raw_pairs),
     );
-    let mut pairs: Vec<(String, u64)> = opt_pair_totals.into_iter().collect();
-    pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    pairs.truncate(10);
     print_table(
-        "top-10 opcode pairs AFTER optimization (corpus, exec mode)",
+        "top-10 opcode pairs on fused bytecode (corpus, exec mode)",
         &["pair", "dynamic count"],
-        &pairs
-            .into_iter()
-            .map(|(p, c)| vec![p, c.to_string()])
+        &hottest(fused_pairs),
+    );
+    let share = |hits: u64, total: u64| format!("{:.1}%", 100.0 * hits as f64 / total.max(1) as f64);
+    print_table(
+        "superinstruction share of dispatched ops (corpus)",
+        &["op", "exec", "traced"],
+        &fused_hits
+            .iter()
+            .map(|(op, h)| vec![op.to_string(), share(h[0], dispatched[0]), share(h[1], dispatched[1])])
             .collect::<Vec<_>>(),
     );
     print_table(
         "per-program fusion (exec mode)",
-        &["program", "ops", "fusion sites", "dispatch/cost before", "after", "opt speedup"],
+        &["program", "ops", "fusion sites", "dispatch/cost raw", "fused", "fused speedup"],
         &rows,
     );
 }

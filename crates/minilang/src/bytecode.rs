@@ -80,44 +80,28 @@ impl CondCtx {
     }
 }
 
-/// Type-specialization hint attached to arithmetic ops by the PGO pass
-/// ([`crate::pgo`]): when profile feedback shows an operand site is
-/// monomorphic, the VM tries the specialized fast path first and deopts
-/// to the generic [`crate::builtins::binary_op`] on any mismatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Spec {
-    /// No feedback (or polymorphic site): generic dispatch only.
-    None,
-    /// Site only ever saw `int ⊗ int`.
-    Int,
-    /// Site only ever saw `float ⊗ float`.
-    Float,
-}
-
 /// One bytecode instruction. Jump targets are absolute indices into the
 /// program-wide code array; `name` fields index [`CompiledProgram::names`];
 /// `slot` fields index the current frame's slot window.
 ///
-/// Variants are declared hottest-first (measured by [`crate::pgo`]'s
-/// opcode frequency counters over the corpus) so the hot opcodes share
-/// low discriminants and pack into the same icache lines of the
-/// dispatch jump table. The `Op::*Bin*`, `Op::*Tick*`, `Op::*Slot*`
-/// fused variants declared before [`Op::StmtEnter`] are
-/// *superinstructions*: they never come out of [`compile`], only out of
-/// [`crate::pgo::optimize`], and each is observationally identical to
+/// Variants are declared hottest-first (as [`crate::vm::profile_ops`]
+/// counted dispatches over the corpus when the order was fixed) so the
+/// hot opcodes share low discriminants and pack into the same icache
+/// lines of the dispatch jump table. The thirteen fused variants declared
+/// between [`Op::Tick`] and [`Op::StmtEnter`] are *superinstructions*:
+/// they never come out of [`compile`], only out of
+/// [`CompiledProgram::fused`], and each is observationally identical to
 /// the sequence of plain ops it replaces.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Op {
     /// Add `n` virtual cost units (coalesced expression-node ticks).
     Tick(u32),
     /// Fused `LoadSlot` + `Binary`: pop lhs, combine with the slot value.
-    LoadSlotBin { slot: u32, name: u32, op: BinOp, spec: Spec },
+    LoadSlotBin { slot: u32, name: u32, op: BinOp },
     /// Fused `Const` + `Binary`: pop lhs, combine with the constant.
-    ConstBin { idx: u32, op: BinOp, spec: Spec },
-    /// `Binary` with a type-specialized fast path.
-    BinarySpec { op: BinOp, spec: Spec },
+    ConstBin { idx: u32, op: BinOp },
     /// Fused `Binary` + `JumpIfFalse` (compare-and-branch).
-    BinJumpIfFalse { op: BinOp, spec: Spec, target: u32, cond: CondCtx },
+    BinJumpIfFalse { op: BinOp, target: u32, cond: CondCtx },
     /// Fused back-edge: `Jump` whose target was a `Tick(n)` — the tick is
     /// executed as part of the jump and the target advanced past it.
     TickJump { n: u32, target: u32 },
@@ -126,8 +110,6 @@ pub(crate) enum Op {
     /// Fused `LoadSlot` + `StoreSlot` (slot-to-slot copy); `aux` indexes
     /// [`CompiledProgram::move_aux`] for the two slot/name pairs.
     SlotMove { aux: u32 },
-    /// `CompoundSlot` specialized for `int ⊗= int` sites.
-    CompoundSlotInt { slot: u32, name: u32, op: AssignOp },
     /// Fused `IterStmtEnter` + `StmtEnter` + `Tick(n)` — the fixed
     /// three-op prologue of every direct loop-body statement in traced
     /// programs (both enters carry the same statement id).
@@ -300,11 +282,11 @@ pub struct CompiledProgram {
     /// Builtin-method tag per interned name (parallel to `names`), so the
     /// VM dispatches list/string methods without comparing strings.
     pub(crate) method_tags: Vec<Option<MethodTag>>,
-    /// Aux payloads for fused [`Op::SlotMove`] ops, in emission order:
-    /// `[src_slot, src_name, dst_slot, dst_name]`. Out-of-line so `Op`
+    /// Aux payloads of the fused [`Op::SlotMove`], [`Op::SlotField`] and
+    /// [`Op::LoadSlot2`] ops, in emission order. Out-of-line so `Op`
     /// stays within its 12-byte budget.
     pub(crate) move_aux: Vec<[u32; 4]>,
-    /// Set by [`crate::pgo::optimize`] when trace-only bookkeeping ops
+    /// Set by [`CompiledProgram::fused`] when trace-only bookkeeping ops
     /// were stripped: such a program can only run with
     /// `trace_loops = false` ([`crate::vm::run_compiled`] enforces this).
     pub(crate) stripped_tracing: bool,

@@ -29,10 +29,10 @@ pub mod ast;
 mod builtins;
 pub mod bytecode;
 pub mod error;
+pub mod fuse;
 pub(crate) mod fxhash;
 pub mod interp;
 pub mod parser;
-pub mod pgo;
 pub mod pretty;
 pub mod profile;
 pub mod resolve;
@@ -44,9 +44,9 @@ pub mod vm;
 pub use ast::{Block, ClassDecl, Expr, ExprKind, FuncDecl, Program, Stmt, StmtKind};
 pub use bytecode::CompiledProgram;
 pub use error::LangError;
+pub use fuse::{compile_fused, OpCounts};
 pub use interp::{run, run_func, Engine, InterpOptions, Outcome};
 pub use parser::parse;
-pub use pgo::{optimize, OpProfile, PgoOptions, PgoReport};
 pub use pretty::print_program;
 pub use profile::{AccessKind, CarriedDep, DepKind, DynLoc, LoopTrace, Profile};
 pub use span::{NodeId, Span};

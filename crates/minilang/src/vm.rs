@@ -25,18 +25,17 @@
 //!   maintained incrementally alongside the list of actively-recording
 //!   contexts (`rec_ctxs`), and record-time dedup hashes a one-word
 //!   packed key instead of a four-word tuple;
-//! * programs usually arrive pre-optimized by [`crate::pgo`]:
-//!   superinstructions, type-specialized arithmetic and (in exec mode)
-//!   stripped trace bookkeeping, all driven by opcode-frequency profiles
-//!   the VM itself can collect ([`profile_ops`]).
+//! * programs arrive fused by [`crate::fuse`]: superinstructions, hoisted
+//!   ticks and (in exec mode) stripped trace bookkeeping. [`profile_ops`]
+//!   counts what a run of them dispatched.
 
-use crate::ast::{AssignOp, BinOp, Program};
+use crate::ast::Program;
 use crate::builtins::{binary_op, call_builtin, call_builtin_method_tagged, Host};
-use crate::bytecode::{compile, compound_bin, CompiledProgram, Op, Spec, UndefKind};
+use crate::bytecode::{compound_bin, CompiledProgram, Op, UndefKind};
 use crate::error::LangError;
+use crate::fuse::{compile_fused, op_kind, OpCounters, OpCounts};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::interp::{InterpOptions, Outcome};
-use crate::pgo::{op_kind, optimize, OpCounters, OpProfile, PgoOptions};
 use crate::profile::{AccessKind, DynLoc, LoopTrace, Profile};
 use crate::span::NodeId;
 use crate::value::{FieldTable, HeapId, ListData, ObjectData, Value};
@@ -44,23 +43,17 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// The one-shot path: compile `program`, apply the default
-/// (statically-synthesized) PGO pass, and run a named free function on the
-/// VM — the whole program is compiled and optimized on every call. A loop
-/// of calls on one program compiles once and goes through
-/// [`run_compiled`]; callers with a measured [`OpProfile`] compile and
-/// [`optimize`] themselves for the full treatment.
+/// The one-shot path: compile and fuse `program` for `options` and run a
+/// named free function on the VM — the whole program is compiled on every
+/// call. A loop of calls on one program calls [`compile_fused`] once and
+/// goes through [`run_compiled`].
 pub fn run_func(
     program: &Program,
     name: &str,
     args: Vec<Value>,
     options: InterpOptions,
 ) -> Result<Outcome, LangError> {
-    let compiled = compile(program);
-    let profile = OpProfile::synthetic(&compiled);
-    let popts = if options.trace_loops { PgoOptions::traced() } else { PgoOptions::exec() };
-    let (optimized, _) = optimize(&compiled, &profile, &popts);
-    run_compiled(&optimized, name, args, options)
+    run_compiled(&compile_fused(program, options.trace_loops), name, args, options)
 }
 
 /// Run a named free function of an already-compiled program. Compiling once
@@ -97,35 +90,31 @@ pub fn run_compiled_metered(
     }
 }
 
-/// Run with opcode/pair frequency counters and operand-type feedback
-/// enabled (the PGO profiling switch) and return the measured profile
-/// alongside the outcome. The counted run is observationally identical
-/// to a plain one; feed the profile to [`optimize`] for a faster rerun.
+/// Run with opcode/pair frequency counters enabled and return what the
+/// run dispatched alongside the outcome. The counted run is
+/// observationally identical to a plain one.
 pub fn profile_ops(
     compiled: &CompiledProgram,
     name: &str,
     args: Vec<Value>,
     options: InterpOptions,
-) -> Result<(Outcome, OpProfile), LangError> {
+) -> Result<(Outcome, OpCounts), LangError> {
     let func = lookup_entry(compiled, name, &options)?;
     let mut vm = Vm::new(compiled, options);
-    vm.counters = Some(Box::new(OpCounters::new(compiled.code.len())));
+    vm.counters = Some(Box::new(OpCounters::new()));
     let result = if vm.options.trace_loops {
         vm.run_ops::<true, true>(func, args)?
     } else {
         vm.run_ops::<true, false>(func, args)?
     };
     let profile = vm.build_profile();
-    let counters = *vm.counters.take().expect("profiling counters");
-    let mut op_profile = OpProfile::from_counters(counters);
-    op_profile.field_ic_hits = vm.field_ic_hits;
-    op_profile.field_ic_misses = vm.field_ic_misses;
-    let outcome = Outcome { result, output: vm.output, profile };
-    Ok((outcome, op_profile))
+    let counters = vm.counters.take().expect("profiling counters");
+    let counts = OpCounts::new(compiled, &counters, vm.field_ic_hits, vm.field_ic_misses);
+    Ok((Outcome { result, output: vm.output, profile }, counts))
 }
 
-/// Shared entry lookup + the stripped-program guard: a program whose
-/// trace bookkeeping ops were deleted by [`optimize`] cannot honor the
+/// Shared entry lookup + the stripped-program guard: a program fused for
+/// untraced runs has no trace bookkeeping ops left, cannot honor the
 /// loop-trace contract and must refuse rather than silently produce an
 /// empty trace.
 fn lookup_entry(
@@ -136,7 +125,7 @@ fn lookup_entry(
     if compiled.stripped_tracing && options.trace_loops {
         return Err(LangError::runtime(
             0,
-            "program was optimized without trace support (re-optimize without strip_tracing to trace loops)",
+            "program was fused for untraced runs and has no loop-trace ops (fuse it with `traced = true` to trace loops)",
         ));
     }
     compiled
@@ -308,8 +297,7 @@ struct Vm<'p> {
     /// offsets. Any mismatch deopts to the linear-scan slow path, which
     /// re-records the cache.
     field_cache: Vec<Option<(u32, u32)>>,
-    /// Field-IC effectiveness counters, exported by [`profile_ops`] into
-    /// the measured [`OpProfile`] (and from there into `PgoReport`).
+    /// Field-IC effectiveness counters, exported by [`profile_ops`].
     field_ic_hits: u64,
     field_ic_misses: u64,
     /// Reusable argument buffer for builtin calls (no per-call `Vec`).
@@ -332,7 +320,7 @@ struct Vm<'p> {
     rec_ctxs: Vec<u32>,
     /// Source of `VmTraceCtx::gen` stamps.
     gen_next: u32,
-    /// PGO profiling counters, present only under [`profile_ops`].
+    /// Dispatch counters, present only under [`profile_ops`].
     counters: Option<Box<OpCounters>>,
 }
 
@@ -743,7 +731,7 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// The dispatch loop, monomorphized over the PGO profiling switch and
+    /// The dispatch loop, monomorphized over the op-counting switch and
     /// the tracing switch: with `PROFILE = false` the counter hooks vanish
     /// entirely, and with `TRACED = false` (execution mode) every
     /// `record_active` test and trace-bookkeeping branch constant-folds
@@ -769,8 +757,10 @@ impl<'p> Vm<'p> {
             // SAFETY: `pc` is a compiled function entry, a jump target, or
             // sequential from one of those. `bytecode::compile` keeps every
             // target in-bounds and terminates every path with `Ret` (or
-            // `UndefVar`), and `pgo::optimize` remaps targets through the
-            // same invariant, so `pc` never reaches `code.len()`.
+            // `UndefVar`), and `CompiledProgram::fused` remaps targets through
+            // the same invariant — `control_stays_in_bounds`, which it
+            // debug-asserts on its result and `fuse`'s tests check over the
+            // corpus in both modes — so `pc` never reaches `code.len()`.
             let op = unsafe { *code.get_unchecked(pc) };
             if PROFILE {
                 if let Some(c) = self.counters.as_deref_mut() {
@@ -886,31 +876,25 @@ impl<'p> Vm<'p> {
                     self.stack.push(self.slots[base + s1 as usize].clone());
                     self.stack.push(self.slots[base + s2 as usize].clone());
                 }
-                Op::LoadSlotBin { slot, name, op, spec } => {
+                Op::LoadSlotBin { slot, name, op } => {
                     if TRACED && self.record_active {
                         self.record_lite(LocLite::Local(serial, name), AccessKind::Read);
                     }
                     let l = self.pop();
-                    let out = spec_binary(op, spec, &l, &self.slots[base + slot as usize])
+                    let out = binary_op(op, &l, &self.slots[base + slot as usize])
                         .map_err(|m| self.err(m))?;
                     self.stack.push(out);
                 }
-                Op::ConstBin { idx, op, spec } => {
+                Op::ConstBin { idx, op } => {
                     let l = self.pop();
-                    let out = spec_binary(op, spec, &l, &self.prog.consts[idx as usize])
+                    let out = binary_op(op, &l, &self.prog.consts[idx as usize])
                         .map_err(|m| self.err(m))?;
                     self.stack.push(out);
                 }
-                Op::BinarySpec { op, spec } => {
+                Op::BinJumpIfFalse { op, target, cond } => {
                     let r = self.pop();
                     let l = self.pop();
-                    let out = spec_binary(op, spec, &l, &r).map_err(|m| self.err(m))?;
-                    self.stack.push(out);
-                }
-                Op::BinJumpIfFalse { op, spec, target, cond } => {
-                    let r = self.pop();
-                    let l = self.pop();
-                    let v = spec_binary(op, spec, &l, &r).map_err(|m| self.err(m))?;
+                    let v = binary_op(op, &l, &r).map_err(|m| self.err(m))?;
                     let b = v.as_bool().ok_or_else(|| {
                         self.err(format!("{} condition is {}", cond.label(), v.type_name()))
                     })?;
@@ -925,32 +909,6 @@ impl<'p> Vm<'p> {
                         self.record_lite(LocLite::Local(serial, dst_name), AccessKind::Write);
                     }
                     self.slots[base + dst as usize] = self.slots[base + src as usize].clone();
-                }
-                Op::CompoundSlotInt { slot, name, op } => {
-                    let rhs = self.pop();
-                    if TRACED && self.record_active {
-                        self.record_lite(LocLite::Local(serial, name), AccessKind::Read);
-                    }
-                    let new = if let (Value::Int(a), Value::Int(b)) =
-                        (&self.slots[base + slot as usize], &rhs)
-                    {
-                        // Compound ops are only `+=`/`-=`/`*=`: wrapping
-                        // int arithmetic, no error path.
-                        Value::Int(match op {
-                            AssignOp::Add => a.wrapping_add(*b),
-                            AssignOp::Sub => a.wrapping_sub(*b),
-                            AssignOp::Mul => a.wrapping_mul(*b),
-                            AssignOp::Set => unreachable!("compound ops only"),
-                        })
-                    } else {
-                        // Deopt: stale feedback — generic path, same errors.
-                        let old = self.slots[base + slot as usize].clone();
-                        binary_op(compound_bin(op), &old, &rhs).map_err(|m| self.err(m))?
-                    };
-                    if TRACED && self.record_active {
-                        self.record_lite(LocLite::Local(serial, name), AccessKind::Write);
-                    }
-                    self.slots[base + slot as usize] = new;
                 }
                 Op::StmtEnter { id, line } => {
                     self.current_line = line;
@@ -1069,11 +1027,6 @@ impl<'p> Vm<'p> {
                         self.record_lite(LocLite::Local(serial, name), AccessKind::Read);
                     }
                     let old = self.slots[base + slot as usize].clone();
-                    if PROFILE {
-                        if let Some(c) = self.counters.as_deref_mut() {
-                            c.see_types(pc - 1, &old, &rhs);
-                        }
-                    }
                     let new = binary_op(compound_bin(op), &old, &rhs)
                         .map_err(|m| self.err(m))?;
                     if TRACED && self.record_active {
@@ -1101,11 +1054,6 @@ impl<'p> Vm<'p> {
                 Op::Binary(op) => {
                     let r = self.pop();
                     let l = self.pop();
-                    if PROFILE {
-                        if let Some(c) = self.counters.as_deref_mut() {
-                            c.see_types(pc - 1, &l, &r);
-                        }
-                    }
                     let out = binary_op(op, &l, &r).map_err(|m| self.err(m))?;
                     self.stack.push(out);
                 }
@@ -1468,83 +1416,6 @@ impl<'p> Vm<'p> {
     }
 }
 
-/// Exact `int ⊗ int` result of the generic [`binary_op`] path, with the
-/// allocation- and match-cascade-free shape the specialized ops inline.
-#[inline(always)]
-fn int_bin(op: BinOp, a: i64, b: i64) -> Result<Value, String> {
-    Ok(match op {
-        BinOp::Add => Value::Int(a.wrapping_add(b)),
-        BinOp::Sub => Value::Int(a.wrapping_sub(b)),
-        BinOp::Mul => Value::Int(a.wrapping_mul(b)),
-        BinOp::Div => {
-            if b == 0 {
-                return Err("division by zero".into());
-            }
-            Value::Int(a / b)
-        }
-        BinOp::Rem => {
-            if b == 0 {
-                return Err("remainder by zero".into());
-            }
-            Value::Int(a % b)
-        }
-        BinOp::Eq => Value::Bool(a == b),
-        BinOp::Ne => Value::Bool(a != b),
-        BinOp::Lt => Value::Bool(a < b),
-        BinOp::Le => Value::Bool(a <= b),
-        BinOp::Gt => Value::Bool(a > b),
-        BinOp::Ge => Value::Bool(a >= b),
-        BinOp::And | BinOp::Or => unreachable!("handled by short-circuit evaluation"),
-    })
-}
-
-/// Exact `float ⊗ float` result of the generic path. `Rem` never
-/// specializes to float (it is a type error generically), and NaN
-/// comparisons reproduce the generic "incomparable values" error.
-#[inline(always)]
-fn float_bin(op: BinOp, a: f64, b: f64) -> Result<Value, String> {
-    let cmp = |ord: fn(std::cmp::Ordering) -> bool| match a.partial_cmp(&b) {
-        Some(o) => Ok(Value::Bool(ord(o))),
-        None => Err("incomparable values".into()),
-    };
-    match op {
-        BinOp::Add => Ok(Value::Float(a + b)),
-        BinOp::Sub => Ok(Value::Float(a - b)),
-        BinOp::Mul => Ok(Value::Float(a * b)),
-        BinOp::Div => Ok(Value::Float(a / b)),
-        BinOp::Eq => Ok(Value::Bool(a == b)),
-        BinOp::Ne => Ok(Value::Bool(a != b)),
-        BinOp::Lt => cmp(|o| o.is_lt()),
-        BinOp::Le => cmp(|o| o.is_le()),
-        BinOp::Gt => cmp(|o| o.is_gt()),
-        BinOp::Ge => cmp(|o| o.is_ge()),
-        BinOp::Rem => unreachable!("float rem never specializes"),
-        BinOp::And | BinOp::Or => unreachable!("handled by short-circuit evaluation"),
-    }
-}
-
-/// Specialized binary evaluation: try the hinted monomorphic fast path
-/// first, deopt to the generic [`binary_op`] on any operand mismatch —
-/// identical results and identical errors either way, so stale type
-/// feedback can never change observable behavior.
-#[inline(always)]
-fn spec_binary(op: BinOp, spec: Spec, l: &Value, r: &Value) -> Result<Value, String> {
-    match spec {
-        Spec::Int => {
-            if let (Value::Int(a), Value::Int(b)) = (l, r) {
-                return int_bin(op, *a, *b);
-            }
-        }
-        Spec::Float => {
-            if let (Value::Float(a), Value::Float(b)) = (l, r) {
-                return float_bin(op, *a, *b);
-            }
-        }
-        Spec::None => {}
-    }
-    binary_op(op, l, r)
-}
-
 impl Host for Vm<'_> {
     fn tick(&mut self, n: u64) -> Result<(), LangError> {
         Vm::tick(self, n)
@@ -1690,12 +1561,25 @@ mod tests {
     fn precompiled_program_reruns() {
         let p = parse("fn main() { var s = 0; foreach (i in range(0, 5)) { s += i; } print(s); }")
             .unwrap();
-        let compiled = compile(&p);
+        let compiled = compile_fused(&p, true);
         for _ in 0..3 {
             let out =
                 run_compiled(&compiled, "main", vec![], InterpOptions::default()).unwrap();
             assert_eq!(out.output, vec!["10"]);
         }
+    }
+
+    #[test]
+    fn program_fused_for_untraced_runs_refuses_to_trace() {
+        let p = parse("fn main() { var s = 0; foreach (i in range(0, 5)) { s += i; } print(s); }")
+            .unwrap();
+        let exec = compile_fused(&p, false);
+        let untraced = InterpOptions { trace_loops: false, ..InterpOptions::default() };
+        assert_eq!(run_compiled(&exec, "main", vec![], untraced).unwrap().output, vec!["10"]);
+        // Tracing it would yield an empty trace; the VM says so instead.
+        let err = run_compiled(&exec, "main", vec![], InterpOptions::default()).unwrap_err();
+        assert!(err.message.contains("fused for untraced runs"), "{err}");
+        assert!(profile_ops(&exec, "main", vec![], InterpOptions::default()).is_err());
     }
 
     #[test]

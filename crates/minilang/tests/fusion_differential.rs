@@ -1,74 +1,55 @@
-//! Differential tests for the PGO stage: a program optimized with a
-//! *measured* profile (fusion + dispatch reordering + type
-//! specialization + trace stripping) must be observationally identical
-//! to the unoptimized bytecode and to the tree-walking interpreter —
-//! same result, same printed output, same `LangError` (line + message)
-//! and a **byte-identical** `Profile::to_json()` rendering.
+//! Differential tests for the fusion pass: the bytecode `run` executes
+//! (`compile_fused`: trace stripping in exec mode, tick hoisting,
+//! superinstructions) must be observationally identical to the raw
+//! bytecode and to the tree-walking interpreter — same result, same
+//! printed output, same `LangError` (line + message) and a
+//! **byte-identical** `Profile::to_json()` rendering.
 //!
 //! The suite covers the whole benchmark corpus, targeted fusion-barrier
-//! programs (jump targets landing where a superinstruction pair would
-//! otherwise form), deopt paths for the type-specialized ops, and
+//! programs (jump targets landing where a superinstruction would
+//! otherwise form), type changes and errors inside fused arithmetic, and
 //! randomly generated loop-heavy programs.
 
 use patty_minilang::bytecode::compile;
 use patty_minilang::vm::{profile_ops, run_compiled};
-use patty_minilang::{
-    optimize, parse, run, Engine, InterpOptions, OpProfile, PgoOptions, Program,
-};
+use patty_minilang::{compile_fused, parse, run, Engine, InterpOptions, Program};
 use proptest::prelude::*;
 
-/// Exercise every engine/optimization combination on one program and
-/// assert full observational identity.
-///
-/// * tree-walker vs unoptimized VM vs measured-profile-optimized VM
-///   (traced options) — result, output, profile JSON, errors;
-/// * exec-mode (`strip_tracing`) optimized VM vs the same three with
-///   tracing off — exec profiles keep statement shares, so the JSON
-///   must still match byte-for-byte.
-fn assert_pgo_agrees(program: &Program, base: &InterpOptions) {
-    let compiled = compile(program);
+/// Run one program on the tree-walker, the raw bytecode and the fused
+/// bytecode, with tracing on and off, and assert full observational
+/// identity. Exec profiles keep statement shares, so the JSON must match
+/// byte-for-byte in both modes. The counted run (`profile_ops`) must be
+/// identical to the plain one too.
+fn assert_fusion_agrees(program: &Program, base: &InterpOptions) {
+    let raw = compile(program);
 
     for trace_loops in [true, false] {
         let opts = InterpOptions { trace_loops, engine: Engine::Vm, ..base.clone() };
         let ast = run(program, InterpOptions { engine: Engine::Ast, ..opts.clone() });
-        let plain = run_compiled(&compiled, "main", Vec::new(), opts.clone());
+        let plain = run_compiled(&raw, "main", Vec::new(), opts.clone());
+        let fused = compile_fused(program, trace_loops);
+        let opt = run_compiled(&fused, "main", Vec::new(), opts.clone());
+        let counted = profile_ops(&fused, "main", Vec::new(), opts.clone()).map(|(o, _)| o);
 
-        // The counted (profiling) run must itself be observationally
-        // identical, and it yields the measured profile we optimize with.
-        let measured = match profile_ops(&compiled, "main", Vec::new(), opts.clone()) {
-            Ok((outcome, profile)) => {
-                let plain_ok = plain.as_ref().expect("plain run agrees with profiled run");
-                assert_eq!(format!("{:?}", plain_ok.result), format!("{:?}", outcome.result));
-                assert_eq!(plain_ok.output, outcome.output);
-                assert_eq!(plain_ok.profile.to_json(), outcome.profile.to_json());
-                profile
+        match (&ast, &plain, &opt, &counted) {
+            (Ok(a), Ok(p), Ok(o), Ok(c)) => {
+                for vm in [p, o, c] {
+                    assert_eq!(format!("{:?}", a.result), format!("{:?}", vm.result));
+                    assert_eq!(&a.output, &vm.output);
+                    assert_eq!(a.profile.to_json(), vm.profile.to_json());
+                }
             }
-            Err(e) => {
-                assert_eq!(plain.as_ref().err(), Some(&e), "profiled run error agrees");
-                OpProfile::synthetic(&compiled)
-            }
-        };
-
-        let popts = if trace_loops { PgoOptions::traced() } else { PgoOptions::exec() };
-        let (optimized, _) = optimize(&compiled, &measured, &popts);
-        let opt = run_compiled(&optimized, "main", Vec::new(), opts.clone());
-
-        match (&ast, &plain, &opt) {
-            (Ok(a), Ok(p), Ok(o)) => {
-                assert_eq!(format!("{:?}", a.result), format!("{:?}", o.result));
-                assert_eq!(&a.output, &o.output);
-                assert_eq!(a.profile.to_json(), p.profile.to_json());
-                assert_eq!(p.profile.to_json(), o.profile.to_json());
-            }
-            (Err(a), Err(p), Err(o)) => {
+            (Err(a), Err(p), Err(o), Err(c)) => {
                 assert_eq!(a, p);
-                assert_eq!(p, o);
+                assert_eq!(a, o);
+                assert_eq!(a, c);
             }
             _ => panic!(
-                "engines disagree (trace_loops={trace_loops}): ast={:?} plain={:?} opt={:?}",
+                "engines disagree (trace_loops={trace_loops}): ast={:?} plain={:?} fused={:?} counted={:?}",
                 ast.as_ref().map(|o| &o.output),
                 plain.as_ref().map(|o| &o.output),
                 opt.as_ref().map(|o| &o.output),
+                counted.as_ref().map(|o| &o.output),
             ),
         }
     }
@@ -76,16 +57,16 @@ fn assert_pgo_agrees(program: &Program, base: &InterpOptions) {
 
 fn assert_src_agrees(src: &str, opts: &InterpOptions) {
     let program = parse(src).expect("test program parses");
-    assert_pgo_agrees(&program, opts);
+    assert_fusion_agrees(&program, opts);
 }
 
 // ---- whole corpus ----
 
 #[test]
-fn corpus_programs_survive_pgo_unchanged() {
+fn corpus_programs_survive_fusion_unchanged() {
     for prog in patty_corpus::all_programs() {
         let program = prog.parse();
-        assert_pgo_agrees(&program, &InterpOptions::default());
+        assert_fusion_agrees(&program, &InterpOptions::default());
     }
 }
 
@@ -146,13 +127,12 @@ fn if_join_blocks_slot_move_fusion() {
     );
 }
 
-// ---- type specialization and deopt ----
+// ---- arithmetic inside fused ops ----
 
-/// A loop that is int/int for many iterations, then sees a float: the
-/// specialized op's guard must deopt to the generic path mid-run with no
-/// observable difference.
+/// A fused `LoadSlotBin` site that is int/int for many iterations, then
+/// sees a float.
 #[test]
-fn int_specialized_op_deopts_on_float() {
+fn operand_type_change_mid_loop_is_identical_through_fusion() {
     assert_src_agrees(
         "fn main() {\n\
          var s = 0;\n\
@@ -167,10 +147,10 @@ fn int_specialized_op_deopts_on_float() {
     );
 }
 
-/// Pure float arithmetic picks the float fast path; comparisons and
-/// division must match the generic `binary_op` exactly.
+/// Float arithmetic, comparison and division through `ConstBin` and
+/// `BinJumpIfFalse`.
 #[test]
-fn float_specialized_arithmetic_matches_generic() {
+fn float_arithmetic_is_identical_through_fusion() {
     assert_src_agrees(
         "fn main() {\n\
          var s = 0.0;\n\
@@ -185,8 +165,8 @@ fn float_specialized_arithmetic_matches_generic() {
     );
 }
 
-/// Errors inside specialized/fused ops must carry the same line and
-/// message as the generic path: division by zero after a hot int loop.
+/// Errors inside fused ops must carry the same line and message as the
+/// plain ops': division by zero after a hot int loop.
 #[test]
 fn division_by_zero_error_is_identical_through_fusion() {
     assert_src_agrees(
@@ -202,7 +182,7 @@ fn division_by_zero_error_is_identical_through_fusion() {
     );
 }
 
-/// Step-limit exhaustion can now trigger inside a fused `TickJump` or
+/// Step-limit exhaustion can trigger inside a fused `TickJump` or
 /// `StmtEnterTick`; the reported error must match the tree-walker's.
 #[test]
 fn step_limit_error_is_identical_through_fusion() {
@@ -217,10 +197,10 @@ fn step_limit_error_is_identical_through_fusion() {
     }
 }
 
-/// A type error mid-loop (int + string) after the profile saw only
-/// int/int: the deopt guard must produce the generic error text.
+/// A type error mid-loop (int + string) raised by a fused `LoadSlotBin`
+/// after many int/int iterations.
 #[test]
-fn type_error_after_int_profile_is_identical() {
+fn type_error_mid_loop_is_identical_through_fusion() {
     assert_src_agrees(
         "fn main() {\n\
          var s = 0;\n\
@@ -291,9 +271,9 @@ fn arb_program() -> impl Strategy<Value = String> {
 
 proptest! {
     #[test]
-    fn generated_programs_survive_pgo(src in arb_program()) {
+    fn generated_programs_survive_fusion(src in arb_program()) {
         let program = parse(&src).expect("generated program parses");
-        assert_pgo_agrees(&program, &InterpOptions::default());
+        assert_fusion_agrees(&program, &InterpOptions::default());
     }
 
     // The same generated programs under a tight step limit: exhaustion
@@ -301,6 +281,6 @@ proptest! {
     #[test]
     fn generated_programs_agree_on_step_limits(src in arb_program(), limit in 20u64..400) {
         let program = parse(&src).expect("generated program parses");
-        assert_pgo_agrees(&program, &InterpOptions { step_limit: limit, ..InterpOptions::default() });
+        assert_fusion_agrees(&program, &InterpOptions { step_limit: limit, ..InterpOptions::default() });
     }
 }

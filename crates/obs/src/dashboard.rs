@@ -137,28 +137,28 @@ pub fn render_dashboard(reg: &MetricsRegistry, title: &str, frame: u64) -> Strin
         val(reg, "patty_vm_recorded_accesses_total"),
     );
 
-    // PGO block (present when the optimizer's report was ingested):
-    // fused superinstruction pairs by dynamic hits.
+    // Dispatch block (present when a counted VM run was ingested):
+    // fused superinstructions by dynamic hits.
     let fused = reg.samples("patty_vm_superinstruction_hits");
     if !fused.is_empty() {
         let sites = reg.samples("patty_vm_superinstruction_sites");
         let _ = writeln!(
             out,
-            "pgo: dispatched ops {}  fused pairs {}",
+            "vm dispatch: ops {}  fused kinds {}",
             val(reg, "patty_vm_dispatch_ops_total"),
             fused.len(),
         );
         let hottest = fused.iter().map(|(_, v)| *v).max().unwrap_or(0);
         for (i, (labels, hits)) in fused.iter().enumerate() {
-            let pair = labels
+            let op = labels
                 .iter()
-                .find(|(k, _)| k == "pair")
+                .find(|(k, _)| k == "op")
                 .map(|(_, v)| v.as_str())
                 .unwrap_or("?");
             let n = sites.get(i).map(|(_, v)| *v).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {pair:<24} │{}│ hits {hits:>9}  sites {n:>4}",
+                "  {op:<24} │{}│ hits {hits:>9}  sites {n:>4}",
                 bar(*hits, hottest)
             );
         }

@@ -28,13 +28,13 @@
 //! source: `patty_executor_*` (pool aggregates and `lane`-labelled
 //! series), `patty_runtime_*` (telemetry counters, histograms, spans),
 //! `patty_trace_*` (trace-report aggregates and `stage`-labelled
-//! series), `patty_vm_*` (profiler retention stats and the VM's
-//! profile-guided-optimization picture: superinstruction hits and
-//! dispatch ranks).
+//! series), `patty_vm_*` (profiler retention stats and what the VM
+//! dispatched for the profiled run: superinstruction hits and dispatch
+//! ranks).
 
 use patty_json::Json;
 use patty_minilang::profile::ProfileStats;
-use patty_minilang::PgoReport;
+use patty_minilang::OpCounts;
 use patty_runtime::{ExecutorStats, LaneSnapshot};
 use patty_telemetry::TelemetryReport;
 use patty_trace::TraceReport;
@@ -281,31 +281,29 @@ impl MetricsRegistry {
         self.set("patty_vm_counted_statements", Gauge, "Statements with cost/hit counters.", &[], stats.counted_statements as u64);
     }
 
-    /// Ingest a [`PgoReport`] from the VM's profile-guided optimizer:
-    /// superinstruction fusion outcomes (per-pair dynamic hits and static
-    /// sites) and the measured dispatch picture (total dispatched ops and
-    /// the frequency rank of the hottest opcodes).
-    pub fn ingest_vm_pgo(&mut self, report: &PgoReport) {
+    /// Ingest the [`OpCounts`] of a counted VM run: each superinstruction's
+    /// dispatches and static sites, and the dispatch picture (total
+    /// dispatched ops, the frequency rank of the hottest opcodes, the
+    /// field inline cache's hits and misses).
+    pub fn ingest_vm_dispatch(&mut self, counts: &OpCounts) {
         use MetricKind::{Counter, Gauge};
-        for f in &report.fused {
-            let labels: &[(&str, &str)] = &[("pair", f.pair)];
-            self.set("patty_vm_superinstruction_hits", Counter, "Dynamic executions of each fused superinstruction pair in the profiled run.", labels, f.hits);
-            self.set("patty_vm_superinstruction_sites", Gauge, "Static code sites rewritten to each fused superinstruction pair.", labels, f.sites);
+        for f in &counts.fused {
+            let labels: &[(&str, &str)] = &[("op", f.op)];
+            self.set("patty_vm_superinstruction_hits", Counter, "Dispatches of each fused superinstruction in the counted VM run.", labels, f.hits);
+            self.set("patty_vm_superinstruction_sites", Gauge, "Static code sites holding each fused superinstruction.", labels, f.sites);
         }
-        self.set("patty_vm_dispatch_ops_total", Counter, "Opcodes dispatched during the profiled VM run.", &[], report.total_ops);
-        for (rank, (op, _count)) in report.dispatch_top.iter().enumerate() {
+        self.set("patty_vm_dispatch_ops_total", Counter, "Opcodes dispatched during the counted VM run.", &[], counts.total_ops);
+        for (rank, (op, _count)) in counts.dispatch_top.iter().enumerate() {
             self.set(
                 "patty_vm_dispatch_rank",
                 Gauge,
-                "Frequency rank (1 = hottest) of the most-dispatched opcodes in the profiled run.",
+                "Frequency rank (1 = hottest) of the most-dispatched opcodes in the counted run.",
                 &[("op", op)],
                 rank as u64 + 1,
             );
         }
-        self.set("patty_vm_specialized_sites", Gauge, "Arithmetic sites rewritten to type-specialized opcodes (by operand type).", &[("type", "int")], report.specialized_int);
-        self.set("patty_vm_specialized_sites", Gauge, "Arithmetic sites rewritten to type-specialized opcodes (by operand type).", &[("type", "float")], report.specialized_float);
-        self.set("patty_vm_field_ic_hits_total", Counter, "Field loads served by the monomorphic inline cache during the profiled VM run.", &[], report.field_ic_hits);
-        self.set("patty_vm_field_ic_misses_total", Counter, "Field loads that took the slow path (cold first loads plus inline-cache deopts) during the profiled VM run.", &[], report.field_ic_misses);
+        self.set("patty_vm_field_ic_hits_total", Counter, "Field loads served by the monomorphic inline cache during the counted VM run.", &[], counts.field_ic_hits);
+        self.set("patty_vm_field_ic_misses_total", Counter, "Field loads that took the slow path (cold first loads plus inline-cache deopts) during the counted VM run.", &[], counts.field_ic_misses);
     }
 
     /// Prometheus text exposition format: `# HELP` and `# TYPE` per

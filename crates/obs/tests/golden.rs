@@ -6,7 +6,7 @@
 //! rules, HELP text — is pinned by this file; an intentional change is
 //! re-blessed with `PATTY_OBS_BLESS=1 cargo test -p patty-obs`.
 
-use patty_minilang::pgo::{FusedPair, PgoReport};
+use patty_minilang::fuse::{FusedOp, OpCounts};
 use patty_minilang::profile::ProfileStats;
 use patty_obs::{lint_prometheus, MetricsRegistry};
 use patty_runtime::{ExecutorStats, LaneSnapshot};
@@ -85,18 +85,16 @@ fn golden_registry() -> MetricsRegistry {
         counted_statements: 15,
     });
 
-    reg.ingest_vm_pgo(&PgoReport {
+    reg.ingest_vm_dispatch(&OpCounts {
         fused: vec![
-            FusedPair { pair: "load_slot+binary", sites: 9, hits: 4200 },
-            FusedPair { pair: "tick+jump", sites: 3, hits: 1800 },
+            FusedOp { op: "load_slot_bin", sites: 9, hits: 4200 },
+            FusedOp { op: "tick_jump", sites: 3, hits: 1800 },
         ],
         dispatch_top: vec![("tick", 9000), ("load_slot_bin", 4200), ("tick_jump", 1800)],
         total_ops: 15000,
-        specialized_int: 5,
-        specialized_float: 2,
         field_ic_hits: 4100,
         field_ic_misses: 7,
-        ..PgoReport::default()
+        ..OpCounts::default()
     });
     reg
 }

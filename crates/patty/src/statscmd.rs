@@ -89,21 +89,15 @@ pub fn stats_registry(
     if let Some(profile) = &run.model.profile {
         reg.ingest_vm_profile(&profile.stats());
     }
-    // The PGO picture: lower the model's program to bytecode, measure an
-    // opcode/pair profile, and report what the optimizer does with it.
-    // The pipeline is deterministic (same program → same counts → same
-    // rewrites), so these families are safe under `--deterministic` too.
-    let compiled = patty_minilang::bytecode::compile(&run.model.program);
-    let (_, op_profile) = patty_minilang::vm::profile_ops(
-        &compiled,
-        "main",
-        vec![],
-        patty_minilang::InterpOptions::default(),
-    )
-    .map_err(PattyError::Lang)?;
-    let (_, pgo_report) =
-        patty_minilang::optimize(&compiled, &op_profile, &patty_minilang::PgoOptions::traced());
-    reg.ingest_vm_pgo(&pgo_report);
+    // What the VM dispatched for that profile: the same bytecode the model
+    // build ran (`vm::run_func`), under the same options, counted. The run
+    // is deterministic (same program → same counts), so these families
+    // are safe under `--deterministic` too.
+    let interp = patty.options.interp.clone();
+    let fused = patty_minilang::compile_fused(&run.model.program, interp.trace_loops);
+    let (_, op_counts) = patty_minilang::vm::profile_ops(&fused, "main", vec![], interp)
+        .map_err(PattyError::Lang)?;
+    reg.ingest_vm_dispatch(&op_counts);
     Ok(reg)
 }
 
@@ -130,7 +124,7 @@ mod tests {
         assert!(reg.value("patty_executor_tasks_executed_total").unwrap_or(0) > 0, "{text}");
         assert!(reg.value("patty_trace_items_total").unwrap_or(0) > 0, "{text}");
         assert!(reg.value("patty_vm_traced_iterations_total").unwrap_or(0) > 0, "{text}");
-        // The PGO families carry the optimizer's picture of the run.
+        // The dispatch families describe the profiled run's bytecode.
         assert!(reg.value("patty_vm_dispatch_ops_total").unwrap_or(0) > 0, "{text}");
         assert!(!reg.samples("patty_vm_superinstruction_hits").is_empty(), "{text}");
         assert!(!reg.samples("patty_vm_dispatch_rank").is_empty(), "{text}");

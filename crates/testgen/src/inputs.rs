@@ -18,10 +18,9 @@
 //! that never returns must not cost one full run per candidate.
 
 use patty_minilang::ast::{FuncDecl, Program, Stmt, StmtKind};
-use patty_minilang::bytecode::compile;
 use patty_minilang::span::NodeId;
 use patty_minilang::vm::run_compiled_metered;
-use patty_minilang::{optimize, CompiledProgram, InterpOptions, OpProfile, PgoOptions, Value};
+use patty_minilang::{compile_fused, CompiledProgram, InterpOptions, Value};
 use std::collections::BTreeSet;
 
 /// Virtual cost one candidate run may spend.
@@ -111,14 +110,6 @@ fn covered_goals(sites: &[Site], hits: impl Fn(NodeId) -> u64) -> BTreeSet<Goal>
     covered
 }
 
-/// `program` compiled the way a coverage run executes it: untraced, with
-/// the default (statically-synthesized) PGO pass.
-fn compile_for_coverage(program: &Program) -> CompiledProgram {
-    let compiled = compile(program);
-    let profile = OpProfile::synthetic(&compiled);
-    optimize(&compiled, &profile, &PgoOptions::exec()).0
-}
-
 /// Path-coverage input sets for every parameterized free function of
 /// `program` (the inputs the generated unit tests run on). The program is
 /// compiled once; every candidate of every function runs on that one
@@ -129,7 +120,7 @@ pub fn generate_test_inputs(program: &Program) -> Vec<(String, CoverageReport)> 
     if targets.is_empty() {
         return Vec::new(); // nothing to run, so nothing to compile
     }
-    let compiled = compile_for_coverage(program);
+    let compiled = compile_fused(program, false); // coverage runs are untraced
     targets
         .into_iter()
         .map(|f| (f.name.clone(), cover(&compiled, f, &[-3, -1, 0, 1, 2, 7], 4, 512)))
@@ -150,7 +141,7 @@ pub fn path_coverage_inputs(
     max_candidates: usize,
 ) -> CoverageReport {
     match program.func(func) {
-        Some(f) => cover(&compile_for_coverage(program), f, ints, max_inputs, max_candidates),
+        Some(f) => cover(&compile_fused(program, false), f, ints, max_inputs, max_candidates),
         None => {
             CoverageReport { inputs: vec![], covered: 0, achievable: 0, total: 0, candidates_run: 0 }
         }
