@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use patty_bench::busy_work;
-use patty_runtime::{MasterWorker, ParallelFor, Pipeline, RunOptions, Stage};
+use patty_runtime::{MasterWorker, ParallelFor, Pipeline, Stage};
 use patty_telemetry::Telemetry;
 use patty_trace::Tracer;
 
@@ -49,39 +49,9 @@ fn bench_pipeline(c: &mut Criterion) {
                 });
             },
         );
-        // The fault-tolerant entry point with no faults and default
-        // options: same stream, panics caught per item, Result plumbing.
-        // Must stay within the <2% overhead budget of plain `run`
-        // (asserted by `guard_checked_overhead` below).
-        group.bench_with_input(
-            BenchmarkId::new("pipeline_run_checked", frames),
-            &frames,
-            |b, &n| {
-                b.iter(|| {
-                    checked_pipeline()
-                        .run_checked((0..n as u64).collect(), &RunOptions::default())
-                        .expect("no faults injected")
-                });
-            },
-        );
         group.bench_with_input(BenchmarkId::new("manual_parfor", frames), &frames, |b, &n| {
             b.iter(|| ParallelFor::new(8).with_chunk(4).map(n, |i| frame_work(i as u64)));
         });
-        // The no-op telemetry path (explicitly attached disabled handle —
-        // identical to the default): must stay within noise of
-        // manual_parfor, the <2% overhead budget of the disabled handle.
-        group.bench_with_input(
-            BenchmarkId::new("parfor_telemetry_disabled", frames),
-            &frames,
-            |b, &n| {
-                b.iter(|| {
-                    ParallelFor::new(8)
-                        .with_chunk(4)
-                        .with_telemetry(Telemetry::disabled())
-                        .map(n, |i| frame_work(i as u64))
-                });
-            },
-        );
         // A live sink, for reference: what recording actually costs.
         group.bench_with_input(
             BenchmarkId::new("parfor_telemetry_enabled", frames),
@@ -96,15 +66,14 @@ fn bench_pipeline(c: &mut Criterion) {
                 });
             },
         );
-        // Structured tracing on the pipeline: the disabled handle must
-        // be free, a live ring cheap (asserted by
-        // `guard_tracing_overhead` below).
+        // Structured tracing on the pipeline: the disabled handle (the
+        // default) against a live ring, for what recording costs.
         group.bench_with_input(
             BenchmarkId::new("pipeline_trace_disabled", frames),
             &frames,
             |b, &n| {
                 b.iter(|| {
-                    checked_pipeline()
+                    flat_pipeline()
                         .with_tracer(Tracer::disabled())
                         .run((0..n as u64).collect())
                 });
@@ -115,7 +84,7 @@ fn bench_pipeline(c: &mut Criterion) {
             &frames,
             |b, &n| {
                 b.iter(|| {
-                    checked_pipeline()
+                    flat_pipeline()
                         .with_tracer(Tracer::enabled())
                         .run((0..n as u64).collect())
                 });
@@ -125,10 +94,10 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-/// The fault-tolerance bench pipeline: plain replicated stages (the
-/// nested MasterWorker variant above measures the paper comparison;
-/// this one isolates the `run` vs `run_checked` delta).
-fn checked_pipeline() -> Pipeline<u64> {
+/// The tracing bench pipeline: plain replicated stages (the nested
+/// MasterWorker variant above measures the paper comparison; this one
+/// isolates what the tracer adds).
+fn flat_pipeline() -> Pipeline<u64> {
     Pipeline::new(vec![
         Stage::new("filters", |i: u64| {
             let a = busy_work(FILTER_COST, i);
@@ -141,84 +110,5 @@ fn checked_pipeline() -> Pipeline<u64> {
     ])
 }
 
-/// Regression guard: `run_checked` with default options and no faults
-/// must cost within 2% of the infallible `run` on the same pipeline.
-/// Interleaved min-of-N keeps scheduler noise out of the comparison.
-fn guard_checked_overhead(_c: &mut Criterion) {
-    use std::time::{Duration, Instant};
-    const FRAMES: u64 = 256;
-    const SAMPLES: usize = 25;
-    let pipeline = checked_pipeline();
-    // Warm both paths.
-    pipeline.run((0..FRAMES).collect());
-    pipeline.run_checked((0..FRAMES).collect(), &RunOptions::default()).unwrap();
-    let mut plain = Duration::MAX;
-    let mut checked = Duration::MAX;
-    for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        criterion::black_box(pipeline.run((0..FRAMES).collect()));
-        plain = plain.min(t0.elapsed());
-        let t1 = Instant::now();
-        criterion::black_box(
-            pipeline.run_checked((0..FRAMES).collect(), &RunOptions::default()).unwrap(),
-        );
-        checked = checked.min(t1.elapsed());
-    }
-    let budget = plain.mul_f64(1.02) + Duration::from_micros(200);
-    println!(
-        "\n== guard: run_checked overhead ==\n  run {plain:?}  run_checked {checked:?}  \
-         budget {budget:?}"
-    );
-    assert!(
-        checked <= budget,
-        "run_checked overhead exceeds 2%: run {plain:?}, run_checked {checked:?}"
-    );
-}
-
-/// Regression guard (observability): structured tracing must stay
-/// within 2% of the plain pipeline when the handle is disabled (the
-/// default — a single branch per would-be event) and within 5% when a
-/// live ring is recording. Interleaved min-of-N as above.
-fn guard_tracing_overhead(_c: &mut Criterion) {
-    use std::time::{Duration, Instant};
-    const FRAMES: u64 = 256;
-    const SAMPLES: usize = 25;
-    let plain_p = checked_pipeline();
-    let disabled_p = checked_pipeline().with_tracer(Tracer::disabled());
-    let enabled_p = checked_pipeline().with_tracer(Tracer::enabled());
-    // Warm all three paths.
-    plain_p.run((0..FRAMES).collect());
-    disabled_p.run((0..FRAMES).collect());
-    enabled_p.run((0..FRAMES).collect());
-    let mut plain = Duration::MAX;
-    let mut disabled = Duration::MAX;
-    let mut enabled = Duration::MAX;
-    for _ in 0..SAMPLES {
-        let t0 = Instant::now();
-        criterion::black_box(plain_p.run((0..FRAMES).collect()));
-        plain = plain.min(t0.elapsed());
-        let t1 = Instant::now();
-        criterion::black_box(disabled_p.run((0..FRAMES).collect()));
-        disabled = disabled.min(t1.elapsed());
-        let t2 = Instant::now();
-        criterion::black_box(enabled_p.run((0..FRAMES).collect()));
-        enabled = enabled.min(t2.elapsed());
-    }
-    let disabled_budget = plain.mul_f64(1.02) + Duration::from_micros(200);
-    let enabled_budget = plain.mul_f64(1.05) + Duration::from_micros(200);
-    println!(
-        "\n== guard: tracing overhead ==\n  plain {plain:?}  disabled {disabled:?} \
-         (budget {disabled_budget:?})  enabled {enabled:?} (budget {enabled_budget:?})"
-    );
-    assert!(
-        disabled <= disabled_budget,
-        "disabled tracing exceeds 2%: plain {plain:?}, disabled {disabled:?}"
-    );
-    assert!(
-        enabled <= enabled_budget,
-        "enabled tracing exceeds 5%: plain {plain:?}, enabled {enabled:?}"
-    );
-}
-
-criterion_group!(benches, bench_pipeline, guard_checked_overhead, guard_tracing_overhead);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);

@@ -288,9 +288,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts; one more
+/// level is a [`JsonError`] at the opening bracket. The parser recurses
+/// once per level, so without a bound a line of `[`s well inside the
+/// serve protocol's line limit overflows the stack. The deepest
+/// documents the workspace writes are 10 levels (`Profile::to_json`),
+/// 8 for a serve response carrying an `analyze` artifact (7 as a spill
+/// file) and 4 for a tuning configuration.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -308,6 +317,8 @@ struct Parser<'a> {
     /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -353,8 +364,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
@@ -634,6 +652,32 @@ mod tests {
 
         let err = parse("{broken: 1}").unwrap_err();
         assert!(err.message.contains("quoted object key"), "{err}");
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_a_positioned_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "0" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert_eq!((err.line, err.column), (1, MAX_DEPTH + 1));
+        let err = parse(&format!("{{\"a\":\n{}}}", objects(MAX_DEPTH))).unwrap_err();
+        assert_eq!(err.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert_eq!((err.line, err.column), (2, 5 * (MAX_DEPTH - 1) + 1));
+    }
+
+    #[test]
+    fn a_hundred_thousand_brackets_error_on_a_small_stack() {
+        let line = format!("{{\"op\":\"analyze\",\"source\":{}", "[".repeat(100_000));
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&line).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(err.message.contains("nesting deeper"), "{err}");
     }
 
     #[test]

@@ -124,17 +124,19 @@ const DEFAULT_LANE_RETIRE: Duration = Duration::from_millis(250);
 /// How long a waiting scope sleeps between helping attempts.
 const SCOPE_HELP_WAIT: Duration = Duration::from_micros(500);
 
-/// How pattern runs execute their per-run closures.
+/// How pattern runs execute their per-run closures. There is one mode:
+/// every task is submitted to the shared pool, whose lanes are reused
+/// across runs, so back-to-back runs spawn no threads after warm-up.
+///
+/// The enum, and the `mode` parameter of [`Executor::scope`], remain
+/// only because the benchmark crate (`e2e_bench/src/runtime.rs`) calls
+/// `scope(SpawnMode::Pooled, ..)` and is edited on its own schedule.
+/// Remove both together with that call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum SpawnMode {
-    /// Submit to the shared pool (the default): lanes are reused across
-    /// runs, so back-to-back runs spawn no threads after warm-up.
+    /// Submit to the shared pool.
     #[default]
     Pooled,
-    /// Spawn one OS thread per task, as the pre-pool runtime did. Kept
-    /// as the honest baseline for the pool's throughput benchmarks and
-    /// as an escape hatch for task bodies that must own their thread.
-    PerRun,
 }
 
 /// Snapshot of pool activity counters, for tests and diagnostics.
@@ -494,15 +496,15 @@ impl Executor {
     /// Run `f` with a [`Scope`] whose tasks may borrow from the current
     /// stack frame. Blocks until every spawned task finished — also
     /// when `f` itself panics — then resumes the first captured task
-    /// panic (or `f`'s own) on the caller.
-    pub fn scope<'env, F, R>(&self, mode: SpawnMode, f: F) -> R
+    /// panic (or `f`'s own) on the caller. `SpawnMode` has one value;
+    /// see its doc for why the parameter is still here.
+    pub fn scope<'env, F, R>(&self, _mode: SpawnMode, f: F) -> R
     where
         F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
     {
         let scope = Scope {
             data: Arc::new(ScopeData::new()),
             executor: self,
-            mode,
             _scope: PhantomData,
             _env: PhantomData,
         };
@@ -685,7 +687,6 @@ impl ScopeData {
 pub struct Scope<'scope, 'env: 'scope> {
     data: Arc<ScopeData>,
     executor: &'scope Executor,
-    mode: SpawnMode,
     _scope: PhantomData<&'scope mut &'scope ()>,
     _env: PhantomData<&'env mut &'env ()>,
 }
@@ -710,8 +711,7 @@ impl<'scope, 'env> Scope<'scope, 'env> {
 
     /// Spawn a resident task carrying a sticky lane preference: the
     /// pool prefers the lane that last executed a task with the same
-    /// hint (see [`AffinityHint`]). In [`SpawnMode::PerRun`] the hint
-    /// is ignored — there are no lanes to prefer.
+    /// hint (see [`AffinityHint`]).
     pub fn spawn_resident_with_affinity<F>(&self, hint: &AffinityHint, f: F)
     where
         F: FnOnce() + Send + 'env,
@@ -743,18 +743,10 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let task: Task = unsafe {
             std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Task>(task)
         };
-        match self.mode {
-            SpawnMode::Pooled if resident => self.executor.submit_resident(task, hint),
-            SpawnMode::Pooled => self.executor.submit_short(task),
-            SpawnMode::PerRun => {
-                // Legacy shape: one detached OS thread per task. The
-                // scope latch supplies the join that `std::thread::
-                // scope` used to.
-                std::thread::Builder::new()
-                    .name("patty-per-run".into())
-                    .spawn(task)
-                    .expect("spawn per-run worker thread");
-            }
+        if resident {
+            self.executor.submit_resident(task, hint);
+        } else {
+            self.executor.submit_short(task);
         }
     }
 }
@@ -1044,22 +1036,6 @@ mod tests {
             });
         }
         assert_eq!(results, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn per_run_mode_matches_pooled_results() {
-        let pool = Executor::with_threads(2);
-        for mode in [SpawnMode::Pooled, SpawnMode::PerRun] {
-            let counter = AtomicUsize::new(0);
-            pool.scope(mode, |s| {
-                for _ in 0..32 {
-                    s.spawn(|| {
-                        counter.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            });
-            assert_eq!(counter.load(Ordering::SeqCst), 32, "{mode:?}");
-        }
     }
 
     #[test]

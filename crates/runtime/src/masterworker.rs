@@ -21,9 +21,6 @@ pub struct MasterWorker {
     pub workers: usize,
     /// SequentialExecution fallback.
     pub sequential: bool,
-    /// Where worker closures run: the shared pool (default) or a fresh
-    /// thread per task.
-    pub spawn_mode: SpawnMode,
     /// Telemetry sink; disabled by default.
     telemetry: Telemetry,
     /// Structured event tracer; disabled by default.
@@ -42,7 +39,6 @@ impl MasterWorker {
         MasterWorker {
             workers: workers.max(1),
             sequential: false,
-            spawn_mode: SpawnMode::default(),
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
         }
@@ -51,12 +47,6 @@ impl MasterWorker {
     /// Set the SequentialExecution flag.
     pub fn sequential(mut self, sequential: bool) -> MasterWorker {
         self.sequential = sequential;
-        self
-    }
-
-    /// Choose between the shared worker pool and per-run threads.
-    pub fn with_spawn_mode(mut self, mode: SpawnMode) -> MasterWorker {
-        self.spawn_mode = mode;
         self
     }
 
@@ -184,7 +174,7 @@ impl MasterWorker {
         let results: Vec<parking_lot::Mutex<Option<O>>> =
             (0..n).map(|_| parking_lot::Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        Executor::global().scope(self.spawn_mode, |scope| {
+        Executor::global().scope(SpawnMode::Pooled, |scope| {
             for worker in 0..self.workers.min(n) {
                 let (slots, results, next, errors) = (&slots, &results, &next, &errors);
                 let item_counter = &item_counter;
@@ -272,7 +262,7 @@ impl MasterWorker {
             *slots[idx].lock() = Some(guard.invoke_traced(idx as u64, task));
         };
         if pooled {
-            Executor::global().scope(self.spawn_mode, |scope| {
+            Executor::global().scope(SpawnMode::Pooled, |scope| {
                 let join_one = &join_one;
                 for (idx, task) in tasks.into_iter().enumerate() {
                     scope.spawn(move || join_one(idx, task));

@@ -92,10 +92,6 @@ pub struct ParallelFor {
     pub min_chunk: usize,
     /// SequentialExecution fallback.
     pub sequential: bool,
-    /// How the worker loops beside the calling thread's own (worker 0)
-    /// execute: on the shared pool (default) or one spawned thread each
-    /// per run (legacy shape).
-    pub spawn_mode: SpawnMode,
     /// Telemetry sink; disabled by default.
     telemetry: Telemetry,
     /// Structured event tracer; disabled by default.
@@ -116,17 +112,9 @@ impl ParallelFor {
             chunk: 16,
             min_chunk: 1,
             sequential: false,
-            spawn_mode: SpawnMode::default(),
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
         }
-    }
-
-    /// Choose how worker loops execute (shared pool vs. one thread per
-    /// worker per run). [`SpawnMode::Pooled`] is the default.
-    pub fn with_spawn_mode(mut self, mode: SpawnMode) -> ParallelFor {
-        self.spawn_mode = mode;
-        self
     }
 
     /// Set the maximum chunk size.
@@ -460,7 +448,7 @@ impl ParallelFor {
             // The calling thread is worker 0: it would otherwise only wait
             // (or steal its own task back), and a loop short enough for one
             // worker is then over before any lane has to wake.
-            Executor::global().scope(self.spawn_mode, |scope| {
+            Executor::global().scope(SpawnMode::Pooled, |scope| {
                 let work = &work;
                 let (first, rest) = lanes.split_first_mut().expect("a pooled run has lanes");
                 for (worker, lane) in rest.iter_mut().enumerate() {

@@ -113,9 +113,6 @@ pub struct Pipeline<T> {
     /// Larger batches amortize channel, trace and cancellation overhead
     /// over more elements at the cost of coarser scheduling.
     pub batch: usize,
-    /// How the run's stage workers execute: on the shared pool
-    /// (default) or one spawned thread per worker (legacy shape).
-    pub spawn_mode: SpawnMode,
     /// Telemetry sink; disabled by default (a dead branch per item).
     telemetry: Telemetry,
     /// Structured event tracer; disabled by default (a dead branch per
@@ -132,7 +129,6 @@ impl<T: Send + 'static> Pipeline<T> {
             fusion: Vec::new(),
             sequential: false,
             batch: 1,
-            spawn_mode: SpawnMode::default(),
             telemetry: Telemetry::disabled(),
             tracer: Tracer::disabled(),
         }
@@ -164,13 +160,6 @@ impl<T: Send + 'static> Pipeline<T> {
     /// Set the batch size (elements per channel transaction).
     pub fn with_batch(mut self, batch: usize) -> Pipeline<T> {
         self.batch = batch.max(1);
-        self
-    }
-
-    /// Choose how stage workers execute (shared pool vs. one thread per
-    /// worker per run). [`SpawnMode::Pooled`] is the default.
-    pub fn with_spawn_mode(mut self, mode: SpawnMode) -> Pipeline<T> {
-        self.spawn_mode = mode;
         self
     }
 
@@ -288,7 +277,7 @@ impl<T: Send + 'static> Pipeline<T> {
         // one is guaranteed a dedicated thread of execution (idle pool
         // lane, new lane, or ephemeral overflow thread) and can never
         // queue behind another blocked task.
-        Executor::global().scope(self.spawn_mode, |scope| {
+        Executor::global().scope(SpawnMode::Pooled, |scope| {
             // StreamGenerator: the loop header becomes the implicit first
             // stage feeding the first buffer (rule PLPL). It observes the
             // cancellation token between sends so a failed run stops

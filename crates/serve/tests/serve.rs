@@ -159,6 +159,14 @@ fn overload_sheds_with_a_retry_hint_instead_of_queueing_unboundedly() {
         .collect();
     assert!(!shed.is_empty(), "expected sheds under 6x overload: {outcomes:?}");
     assert!(shed.iter().all(|&ms| ms >= 7), "retry hints present: {shed:?}");
+    assert!(
+        outcomes.iter().any(|o| matches!(o, Served::Computed { .. })),
+        "admitted work still completes: {outcomes:?}"
+    );
+    assert!(
+        !outcomes.iter().any(|o| matches!(o, Served::Failed { .. })),
+        "overload sheds, it never fails a job: {outcomes:?}"
+    );
     assert!(svc.admission().queue_highwater() <= 1, "queue stayed bounded");
     assert_eq!(svc.admission().depth(), (0, 0), "all permits released");
 }
@@ -412,10 +420,14 @@ fn hostile_lines_get_structured_errors_and_the_connection_keeps_serving() {
     input.extend_from_slice(b"\n{\"id\":1,\"op\":\"analyze\",\"source\":\"a\"}\n");
     input.extend_from_slice(b"{\"id\":2,\"op\":\"analyze\",\"source\":\"\xff\xfe\"}\n");
     input.extend_from_slice(b"{\"id\":3,\"op\":\"analyze\",\"source\":\"a\"}\n");
+    // Nesting far past the parser's bound, in a tenth of the line limit.
+    input.extend_from_slice(b"{\"op\":\"analyze\",\"source\":");
+    input.extend(std::iter::repeat_n(b'[', 100_000));
+    input.extend_from_slice(b"\n{\"id\":4,\"op\":\"analyze\",\"source\":\"a\"}\n");
     let mut out = CountingWriter::default();
     svc.serve_lines(&input[..], &mut out).unwrap();
     let resp: Vec<Json> = out.writes.iter().map(|w| parsed(w)).collect();
-    assert_eq!(resp.len(), 4);
+    assert_eq!(resp.len(), 6);
     let field = |r: &Json, key: &str| r.get(key).and_then(Json::as_str).map(str::to_string);
     assert_eq!(field(&resp[0], "status").as_deref(), Some("error"));
     assert_eq!(
@@ -429,6 +441,15 @@ fn hostile_lines_get_structured_errors_and_the_connection_keeps_serving() {
         Some("request line is not valid UTF-8")
     );
     assert_eq!(field(&resp[3], "cached").as_deref(), Some("memory"));
+    assert_eq!(field(&resp[4], "status").as_deref(), Some("error"));
+    // The object is level 1, so the 128th `[` (column 25 + 128) is one
+    // level too many.
+    assert_eq!(
+        field(&resp[4], "error").as_deref(),
+        Some("bad request json: JSON error at line 1, column 153: nesting deeper than 128 levels")
+    );
+    assert_eq!(resp[5].get("id").and_then(Json::as_i64), Some(4));
+    assert_eq!(field(&resp[5], "cached").as_deref(), Some("memory"));
 }
 
 /// Run `client` against a service on a loopback listener, then shut
