@@ -5,11 +5,17 @@
 //! of independent (commuting) operations. Following Flanagan–Godefroid,
 //! each run is analyzed after the fact: for every executed operation we
 //! find the most recent operation of another task that is *dependent*
-//! (same cell with a write, same mutex, same channel, same fault label)
 //! and not already ordered by happens-before (the scheduler's vector
 //! clocks), and add a *backtrack point* at that earlier decision so the
 //! reversed order is explored too. *Sleep sets* prune runs that would
 //! only replay an already-explored commutation.
+//!
+//! Dependent pairs: a cell access with a write to the same cell; lock and
+//! unlock ops on the same mutex; fault points with the same label; and on
+//! one channel, every pair of sends, of dequeuing receives, and of a
+//! blocked receive attempt with either. The dependence is conditional on
+//! the queue: a send and a receive that dequeued commute, because that
+//! receive ran on a non-empty FIFO (`dependent` gives the argument).
 //!
 //! One deliberate strengthening: two `lock` acquisitions of the same
 //! mutex are **always** treated as racing, even though the loser's clock
@@ -31,14 +37,29 @@ use std::future::Future;
 use std::rc::Rc;
 
 /// Are two operations dependent (order-sensitive)?
+///
+/// On one channel, two sends (FIFO order) and two dequeuing receives
+/// (which receiver wins) are dependent, and so is a blocked receive
+/// attempt with a send (the send enables it) or with a dequeuing
+/// receive (which can empty the channel under it). A send and a
+/// dequeuing receive are independent:
+/// - a receive that consumed this send's message joined its clock, so
+///   the pair is happens-before ordered and never reversed anyway;
+/// - a receive that consumed an earlier message ran on a non-empty
+///   queue, where push-back and pop-front commute and the receiver
+///   joins the same sender clock in either order;
+/// - a send never disables a receive.
 fn dependent(a: OpKey, b: OpKey) -> bool {
     use OpKey::*;
     match (a, b) {
         (Read(x), Write(y)) | (Write(x), Read(y)) | (Write(x), Write(y)) => x == y,
         (Lock(x), Lock(y)) | (Lock(x), Unlock(y)) | (Unlock(x), Lock(y)) => x == y,
-        (Send(x), Send(y)) | (Recv(x), Recv(y)) | (Send(x), Recv(y)) | (Recv(x), Send(y)) => {
-            x == y
-        }
+        (Send(x), Send(y))
+        | (Recv(x), Recv(y))
+        | (Send(x), RecvWait(y))
+        | (RecvWait(x), Send(y))
+        | (Recv(x), RecvWait(y))
+        | (RecvWait(x), Recv(y)) => x == y,
         (Fault(x), Fault(y)) => x == y,
         _ => false,
     }
@@ -134,10 +155,19 @@ impl Policy for DporPolicy {
 
 /// Post-run race analysis: add backtrack points that reverse every pair
 /// of dependent, happens-before-unordered operations.
+///
+/// A failed check ends the run, so every other task enabled there never
+/// reveals its next op; the abort disables that op and so races with it.
+/// Each such task is therefore also tried at the failing check's node.
 fn apply_backtracks(infos: &[StepInfo], nodes: &mut [Node]) {
     for i in 0..infos.len() {
         let Some(op_i) = infos[i].op else { continue };
         let tid_i = infos[i].tid;
+        if op_i == OpKey::CheckFailed {
+            if let Some(node) = nodes.get_mut(i) {
+                node.backtrack.extend(node.enabled.iter().copied());
+            }
+        }
         let jmax = i.min(nodes.len());
         let mut found = None;
         for j in (0..jmax).rev() {
@@ -394,6 +424,80 @@ mod tests {
         assert!(report.complete);
         assert!(!report.failed(), "{:?}", report.failures);
         assert_eq!(report.schedules, 1, "independent ops must not be reversed");
+    }
+
+    #[test]
+    fn a_cell_free_producer_consumer_runs_one_schedule() {
+        // The producer is spawned first, so the consumer never finds the
+        // channel empty: every receive dequeues, and a send commutes with
+        // a receive that dequeued.
+        let report = explore_dpor(
+            |ctx| async move {
+                let ch = ctx.channel::<i64>("ch");
+                let tx = ch.clone();
+                let producer = ctx.spawn(move |ctx| async move {
+                    for v in 0..3 {
+                        tx.send(&ctx, v).await;
+                    }
+                }).await;
+                let consumer = ctx.spawn(move |ctx| async move {
+                    for v in 0..3 {
+                        let got = ch.recv(&ctx).await;
+                        ctx.check(got == v, "FIFO order").await;
+                    }
+                }).await;
+                ctx.join(producer).await;
+                ctx.join(consumer).await;
+            },
+            ChessOptions::default(),
+        );
+        assert!(report.complete);
+        assert!(!report.failed(), "{:?}", report.failures);
+        assert_eq!(report.schedules, 1, "send/receive pairs must not be reversed");
+    }
+
+    #[test]
+    fn consumers_contending_for_a_message_explore_both_winners() {
+        // Two consumers take one message each; which of them dequeues the
+        // first one is a receive/receive race that must be reversed.
+        let search = |mode: SearchMode| {
+            let winners = Rc::new(std::cell::RefCell::new(BTreeSet::new()));
+            let seen = winners.clone();
+            let report = explore(
+                move |ctx| {
+                    let seen = seen.clone();
+                    async move {
+                        let ch = ctx.channel::<i64>("ch");
+                        let tx = ch.clone();
+                        let mut tasks = vec![ctx.spawn(move |ctx| async move {
+                            tx.send(&ctx, 0).await;
+                            tx.send(&ctx, 1).await;
+                        }).await];
+                        for _ in 0..2 {
+                            let (rx, seen) = (ch.clone(), seen.clone());
+                            tasks.push(ctx.spawn(move |ctx| async move {
+                                if rx.recv(&ctx).await == 0 {
+                                    seen.borrow_mut().insert(ctx.tid());
+                                }
+                            }).await);
+                        }
+                        for t in tasks {
+                            ctx.join(t).await;
+                        }
+                    }
+                },
+                ChessOptions { mode, ..ChessOptions::default() },
+            );
+            let winners = winners.borrow().clone();
+            (report, winners)
+        };
+        let (dpor, dpor_winners) = search(SearchMode::Dpor);
+        let (dfs, dfs_winners) = search(SearchMode::Dfs);
+        assert!(dpor.complete && dfs.complete);
+        assert_eq!(dpor_winners, BTreeSet::from([2, 3]), "both consumers win in some schedule");
+        assert_eq!(dpor_winners, dfs_winners);
+        assert_eq!(kinds(&dpor), kinds(&dfs));
+        assert!(dpor.schedules < dfs.schedules, "{} !< {}", dpor.schedules, dfs.schedules);
     }
 
     #[test]

@@ -227,12 +227,17 @@ pub(crate) enum OpKey {
     Lock(usize),
     Unlock(usize),
     Send(usize),
+    /// A receive that dequeued a message.
     Recv(usize),
+    /// A receive attempt that found the channel empty and blocked.
+    RecvWait(usize),
     Join(usize),
     Spawn,
     Fault(usize),
     Step,
     Check,
+    /// A `check` that failed: it aborts the run.
+    CheckFailed,
     Sleep,
 }
 
@@ -477,7 +482,8 @@ impl Sched {
 
     /// A decision op that can block: each grant makes one attempt. A
     /// failed attempt marks the task blocked on `reason`, records the
-    /// attempted op and waits for the next grant to retry.
+    /// attempted op (a blocked receive as [`OpKey::RecvWait`]) and waits
+    /// for the next grant to retry.
     async fn attempt<R>(
         &self,
         tid: usize,
@@ -491,6 +497,10 @@ impl Sched {
             if done.is_none() {
                 st.tasks[tid].state = TState::Blocked(reason);
             }
+            let key = match key {
+                OpKey::Recv(c) if done.is_none() => OpKey::RecvWait(c),
+                _ => key,
+            };
             st.record_op(tid, key);
             if let Some(done) = done {
                 return done;
@@ -707,10 +717,11 @@ impl ThreadCtx {
     pub async fn check(&self, cond: bool, msg: &str) {
         {
             let mut st = self.sched.granted().await;
-            st.record_op(self.tid, OpKey::Check);
             if cond {
+                st.record_op(self.tid, OpKey::Check);
                 return;
             }
+            st.record_op(self.tid, OpKey::CheckFailed);
             st.observe(FailureKind::CheckFailed(msg.to_string()));
             st.aborted = true;
         }

@@ -55,7 +55,7 @@ fn explored_schedules_leave_no_live_bytes_behind() {
     let run = patty.run_automatic(avistream_program().source).expect("avistream runs");
     let (after_1, after_20) = live_after_1_and_20(|| {
         let reports = patty.validate_correctness(&run);
-        assert!(reports.iter().any(|(_, r)| r.schedules == 2_000), "the search ran");
+        assert!(reports.iter().any(|(_, r)| r.complete && r.schedules > 1), "the search ran");
     });
     assert_eq!(after_1, after_20, "validate_correctness on avistream keeps bytes per call");
 
