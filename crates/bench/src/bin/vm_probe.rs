@@ -114,7 +114,9 @@ fn main() {
             continue;
         }
         let program = p.parse();
-        let cost = run(&program, opts(Engine::Ast)).unwrap().profile.total_cost.max(1);
+        let profile = run(&program, opts(Engine::Ast)).unwrap().profile;
+        let cost = profile.total_cost.max(1);
+        let locations: usize = profile.loop_traces.values().map(|t| t.locs().len()).sum();
         let (opt_on, opt_off) = (compile_fused(&program, true), compile_fused(&program, false));
         let t = |engine: Engine, trace: bool| {
             let o = InterpOptions { engine, trace_loops: trace, ..InterpOptions::default() };
@@ -139,11 +141,17 @@ fn main() {
             format!("{vm_off:.1}"),
             format!("{:.2}x", ast_off / vm_off),
             format!("{:.2}x", ast_on / vm_on),
+            format!("{:.2}x", vm_on / vm_off),
+            profile.stats().recorded_accesses.to_string(),
+            locations.to_string(),
         ]);
     }
     print_table(
-        "trace recording split (ns/cost, fused bytecode)",
-        &["program", "ast on", "ast off", "vm on", "vm off", "off-ratio", "on-ratio"],
+        "trace recording split (ns/cost, fused bytecode; accesses and locations summed over the loop tables)",
+        &[
+            "program", "ast on", "ast off", "vm on", "vm off", "off-ratio", "on-ratio", "vm on/off", "accesses",
+            "locations",
+        ],
         &rows,
     );
 

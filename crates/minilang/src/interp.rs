@@ -12,7 +12,7 @@ use crate::ast::*;
 use crate::builtins::{binary_op, call_builtin, call_builtin_method, BuiltinId, Host};
 use crate::error::LangError;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::profile::{AccessKind, DynLoc, LoopTrace, Profile};
+use crate::profile::{Access, AccessKind, DynLoc, LoopTrace, Profile};
 use crate::span::NodeId;
 use crate::value::{FieldTable, HeapId, ListData, ObjectData, Value};
 use std::cell::RefCell;
@@ -249,11 +249,23 @@ impl<'p> Interp<'p> {
         for (rank, (_, id)) in by_rank.iter().enumerate() {
             rank_of[*id as usize] = rank;
         }
+        // A loop's own rank of each location, refilled per loop.
+        let mut local = vec![0u32; by_rank.len()];
         for (loop_id, records) in self.records {
             let t = self.profile.loop_traces.get_mut(&loop_id).expect("begin_loop made the entry");
             let stmt_cost = std::mem::take(&mut t.stmt_cost);
-            let ranked = records.into_iter().map(|(id, iter, stmt, kind)| (rank_of[id as usize], iter, stmt, kind));
-            *t = LoopTrace::new(t.iterations, stmt_cost, ranked.collect(), |&rank| by_rank[rank].0.clone());
+            let mut ranks: Vec<usize> = records.iter().map(|r| rank_of[r.0 as usize]).collect();
+            ranks.sort_unstable();
+            ranks.dedup();
+            for (i, &rank) in ranks.iter().enumerate() {
+                local[rank] = i as u32;
+            }
+            let locs = ranks.iter().map(|&rank| by_rank[rank].0.clone()).collect();
+            let accesses = records
+                .into_iter()
+                .map(|(id, iter, stmt, kind)| Access { iter, stmt, loc: local[rank_of[id as usize]], kind })
+                .collect();
+            *t = LoopTrace::new(t.iterations, stmt_cost, locs, accesses);
         }
         self.profile
     }

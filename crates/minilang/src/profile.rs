@@ -10,9 +10,11 @@
 //!
 //! The table is two vectors: the distinct locations in [`DynLoc`] order,
 //! and one [`Access`] `(iteration, statement, location id, kind)` per
-//! observed access, sorted and unique. Both engines end in the one
-//! constructor, [`LoopTrace::new`], so a location is materialised once however
-//! often it was touched, and every reader — loop-carried dependence
+//! observed access, sorted and unique. Both engines number each location
+//! the first time they record it, rank the numbers once after the run, and
+//! end in the one constructor, [`LoopTrace::new`], with a loop's distinct
+//! locations and its accesses by rank. So a location is materialised once
+//! however often it was touched, and every reader — loop-carried dependence
 //! extraction, unit-test generation, the JSON rendering, the size
 //! statistics — is a pass over integers.
 
@@ -118,31 +120,30 @@ impl DepKind {
 }
 
 impl LoopTrace {
-    /// Build the canonical table from raw records `(key, iter, stmt, kind)`
-    /// in any order, repeats allowed. A key stands for the location
-    /// `materialize` turns it into and must order exactly as that location
-    /// does; `materialize` runs once per distinct key.
-    pub fn new<K: Ord>(
+    /// Build the canonical table from `locs` — distinct, ascending, each one
+    /// named by some access — and raw accesses naming them by index (dense
+    /// ranks), repeats allowed.
+    ///
+    /// Accesses grouped by ascending `(iter, stmt)`, the order one recording
+    /// context emits them in, are put in table order by two stable counting
+    /// passes: by `(loc, kind)`, then by group. Any other order — a loop
+    /// that re-entered itself interleaves two contexts, a hash set has none
+    /// — takes a comparison sort.
+    pub fn new(
         iterations: u64,
         stmt_cost: BTreeMap<NodeId, u64>,
-        mut records: Vec<(K, u32, NodeId, AccessKind)>,
-        mut materialize: impl FnMut(&K) -> DynLoc,
+        locs: Vec<DynLoc>,
+        mut accesses: Vec<Access>,
     ) -> LoopTrace {
-        // Location-major first: equal keys become neighbours, so ranking
-        // the locations is one scan.
-        records.sort_unstable();
-        records.dedup();
-        let mut locs = Vec::new();
-        let mut accesses = Vec::with_capacity(records.len());
-        for (i, (key, iter, stmt, kind)) in records.iter().enumerate() {
-            if i == 0 || records[i - 1].0 != *key {
-                locs.push(materialize(key));
-            }
-            accesses.push(Access { iter: *iter, stmt: *stmt, loc: locs.len() as u32 - 1, kind: *kind });
+        debug_assert!(locs.windows(2).all(|w| w[0] < w[1]), "locations not distinct and ascending");
+        debug_assert!(accesses.iter().all(|a| (a.loc as usize) < locs.len()), "access past the locations");
+        if accesses.windows(2).all(|w| (w[0].iter, w[0].stmt) <= (w[1].iter, w[1].stmt)) {
+            counting_sort(&mut accesses, locs.len());
+        } else {
+            accesses.sort_unstable();
         }
-        // Each location's accesses already ascend by (iter, stmt, kind), so
-        // a stable sort on (iter, stmt) alone lands in table order.
-        accesses.sort_by_key(|a| (a.iter, a.stmt));
+        accesses.dedup();
+        debug_assert!(accesses.windows(2).all(|w| w[0] < w[1]), "accesses not in table order");
         LoopTrace { iterations, stmt_cost, locs, accesses }
     }
 
@@ -256,6 +257,42 @@ impl LoopTrace {
             return 0.0;
         }
         *self.stmt_cost.get(&stmt).unwrap_or(&0) as f64 / total as f64
+    }
+}
+
+/// Table order for accesses grouped by ascending `(iter, stmt)`: a stable
+/// counting pass by `(loc, kind)`, then one by group, so every group ends
+/// sorted by `(loc, kind)`. Between the passes `iter` holds the group's
+/// number. Linear in the accesses plus the locations.
+fn counting_sort(accesses: &mut [Access], n_locs: usize) {
+    // Per group: its `iter` and where it starts, in arrival order and so in
+    // table order too.
+    let mut groups: Vec<(u32, u32)> = Vec::new();
+    let mut prev = None;
+    for (at, a) in accesses.iter_mut().enumerate() {
+        if prev != Some((a.iter, a.stmt)) {
+            prev = Some((a.iter, a.stmt));
+            groups.push((a.iter, at as u32));
+        }
+        a.iter = groups.len() as u32 - 1;
+    }
+    let key = |a: &Access| a.loc as usize * 2 + a.kind as usize;
+    let mut next = vec![0u32; 2 * n_locs + 1];
+    for a in accesses.iter() {
+        next[key(a) + 1] += 1;
+    }
+    for k in 1..next.len() {
+        next[k] += next[k - 1];
+    }
+    let mut by_loc = accesses.to_vec();
+    for a in accesses.iter() {
+        by_loc[next[key(a)] as usize] = *a;
+        next[key(a)] += 1;
+    }
+    for a in by_loc {
+        let (iter, at) = &mut groups[a.iter as usize];
+        accesses[*at as usize] = Access { iter: *iter, ..a };
+        *at += 1;
     }
 }
 
@@ -411,10 +448,16 @@ mod tests {
         NodeId(n)
     }
 
-    /// A trace of `(iter, stmt, loc, kind)` records.
+    /// A trace of `(iter, stmt, loc, kind)` records, in the order given.
     fn trace(records: &[(u32, u32, &DynLoc, AccessKind)]) -> LoopTrace {
-        let records = records.iter().map(|&(i, s, l, k)| (l.clone(), i, nid(s), k)).collect();
-        LoopTrace::new(0, BTreeMap::new(), records, DynLoc::clone)
+        let mut locs: Vec<DynLoc> = records.iter().map(|r| r.2.clone()).collect();
+        locs.sort();
+        locs.dedup();
+        let accesses = records
+            .iter()
+            .map(|&(iter, s, l, kind)| Access { iter, stmt: nid(s), loc: locs.binary_search(l).unwrap() as u32, kind })
+            .collect();
+        LoopTrace::new(0, BTreeMap::new(), locs, accesses)
     }
 
     #[test]
@@ -457,6 +500,31 @@ mod tests {
         assert_eq!(rows, [(0, 4, 1, Read), (2, 5, 0, Read), (2, 5, 1, Write)]);
         // Iteration 1 recorded nothing and is still part of the prefix.
         assert_eq!(t.traced_iters(), 3);
+    }
+
+    #[test]
+    fn grouped_records_take_the_counting_passes_to_the_same_table() {
+        let (a, b, c) = (DynLoc::Local(1, "a".into()), DynLoc::Elem(2, -1), DynLoc::ListStruct(2));
+        // Ascending (iter, stmt) groups, unsorted and repeated inside each.
+        let grouped = [
+            (0, 4, &c, Write),
+            (0, 4, &a, Read),
+            (0, 4, &c, Read),
+            (0, 4, &a, Read),
+            (0, 6, &b, Write),
+            (2, 4, &b, Read),
+            (2, 4, &a, Write),
+            (2, 4, &b, Read),
+        ];
+        let mut scrambled = grouped;
+        scrambled.reverse();
+        let t = trace(&grouped);
+        assert_eq!(t, trace(&scrambled));
+        let rows: Vec<_> = t.accesses().iter().map(|x| (x.iter, x.stmt.0, x.loc, x.kind)).collect();
+        assert_eq!(
+            rows,
+            [(0, 4, 0, Read), (0, 4, 2, Read), (0, 4, 2, Write), (0, 6, 1, Write), (2, 4, 0, Write), (2, 4, 1, Read)]
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! reference kept only here, and the table constructor lands on the same
 //! table whatever order (and however often) its records arrive.
 
-use patty_minilang::profile::{AccessKind, CarriedDep, DepKind, DynLoc, LoopTrace};
+use patty_minilang::profile::{Access, AccessKind, CarriedDep, DepKind, DynLoc, LoopTrace};
 use patty_minilang::span::NodeId;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -37,8 +37,19 @@ fn arb_records() -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// The table of `records` in the order given: locations ranked among
+/// themselves, accesses naming them by rank.
 fn table(records: Vec<Record>) -> LoopTrace {
-    LoopTrace::new(0, BTreeMap::new(), records, DynLoc::clone)
+    let mut locs: Vec<DynLoc> = records.iter().map(|r| r.0.clone()).collect();
+    locs.sort();
+    locs.dedup();
+    let accesses = records
+        .iter()
+        .map(|(loc, iter, stmt, kind)| {
+            Access { iter: *iter, stmt: *stmt, loc: locs.binary_search(loc).unwrap() as u32, kind: *kind }
+        })
+        .collect();
+    LoopTrace::new(0, BTreeMap::new(), locs, accesses)
 }
 
 /// Every pair of accesses to one location in two different iterations,
@@ -98,5 +109,17 @@ proptest! {
         // Its own rows fed back: the same table.
         let rows = t.accesses().iter().map(|a| (t.locs()[a.loc as usize].clone(), a.iter, a.stmt, a.kind));
         prop_assert_eq!(&table(rows.collect()), &t);
+    }
+
+    #[test]
+    fn counting_passes_and_the_sort_fallback_agree(records in arb_records()) {
+        // Grouped by ascending (iter, stmt), as one recording context emits
+        // them — repeats and (loc, kind) disorder kept inside each group —
+        // the records take the counting passes; shuffled, the sort.
+        let mut grouped = records.clone();
+        grouped.sort_by_key(|r| (r.1, r.2));
+        let mut shuffled = records;
+        shuffled.sort_by_key(|r| (r.2, std::cmp::Reverse(r.1)));
+        prop_assert_eq!(table(grouped), table(shuffled));
     }
 }

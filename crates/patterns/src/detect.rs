@@ -991,17 +991,18 @@ mod tests {
         // Poison the loop's trace: every body statement writes one shared
         // field in iterations 0 and 1, so every pair of statements carries
         // a dependence — for whoever reads the trace.
-        use patty_minilang::profile::{AccessKind, DynLoc, LoopTrace};
+        use patty_minilang::profile::{Access, AccessKind, DynLoc, LoopTrace};
         let clean = model_of(AVISTREAM);
         let l = clean.loops[0].clone();
         let mut poisoned = model_of(AVISTREAM);
         let t = poisoned.profile.as_mut().unwrap().loop_traces.get_mut(&l.id).unwrap();
-        let records = l
+        let accesses = l
             .body_stmts
             .iter()
-            .flat_map(|s| [0, 1].map(|iter| (DynLoc::Field(99, "poison".into()), iter, *s, AccessKind::Write)))
+            .flat_map(|&stmt| [0, 1].map(|iter| Access { iter, stmt, loc: 0, kind: AccessKind::Write }))
             .collect();
-        *t = LoopTrace::new(t.iterations, t.stmt_cost.clone(), records, DynLoc::clone);
+        let poison = vec![DynLoc::Field(99, "poison".into())];
+        *t = LoopTrace::new(t.iterations, t.stmt_cost.clone(), poison, accesses);
 
         let static_only = DetectOptions { use_dynamic: false, ..DetectOptions::default() };
         let expected = detect_loop(&clean, &l, &static_only).unwrap();

@@ -428,6 +428,75 @@ mod tests {
         assert!(a.unit_test.is_some());
     }
 
+    /// `shape(n)` at the largest `n` the parser accepts.
+    fn deepest(shape: impl Fn(usize) -> String) -> String {
+        let mut n = 1;
+        while parse(&shape(n + 1)).is_ok() {
+            n += 1;
+        }
+        let refused = parse(&shape(n + 1)).unwrap_err();
+        assert!(refused.message.starts_with("nesting deeper than"), "{refused}");
+        shape(n)
+    }
+
+    #[test]
+    fn programs_at_the_depth_bound_run_every_pass_on_a_small_stack() {
+        // A pipeline whose first stage calls `deep`, so detection,
+        // annotation, unit-test and path-coverage generation all walk it.
+        let program = |deep: &str| {
+            format!(
+                "class F {{ var g = 2; fn apply(x) {{ work(150); return x * this.g; }} }}
+fn id(x) {{ return x; }}
+fn deep(x) {{
+{deep}
+    return x;
+}}
+fn main() {{
+    var f = new F();
+    var out = [];
+    foreach (x in range(0, 8)) {{
+        var a = f.apply(deep(x));
+        out.add(a);
+    }}
+    print(len(out));
+}}"
+            )
+        };
+        let value = |open: &str, close: &str, n: usize| {
+            program(&format!("    x = {}x{};", open.repeat(n), close.repeat(n)))
+        };
+        let expressions = [
+            deepest(|n| value("(", ")", n)),
+            deepest(|n| value("x * (", ")", n)),
+            deepest(|n| value("-(", ")", n)),
+            deepest(|n| value("id(", ")", n)),
+            deepest(|n| value("len([", "])", n)),
+            deepest(|n| program(&format!("    x = x{};", " + 0".repeat(n)))),
+            deepest(|n| program(&format!("{}x = x + 1;{}", "if (x < 5) { ".repeat(n), " }".repeat(n)))),
+        ];
+        let loops = deepest(|n| {
+            program(&format!("{}x = x + 1;{}", "foreach (i in range(0, 1)) { ".repeat(n), " }".repeat(n)))
+        });
+        let on_a_small_stack = |source: String| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || Patty::new().run(&source).map(|run| run.artifacts.len()))
+                .unwrap()
+                .join()
+                .expect("no stack overflow")
+        };
+        for source in expressions {
+            assert!(matches!(on_a_small_stack(source), Ok(1..)));
+        }
+        // A loop detected at the bound is annotated inside regions of its
+        // own, which nest it past the bound: that run stops with the
+        // parser's error.
+        match on_a_small_stack(loops) {
+            Err(PattyError::Lang(e)) => assert!(e.message.starts_with("nesting deeper than"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn raytracer_automatic_finds_three_locations() {
         let patty = Patty::new();

@@ -160,21 +160,29 @@ fn serve_stdin_round_trips_analyze_tune_and_stats() {
         }
         format!("{r}\n")
     };
+    // Two kilobytes of parentheses: refused by the parser's depth bound,
+    // not a stack overflow that takes the daemon down.
+    let deep = format!("fn main() {{ return {}1{}; }}", "(".repeat(1_000), ")".repeat(1_000));
     {
         let stdin = child.stdin.as_mut().expect("piped stdin");
         stdin.write_all(req(1, "analyze", Some(PIPELINE_SRC)).as_bytes()).unwrap();
-        stdin.write_all(req(2, "tune", Some(PIPELINE_SRC)).as_bytes()).unwrap();
+        stdin.write_all(req(2, "analyze", Some(&deep)).as_bytes()).unwrap();
         stdin.write_all(req(3, "tune", Some(PIPELINE_SRC)).as_bytes()).unwrap();
-        stdin.write_all(req(4, "stats", None).as_bytes()).unwrap();
-        stdin.write_all(req(5, "shutdown", None).as_bytes()).unwrap();
+        stdin.write_all(req(4, "tune", Some(PIPELINE_SRC)).as_bytes()).unwrap();
+        stdin.write_all(req(5, "stats", None).as_bytes()).unwrap();
+        stdin.write_all(req(6, "shutdown", None).as_bytes()).unwrap();
     }
     let out = child.wait_with_output().expect("serve exits");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let lines: Vec<Json> = String::from_utf8_lossy(&out.stdout)
+    let mut lines: Vec<Json> = String::from_utf8_lossy(&out.stdout)
         .lines()
         .map(|l| patty_json::parse(l).expect("every response line is JSON"))
         .collect();
-    assert_eq!(lines.len(), 5, "one response per request");
+    assert_eq!(lines.len(), 6, "one response per request");
+    let refused = lines.remove(1);
+    assert_eq!(refused.get("id").and_then(|i| i.as_i64()), Some(2), "{refused}");
+    assert_eq!(refused.get("status").and_then(|s| s.as_str()), Some("error"), "{refused}");
+    assert!(refused.to_string().contains("nesting deeper than"), "{refused}");
     let analyze = &lines[0];
     assert_eq!(analyze.get("status").and_then(|s| s.as_str()), Some("ok"));
     let candidates = analyze
