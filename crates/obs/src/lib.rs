@@ -181,7 +181,8 @@ impl MetricsRegistry {
             ("patty_executor_steals_succeeded_total", "Tasks actually taken from a sibling's deque.", Counter, stats.steals_succeeded),
             ("patty_executor_injector_pops_total", "Tasks taken from the shared injector (including batch refills).", Counter, stats.injector_pops),
             ("patty_executor_parks_total", "Times a lane parked with nothing runnable.", Counter, stats.parks),
-            ("patty_executor_unparks_total", "Times a parked lane woke (notify or idle-wait timeout).", Counter, stats.unparks),
+            ("patty_executor_unparks_total", "Times a parked lane woke (wake-up or idle-wait timeout).", Counter, stats.unparks),
+            ("patty_executor_wakeups_total", "Wake-ups sent to a parked lane, one per hand-off.", Counter, stats.wakeups),
             ("patty_executor_deque_depth_hwm", "Highest local-deque depth any lane observed after a batch refill.", Gauge, stats.deque_depth_hwm),
             ("patty_executor_affinity_hits_total", "Hinted resident tasks that ran on their remembered lane.", Counter, stats.affinity_hits),
             ("patty_executor_affinity_misses_total", "Hinted resident tasks that ran on a different lane or off-pool.", Counter, stats.affinity_misses),
@@ -386,6 +387,7 @@ mod tests {
             injector_pops: 60,
             parks: 9,
             unparks: 9,
+            wakeups: 6,
             deque_depth_hwm: 7,
             affinity_hits: 3,
             affinity_misses: 1,
@@ -419,6 +421,34 @@ mod tests {
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].0, vec![("lane".to_string(), "0".to_string())]);
         assert_eq!(reg.value("no_such_family"), None);
+    }
+
+    /// The exporter and the telemetry surface (`executor.*`, pinned
+    /// field by field in the runtime's
+    /// `annotate_executor_telemetry_registers_the_full_family`) list the
+    /// same pool counters.
+    #[test]
+    fn executor_families_match_the_telemetry_executor_family() {
+        let pool = patty_runtime::Executor::with_threads(1);
+        pool.scope(patty_runtime::SpawnMode::Pooled, |s| s.spawn(|| {}));
+        let telemetry = patty_telemetry::Telemetry::enabled();
+        patty_runtime::annotate_executor_telemetry(&telemetry, &pool);
+        let from_telemetry: std::collections::BTreeSet<String> = telemetry
+            .report()
+            .counters
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("executor."))
+            .map(String::from)
+            .collect();
+        let mut reg = MetricsRegistry::new();
+        reg.ingest_executor(&pool.stats(), &[]);
+        let from_exporter: std::collections::BTreeSet<String> = reg
+            .names()
+            .iter()
+            .filter_map(|name| name.strip_prefix("patty_executor_"))
+            .map(|name| name.strip_suffix("_total").unwrap_or(name).to_string())
+            .collect();
+        assert_eq!(from_exporter, from_telemetry);
     }
 
     #[test]

@@ -31,6 +31,7 @@ fn golden_registry() -> MetricsRegistry {
             injector_pops: 120,
             parks: 12,
             unparks: 12,
+            wakeups: 8,
             deque_depth_hwm: 9,
             affinity_hits: 5,
             affinity_misses: 1,

@@ -11,15 +11,23 @@
 //! * **Resident** tasks ([`Scope::spawn_resident`]) may block on
 //!   channels for the life of a run — pipeline feeders, stage workers
 //!   and reorder threads. A resident task must never queue behind
-//!   another blocked task, so submission either hands it to a lane that
-//!   is *already idle*, starts a new lane (below the pool cap), or
-//!   falls back to a one-shot ephemeral thread. Deadlock-freedom does
-//!   not depend on pool capacity.
+//!   another task, so submission either hands it to one *parked* lane,
+//!   which runs it before looking at anything else, starts a new lane
+//!   (below the pool cap), or falls back to a one-shot ephemeral
+//!   thread. Deadlock-freedom does not depend on pool capacity.
 //! * **Short** tasks ([`Scope::spawn`]) are non-blocking claim loops —
 //!   parfor chunk workers, master/worker item workers, `join_all`
 //!   members. They go through a shared [`Injector`] queue; lanes pull
 //!   batches into per-lane Chase-Lev deques and steal from each other
 //!   when their own deque drains.
+//!
+//! Wake-ups are addressed. A parked lane sleeps on its own condvar on a
+//! stack of parked lanes, and every wake-up pops exactly one lane and
+//! says what it is for: the resident task handed to it, or "short work
+//! is queued". A short submission sends one only while the injector
+//! holds more tasks than wake-ups already on their way, so `k` short
+//! tasks over `p` parked lanes wake at most `min(k, p)` lanes — never
+//! the whole pool.
 //!
 //! A [`Scope`] mirrors `std::thread::scope`: tasks may borrow from the
 //! caller's stack, every task completes before `scope` returns (even
@@ -36,7 +44,6 @@
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -51,12 +58,12 @@ const NO_LANE: u64 = u64::MAX;
 
 /// A sticky lane preference for resident tasks that recur across runs
 /// (a pipeline's stage workers). The slot remembers the lane that last
-/// executed a task carrying it; on the next submission a parked lane
-/// *prefers* its own-hinted tasks, so a recurring worker lands on the
-/// same lane (warm stack, warm deque) run after run. Purely a hint:
-/// it never delays execution — a lane that finds no own-hinted task
-/// takes the front of the queue, preserving the resident
-/// deadlock-freedom invariant unchanged.
+/// executed a task carrying it; on the next submission the task is
+/// handed to that lane if it is parked, so a recurring worker lands on
+/// the same lane (warm stack, warm deque) run after run. Purely a hint:
+/// it never delays execution — when the remembered lane is busy or
+/// gone, the task goes to another parked lane, a new lane or an
+/// ephemeral thread exactly as an unhinted one would.
 #[derive(Clone, Debug)]
 pub struct AffinityHint(Arc<AtomicU64>);
 
@@ -109,9 +116,9 @@ pub const MAX_POOL_THREADS: usize = 512;
 /// the injector, so this only bounds batch locality, not correctness.
 const LANE_DEQUE_CAP: usize = 256;
 
-/// How long an idle lane sleeps between re-scans of sibling deques.
-/// Submissions notify the lane directly; this only bounds the window
-/// in which work sitting in a *sibling's* deque goes unnoticed.
+/// How long a parked lane sleeps between re-scans of sibling deques.
+/// Submissions wake a lane directly; this only bounds the window in
+/// which work sitting in a *sibling's* deque goes unnoticed.
 const LANE_IDLE_WAIT: Duration = Duration::from_millis(5);
 
 /// How long a lane may stay continuously quiescent before it retires
@@ -172,10 +179,14 @@ pub struct ExecutorStats {
     pub steals_succeeded: u64,
     /// Tasks taken from the shared injector (including batch refills).
     pub injector_pops: u64,
-    /// Times a lane parked on the condvar with nothing runnable.
+    /// Times a lane parked with nothing runnable.
     pub parks: u64,
-    /// Times a parked lane woke (notify or idle-wait timeout).
+    /// Times a parked lane woke (wake-up or idle-wait timeout).
     pub unparks: u64,
+    /// Wake-ups sent to a parked lane, one per hand-off. Once every
+    /// wake-up is collected, `unparks - wakeups` is the number of
+    /// idle-wait timeouts.
+    pub wakeups: u64,
     /// Highest local-deque depth any lane observed after a batch refill.
     pub deque_depth_hwm: u64,
     /// Hinted resident tasks that ran on their remembered lane.
@@ -199,6 +210,7 @@ struct Stats {
     injector_pops: AtomicU64,
     parks: AtomicU64,
     unparks: AtomicU64,
+    wakeups: AtomicU64,
     deque_depth_hwm: AtomicU64,
     affinity_hits: AtomicU64,
     affinity_misses: AtomicU64,
@@ -219,6 +231,7 @@ impl Stats {
             injector_pops: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             unparks: AtomicU64::new(0),
+            wakeups: AtomicU64::new(0),
             deque_depth_hwm: AtomicU64::new(0),
             affinity_hits: AtomicU64::new(0),
             affinity_misses: AtomicU64::new(0),
@@ -248,6 +261,7 @@ impl Stats {
             resident_handoffs: self.resident_handoffs.load(Ordering::SeqCst),
             ephemeral_spawns: self.ephemeral_spawns.load(Ordering::SeqCst),
             lanes_spawned: self.lanes_spawned.load(Ordering::SeqCst),
+            wakeups: self.wakeups.load(Ordering::SeqCst),
             tasks_executed,
             tasks_helped,
             lanes_retired,
@@ -349,15 +363,24 @@ pub struct LaneSnapshot {
     pub deque_depth_hwm: u64,
 }
 
-/// Mutable pool state guarded by one mutex. The invariant that makes
-/// resident submission deadlock-free: `resident.len() < idle` always
-/// holds after a task is queued, i.e. every queued resident task has a
-/// distinct lane already parked on the condvar that will take it.
+/// Mutable pool state guarded by one mutex. Every wake-up is a hand-off
+/// to one lane: the submitter pops the lane off `parked`, records in
+/// `handed` what the wake-up is for, and notifies that lane's condvar
+/// only. What makes resident submission deadlock-free holds by
+/// construction: a resident task is never queued, it is handed to a
+/// distinct parked lane that runs it before any short task it could
+/// see (or it gets a fresh lane or an ephemeral thread).
 struct Registry {
-    /// Resident tasks reserved for idle lanes (never more than `idle`).
-    resident: VecDeque<ResidentTask>,
-    /// Lanes currently parked on the condvar.
-    idle: usize,
+    /// Parked lanes, most recently parked last. Each waits on its own
+    /// condvar under this mutex; a lane is on this stack exactly while
+    /// it waits with no hand-off addressed to it.
+    parked: Vec<(u64, Arc<Condvar>)>,
+    /// Wake-ups their lane has not collected yet: `Some` hands it a
+    /// resident task to run first, `None` says short work is queued.
+    handed: Vec<(u64, Option<ResidentTask>)>,
+    /// `None` hand-offs in flight. Each one's lane drains the injector
+    /// before it parks again, so each covers one queued short task.
+    waking: usize,
     /// Lanes alive (running or parked).
     live: usize,
     /// Stealer handles of every live lane's deque, keyed by lane id so
@@ -371,9 +394,19 @@ struct Registry {
     shutdown: bool,
 }
 
+impl Registry {
+    /// Pop the lane a wake-up goes to: `want` if it is parked, else the
+    /// most recently parked lane (the warmest).
+    fn unpark(&mut self, want: Option<u64>) -> Option<(u64, Arc<Condvar>)> {
+        match want.and_then(|id| self.parked.iter().position(|(lane, _)| *lane == id)) {
+            Some(at) => Some(self.parked.remove(at)),
+            None => self.parked.pop(),
+        }
+    }
+}
+
 struct Inner {
     registry: Mutex<Registry>,
-    work_available: Condvar,
     injector: Injector<Task>,
     /// Bumped whenever `stealers` changes so lanes/helpers can cache
     /// their snapshot without re-locking per task.
@@ -450,15 +483,15 @@ impl Executor {
         Executor {
             inner: Arc::new(Inner {
                 registry: Mutex::new(Registry {
-                    resident: VecDeque::new(),
-                    idle: 0,
+                    parked: Vec::new(),
+                    handed: Vec::new(),
+                    waking: 0,
                     live: 0,
                     stealers: Vec::new(),
                     lane_stats: Vec::new(),
                     next_lane_id: 0,
                     shutdown: false,
                 }),
-                work_available: Condvar::new(),
                 injector: Injector::new(),
                 lane_epoch: AtomicUsize::new(0),
                 cap: cap.clamp(1, MAX_POOL_THREADS),
@@ -524,40 +557,48 @@ impl Executor {
         }
     }
 
-    /// Submit a resident (possibly blocking) task: idle-lane handoff,
-    /// else a new lane below the cap, else an ephemeral thread. The
-    /// task therefore always gets a dedicated thread of execution.
+    /// Submit a resident (possibly blocking) task: hand it to one
+    /// parked lane (its remembered lane if that one is parked), else a
+    /// new lane below the cap, else an ephemeral thread. The task
+    /// therefore always gets a dedicated thread of execution.
     fn submit_resident(&self, task: Task, hint: Option<AffinityHint>) {
         let inner = &self.inner;
         let mut reg = inner.lock();
-        if reg.resident.len() < reg.idle && !reg.shutdown {
-            // Count before publishing, so a concurrent stats() reader
-            // never sees the task executed but not yet submitted.
-            inner.stats.resident_handoffs.fetch_add(1, Ordering::SeqCst);
-            reg.resident.push_back(ResidentTask { task, hint });
-            drop(reg);
-            inner.work_available.notify_all();
-        } else if reg.live < inner.cap && !reg.shutdown {
-            self.spawn_lane(&mut reg, Some(ResidentTask { task, hint }));
-        } else {
-            drop(reg);
-            // The overflow thread is not a lane: a remembered lane
-            // preference is unmet (miss) and the slot resets.
-            if let Some(h) = &hint {
-                if h.0.swap(NO_LANE, Ordering::SeqCst) != NO_LANE {
-                    inner.stats.affinity_misses.fetch_add(1, Ordering::SeqCst);
-                }
+        if !reg.shutdown {
+            if let Some((lane, wake)) = reg.unpark(hint.as_ref().and_then(AffinityHint::lane)) {
+                // Count before publishing, so a concurrent stats() reader
+                // never sees the task executed but not yet submitted.
+                inner.stats.resident_handoffs.fetch_add(1, Ordering::SeqCst);
+                inner.stats.wakeups.fetch_add(1, Ordering::SeqCst);
+                reg.handed.push((lane, Some(ResidentTask { task, hint })));
+                drop(reg);
+                wake.notify_one();
+                return;
             }
-            inner.stats.ephemeral_spawns.fetch_add(1, Ordering::SeqCst);
-            std::thread::Builder::new()
-                .name("patty-ephemeral".into())
-                .spawn(task)
-                .expect("spawn ephemeral worker thread");
+            if reg.live < inner.cap {
+                self.spawn_lane(&mut reg, Some(ResidentTask { task, hint }));
+                return;
+            }
         }
+        drop(reg);
+        // The overflow thread is not a lane: a remembered lane
+        // preference is unmet (miss) and the slot resets.
+        if let Some(h) = &hint {
+            if h.0.swap(NO_LANE, Ordering::SeqCst) != NO_LANE {
+                inner.stats.affinity_misses.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        inner.stats.ephemeral_spawns.fetch_add(1, Ordering::SeqCst);
+        std::thread::Builder::new()
+            .name("patty-ephemeral".into())
+            .spawn(task)
+            .expect("spawn ephemeral worker thread");
     }
 
-    /// Submit a short (non-blocking) task to the injector, growing the
-    /// pool by at most one lane if nobody is idle to pick it up.
+    /// Submit a short (non-blocking) task to the injector. Wakes one
+    /// parked lane unless the wake-ups already in flight cover every
+    /// queued task; with no lane parked, grows the pool by at most one
+    /// lane.
     fn submit_short(&self, task: Task) {
         let inner = &self.inner;
         // Increment-before-publish: once the task is in the injector a
@@ -566,14 +607,22 @@ impl Executor {
         inner.stats.short_submitted.fetch_add(1, Ordering::SeqCst);
         inner.injector.push(task);
         let mut reg = inner.lock();
-        if reg.idle > 0 {
-            drop(reg);
-            inner.work_available.notify_all();
-        } else if reg.live < inner.cap && !reg.shutdown {
-            self.spawn_lane(&mut reg, None);
+        if reg.parked.is_empty() {
+            if reg.live < inner.cap && !reg.shutdown {
+                self.spawn_lane(&mut reg, None);
+            }
+            // else: every lane is busy and the pool is full — the task
+            // waits in the injector for a lane or a helping scope caller.
+        } else if inner.injector.len() > reg.waking {
+            // Each wake-up in flight already covers one queued task.
+            if let Some((lane, wake)) = reg.unpark(None) {
+                inner.stats.wakeups.fetch_add(1, Ordering::SeqCst);
+                reg.handed.push((lane, None));
+                reg.waking += 1;
+                drop(reg);
+                wake.notify_one();
+            }
         }
-        // else: every lane is busy and the pool is full — the task
-        // waits in the injector for a lane or a helping scope caller.
     }
 
     /// Start one lane. Caller holds the registry lock.
@@ -630,11 +679,14 @@ impl Executor {
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        {
+        let parked = {
             let mut reg = self.inner.lock();
             reg.shutdown = true;
+            std::mem::take(&mut reg.parked)
+        };
+        for (_, wake) in parked {
+            wake.notify_one();
         }
-        self.inner.work_available.notify_all();
         let handles = std::mem::take(
             &mut *self.handles.lock().unwrap_or_else(PoisonError::into_inner),
         );
@@ -864,6 +916,8 @@ pub fn annotate_executor_telemetry(telemetry: &patty_telemetry::Telemetry, execu
         ("executor.steals_succeeded", stats.steals_succeeded),
         ("executor.injector_pops", stats.injector_pops),
         ("executor.parks", stats.parks),
+        ("executor.unparks", stats.unparks),
+        ("executor.wakeups", stats.wakeups),
         ("executor.deque_depth_hwm", stats.deque_depth_hwm),
         ("executor.affinity_hits", stats.affinity_hits),
         ("executor.affinity_misses", stats.affinity_misses),
@@ -873,13 +927,15 @@ pub fn annotate_executor_telemetry(telemetry: &patty_telemetry::Telemetry, execu
 }
 
 /// A persistent lane: local deque, then injector batches, then sibling
-/// stealing, then the resident handoff queue, then parked on the
-/// condvar. `first` seeds a lane started for a specific resident task.
+/// stealing, then parked on its own condvar until a hand-off or the
+/// idle-wait timeout. `first` seeds a lane started for a specific
+/// resident task; a resident handed to a parked lane runs as soon as
+/// the lane wakes, before it looks at its deque or the injector.
 ///
 /// A lane continuously quiescent past `Inner::retire_after` retires: it
 /// deregisters its stealer, decrements `live` and exits, all under the
-/// registry lock — so the resident invariant (`resident.len() < idle`
-/// after queuing) is never observed broken, and a retirement racing a
+/// registry lock while it is off the parked stack — so no hand-off can
+/// be addressed to a retiring lane, and a retirement racing a
 /// submission at worst makes the submitter start a fresh lane.
 fn lane_main(
     inner: Arc<Inner>,
@@ -888,13 +944,17 @@ fn lane_main(
     me: Arc<LaneStats>,
     first: Option<ResidentTask>,
 ) {
-    let mut cache = StealerCache::new();
-    let mut idle_since: Option<std::time::Instant> = None;
-    if let Some(resident) = first {
+    let run_resident = |resident: ResidentTask| {
         inner.stats.tasks_executed.fetch_add(1, Ordering::SeqCst);
         me.resident_executed.fetch_add(1, Ordering::SeqCst);
         record_affinity(&inner, lane_id, resident.hint.as_ref());
         run_task(resident.task);
+    };
+    let wake = Arc::new(Condvar::new());
+    let mut cache = StealerCache::new();
+    let mut idle_since: Option<std::time::Instant> = None;
+    if let Some(resident) = first {
+        run_resident(resident);
     }
     loop {
         // Local LIFO work first (cache-warm), then refill from the
@@ -932,31 +992,10 @@ fn lane_main(
             run_task(task);
             continue;
         }
-        // Nothing stealable: check the resident queue and park. The
-        // injector re-check under the lock closes the missed-wakeup
-        // window (submit_short pushes before it takes this lock).
+        // Nothing stealable: park. The injector re-check under the lock
+        // closes the missed-wakeup window (submit_short pushes before it
+        // takes this lock, and sees this lane parked once it has it).
         let mut reg = inner.lock();
-        // Prefer a resident task hinted at this lane; otherwise take
-        // the front unconditionally — preference reorders, it never
-        // strands a task (the resident invariant needs every parked
-        // lane to accept any queued task).
-        let hinted = reg
-            .resident
-            .iter()
-            .position(|t| t.hint.as_ref().is_some_and(|h| h.0.load(Ordering::SeqCst) == lane_id));
-        let picked = match hinted {
-            Some(i) => reg.resident.remove(i),
-            None => reg.resident.pop_front(),
-        };
-        if let Some(resident) = picked {
-            drop(reg);
-            idle_since = None;
-            inner.stats.tasks_executed.fetch_add(1, Ordering::SeqCst);
-            me.resident_executed.fetch_add(1, Ordering::SeqCst);
-            record_affinity(&inner, lane_id, resident.hint.as_ref());
-            run_task(resident.task);
-            continue;
-        }
         if !inner.injector.is_empty() {
             continue;
         }
@@ -967,9 +1006,8 @@ fn lane_main(
         }
         // A full scan found nothing: the quiescent period starts (or
         // continues) now. The local deque is empty here — only this
-        // lane pushes to it — so retiring strands no task; the resident
-        // queue was just drained under this same lock, so no queued
-        // resident task loses the lane it was promised.
+        // lane pushes to it — so retiring strands no task, and a lane
+        // off the parked stack has no hand-off waiting for it.
         let now = std::time::Instant::now();
         let quiescent_start = *idle_since.get_or_insert(now);
         if let Some(retire_after) = inner.retire_after {
@@ -982,16 +1020,27 @@ fn lane_main(
                 return;
             }
         }
-        reg.idle += 1;
+        reg.parked.push((lane_id, wake.clone()));
         inner.stats.parks.fetch_add(1, Ordering::SeqCst);
         me.parks.fetch_add(1, Ordering::SeqCst);
-        let (mut reg2, _timeout) = inner
-            .work_available
+        let (mut reg, _timeout) = wake
             .wait_timeout(reg, LANE_IDLE_WAIT)
             .unwrap_or_else(PoisonError::into_inner);
-        reg2.idle -= 1;
         inner.stats.unparks.fetch_add(1, Ordering::SeqCst);
         me.unparks.fetch_add(1, Ordering::SeqCst);
+        match reg.handed.iter().position(|(id, _)| *id == lane_id) {
+            Some(at) => match reg.handed.swap_remove(at).1 {
+                Some(resident) => {
+                    drop(reg);
+                    idle_since = None;
+                    run_resident(resident);
+                }
+                None => reg.waking -= 1,
+            },
+            // Timed out (or woke spuriously): no submitter popped this
+            // lane, so it is still on the stack.
+            None => reg.parked.retain(|(id, _)| *id != lane_id),
+        }
     }
 }
 
@@ -1314,24 +1363,56 @@ mod tests {
         });
         annotate_executor_telemetry(&telemetry, &pool);
         let report = telemetry.report();
-        for name in [
-            "executor.lanes_spawned",
-            "executor.lanes_retired",
-            "executor.lanes_live",
-            "executor.short_submitted",
-            "executor.tasks_executed",
-            "executor.tasks_helped",
-            "executor.steals_attempted",
-            "executor.steals_succeeded",
-            "executor.injector_pops",
-            "executor.parks",
-            "executor.deque_depth_hwm",
-        ] {
-            assert!(
-                report.counter(name).is_some(),
-                "executor family counter {name} must always be registered"
-            );
-        }
+        // Every field, named without `..`: a new ExecutorStats counter
+        // does not compile here until it is listed below. The metrics
+        // exporter's twin test (`patty-obs`) holds `patty_executor_*` to
+        // the family this test pins, so both surfaces list the same
+        // counters.
+        let ExecutorStats {
+            lanes_spawned: _,
+            resident_handoffs: _,
+            ephemeral_spawns: _,
+            short_submitted: _,
+            tasks_executed: _,
+            tasks_helped: _,
+            lanes_retired: _,
+            steals_attempted: _,
+            steals_succeeded: _,
+            injector_pops: _,
+            parks: _,
+            unparks: _,
+            wakeups: _,
+            deque_depth_hwm: _,
+            affinity_hits: _,
+            affinity_misses: _,
+        } = ExecutorStats::default();
+        let expected: std::collections::BTreeSet<&str> = [
+            "lanes_spawned",
+            "resident_handoffs",
+            "ephemeral_spawns",
+            "short_submitted",
+            "tasks_executed",
+            "tasks_helped",
+            "lanes_retired",
+            "steals_attempted",
+            "steals_succeeded",
+            "injector_pops",
+            "parks",
+            "unparks",
+            "wakeups",
+            "deque_depth_hwm",
+            "affinity_hits",
+            "affinity_misses",
+            "lanes_live",
+        ]
+        .into_iter()
+        .collect();
+        let registered: std::collections::BTreeSet<&str> = report
+            .counters
+            .iter()
+            .filter_map(|(name, _)| name.strip_prefix("executor."))
+            .collect();
+        assert_eq!(registered, expected, "the executor.* family is exactly the pool's counters");
         assert_eq!(report.counter("executor.short_submitted"), Some(4));
     }
 
@@ -1424,5 +1505,280 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::SeqCst), 8);
+    }
+
+    // Wake protocol. The tests below poll, under a deadline, for every
+    // lane to be parked, and count a trial only when no lane woke on its
+    // own (idle-wait timeout) inside it; no sleep stands in for a margin.
+
+    /// A pool of `lanes` lanes that do not retire during a test. Each
+    /// lane is started by a resident waiting at a barrier for all the
+    /// others, so no lane is free to take the next resident; the first
+    /// one carries `hint`, which so records its lane.
+    fn pool_with_lanes(lanes: usize, hint: Option<&AffinityHint>) -> Executor {
+        let pool = Executor::with_idle_retirement(lanes, Duration::from_secs(3600));
+        let barrier = std::sync::Barrier::new(lanes);
+        pool.scope(SpawnMode::Pooled, |s| {
+            let arrive = || {
+                barrier.wait();
+            };
+            match hint {
+                Some(h) => s.spawn_resident_with_affinity(h, arrive),
+                None => s.spawn_resident(arrive),
+            }
+            for _ in 1..lanes {
+                s.spawn_resident(arrive);
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!((stats.lanes_spawned, stats.ephemeral_spawns), (lanes as u64, 0));
+        pool
+    }
+
+    /// Poll until every live lane is parked with no wake-up outstanding
+    /// and `also` holds, then snapshot the stats under the registry lock,
+    /// so the snapshot sees every lane parked.
+    fn snapshot_when_parked(pool: &Executor, also: impl Fn(&Registry) -> bool) -> ExecutorStats {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            {
+                let reg = pool.inner.lock();
+                if reg.parked.len() == reg.live && reg.handed.is_empty() && also(&reg) {
+                    return pool.stats();
+                }
+            }
+            assert!(std::time::Instant::now() < deadline, "lanes never all parked");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Whether every lane that woke between two snapshots woke for a
+    /// wake-up. A lane leaves the parked stack only when a submitter pops
+    /// it or when it wakes on its own, and the unpark is counted as soon
+    /// as its wait returns; so when this holds, each submission in the
+    /// window saw every lane it did not pop itself still parked.
+    fn no_lane_woke_on_its_own(before: &ExecutorStats, after: &ExecutorStats) -> bool {
+        after.unparks - before.unparks <= after.wakeups - before.wakeups
+    }
+
+    /// Trials to attempt, and how many must be conclusive.
+    const TRIALS: usize = 1000;
+    const CONCLUSIVE: usize = 10;
+
+    #[test]
+    fn one_short_task_wakes_exactly_one_of_the_parked_lanes() {
+        let pool = pool_with_lanes(4, None);
+        let mut conclusive = 0;
+        for _ in 0..TRIALS {
+            let before = snapshot_when_parked(&pool, |_| true);
+            pool.scope(SpawnMode::Pooled, |s| s.spawn(|| {}));
+            let after = pool.stats();
+            if no_lane_woke_on_its_own(&before, &after) {
+                assert_eq!(
+                    after.wakeups - before.wakeups,
+                    1,
+                    "one short task over 4 parked lanes sends one wake-up"
+                );
+                conclusive += 1;
+                if conclusive == CONCLUSIVE {
+                    return;
+                }
+            }
+        }
+        panic!("only {conclusive} of {TRIALS} trials ran without an idle-wait timeout");
+    }
+
+    /// A short-task gate: tasks wait at it until the scope has submitted
+    /// all of them, so a woken lane stays busy and cannot park again and
+    /// be woken a second time inside the burst.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.opened.wait(open).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    #[test]
+    fn a_burst_of_short_tasks_wakes_at_most_one_lane_per_task_and_per_parked_lane() {
+        let lanes = 3;
+        let pool = pool_with_lanes(lanes, None);
+        for k in [1usize, 2, 3, 5, 16, 64] {
+            let before = snapshot_when_parked(&pool, |_| true);
+            let gate = Gate::default();
+            let ran = AtomicUsize::new(0);
+            pool.scope(SpawnMode::Pooled, |s| {
+                for _ in 0..k {
+                    s.spawn(|| {
+                        gate.wait();
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    });
+                }
+                gate.open();
+            });
+            assert_eq!(ran.load(Ordering::SeqCst), k);
+            let sent = pool.stats().wakeups - before.wakeups;
+            assert!(
+                sent <= k.min(lanes) as u64,
+                "{k} short tasks over {lanes} parked lanes sent {sent} wake-ups"
+            );
+        }
+    }
+
+    #[test]
+    fn a_hinted_resident_goes_to_its_parked_lane_on_the_first_try() {
+        let hint = AffinityHint::new();
+        let pool = pool_with_lanes(3, Some(&hint));
+        let mut conclusive = 0;
+        for _ in 0..TRIALS {
+            let Some(home) = hint.lane() else {
+                // An inconclusive trial found every lane busy and ran
+                // off-pool, which resets the slot: record a lane again.
+                pool.scope(SpawnMode::Pooled, |s| s.spawn_resident_with_affinity(&hint, || {}));
+                continue;
+            };
+            // Parked, but not on top of the stack: popping the most
+            // recently parked lane would miss it.
+            let before = snapshot_when_parked(&pool, |reg| {
+                reg.parked.iter().any(|(lane, _)| *lane == home)
+                    && reg.parked.last().is_some_and(|(top, _)| *top != home)
+            });
+            let ran_on = Mutex::new(String::new());
+            pool.scope(SpawnMode::Pooled, |s| {
+                s.spawn_resident_with_affinity(&hint, || {
+                    *ran_on.lock().unwrap() =
+                        std::thread::current().name().unwrap_or_default().to_string();
+                });
+            });
+            let after = pool.stats();
+            if !no_lane_woke_on_its_own(&before, &after) {
+                continue;
+            }
+            assert_eq!(*ran_on.lock().unwrap(), format!("patty-lane-{home}"));
+            assert_eq!(after.affinity_hits - before.affinity_hits, 1);
+            assert_eq!(after.affinity_misses, before.affinity_misses);
+            assert_eq!(after.wakeups - before.wakeups, 1);
+            conclusive += 1;
+            if conclusive == CONCLUSIVE {
+                return;
+            }
+        }
+        panic!("only {conclusive} of {TRIALS} trials ran without an idle-wait timeout");
+    }
+
+    #[test]
+    fn a_lane_handed_a_resident_runs_it_before_any_short_task_it_could_see() {
+        type Log = Arc<Mutex<Vec<(String, &'static str)>>>;
+        fn record(log: &Log, what: &'static str) {
+            let thread = std::thread::current().name().unwrap_or_default().to_string();
+            log.lock().unwrap().push((thread, what));
+        }
+        let pool = pool_with_lanes(1, None);
+        let log: Log = Arc::default();
+        let mut conclusive = 0;
+        for _ in 0..TRIALS {
+            let before = snapshot_when_parked(&pool, |_| true);
+            log.lock().unwrap().clear();
+            // Short work the parked lane would find on any scan, queued
+            // without a wake-up of its own.
+            for _ in 0..3 {
+                let log = log.clone();
+                pool.inner.injector.push(Box::new(move || record(&log, "short")));
+            }
+            pool.scope(SpawnMode::Pooled, |s| {
+                s.spawn_resident(|| record(&log, "resident"));
+                // Hold the caller here, so it does not help (and drain
+                // the short tasks) before the resident has run.
+                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                while !log.lock().unwrap().iter().any(|(_, what)| *what == "resident") {
+                    assert!(std::time::Instant::now() < deadline, "the resident never ran");
+                    std::thread::yield_now();
+                }
+            });
+            let after = pool.stats();
+            if !no_lane_woke_on_its_own(&before, &after) {
+                continue;
+            }
+            let log = log.lock().unwrap();
+            let lane = &log.iter().find(|(_, what)| *what == "resident").unwrap().0;
+            assert_eq!(lane, "patty-lane-0", "the parked lane took the resident");
+            let first = log.iter().find(|(thread, _)| thread == lane).unwrap();
+            assert_eq!(first.1, "resident", "the lane ran short work first: {log:?}");
+            conclusive += 1;
+            if conclusive == CONCLUSIVE {
+                return;
+            }
+        }
+        panic!("only {conclusive} of {TRIALS} trials ran without an idle-wait timeout");
+    }
+
+    /// Mixed short and resident scopes on pools of cap 1, 2 and 4: every
+    /// task runs exactly once and the pool accounts for each. A scope's
+    /// residents pass a token round a ring of channels, the first one
+    /// waiting for it to come back, so they need threads of their own at
+    /// once and deadlock if one is queued behind another. Fixed counts,
+    /// no timing.
+    #[test]
+    fn mixed_short_and_resident_scopes_run_every_task_exactly_once() {
+        const SCOPES: usize = 2_000;
+        for cap in [1, 2, 4] {
+            let pool = Executor::with_threads(cap);
+            let (mut shorts, mut residents) = (0u64, 0u64);
+            let runs: Vec<AtomicUsize> = (0..SCOPES * 8).map(|_| AtomicUsize::new(0)).collect();
+            for i in 0..SCOPES {
+                let n_short = i % 5;
+                let n_resident = [0, 2, 3][i % 3];
+                let slots = &runs[i * 8..(i + 1) * 8];
+                pool.scope(SpawnMode::Pooled, |s| {
+                    let ring: Vec<_> =
+                        (0..n_resident).map(|_| crossbeam::channel::bounded::<u32>(1)).collect();
+                    for r in 0..n_resident {
+                        let rx = ring[r].1.clone();
+                        let tx = ring[(r + 1) % n_resident].0.clone();
+                        let slot = &slots[r];
+                        s.spawn_resident(move || {
+                            if r == 0 {
+                                tx.send(1).unwrap();
+                                assert_eq!(rx.recv().unwrap(), n_resident as u32);
+                            } else {
+                                tx.send(rx.recv().unwrap() + 1).unwrap();
+                            }
+                            slot.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                    for slot in &slots[n_resident..n_resident + n_short] {
+                        s.spawn(move || {
+                            slot.fetch_add(1, Ordering::SeqCst);
+                        });
+                    }
+                });
+                shorts += n_short as u64;
+                residents += n_resident as u64;
+                for (j, slot) in slots.iter().enumerate() {
+                    let expected = usize::from(j < n_resident + n_short);
+                    assert_eq!(slot.load(Ordering::SeqCst), expected, "cap {cap}, scope {i}, task {j}");
+                }
+            }
+            let stats = pool.stats();
+            assert_eq!(stats.short_submitted, shorts, "cap {cap}");
+            assert_eq!(
+                stats.tasks_executed + stats.tasks_helped,
+                shorts + residents - stats.ephemeral_spawns,
+                "cap {cap}: every short task and every resident that ran on a lane is counted once \
+                 ({stats:?})"
+            );
+        }
     }
 }

@@ -176,18 +176,27 @@ fn concurrent_runs_from_multiple_threads_stay_isolated() {
 fn cancellation_of_one_run_does_not_stall_another() {
     let token = CancelToken::new();
     let cancel_opts = RunOptions::new().with_cancel(token.clone());
+    let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+    let started_tx = std::sync::Mutex::new(Some(started_tx));
+    let stage_token = token.clone();
 
+    // The doomed stage announces its first item, then holds it until
+    // the token is cancelled, so the run is in flight when it is
+    // cancelled and cannot finish before.
     let doomed = std::thread::spawn(move || {
-        let p = Pipeline::new(vec![Stage::new("slow", |x: i64| {
-            std::thread::sleep(Duration::from_millis(2));
+        let p = Pipeline::new(vec![Stage::new("held", move |x: i64| {
+            if let Some(tx) = started_tx.lock().unwrap().take() {
+                tx.send(()).unwrap();
+                while !stage_token.is_cancelled() {
+                    std::thread::yield_now();
+                }
+            }
             x
         })]);
         p.run_checked((0..500).collect(), &cancel_opts)
     });
 
-    // Let the doomed run get in flight, then cancel it while a healthy
-    // run executes beside it.
-    std::thread::sleep(Duration::from_millis(10));
+    started_rx.recv().expect("the doomed run reached its stage");
     token.cancel();
 
     let healthy = Pipeline::new(vec![
@@ -254,7 +263,7 @@ fn quiescent_pool_decays_and_regrows_across_runs() {
     let warm = pool.stats();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while pool.lanes_live() > 0 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(2));
+        std::thread::yield_now();
     }
     assert_eq!(pool.lanes_live(), 0, "quiescent lanes must all retire");
     assert!(pool.stats().lanes_retired >= 1, "retirement must be observable in stats");
