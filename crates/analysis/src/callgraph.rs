@@ -105,11 +105,6 @@ impl CallGraph {
         seen.remove(root);
         seen
     }
-
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
-    }
 }
 
 #[cfg(test)]

@@ -208,11 +208,6 @@ impl FaultPlan {
             .map_or(0, |c| c.load(Ordering::SeqCst))
     }
 
-    /// Total planted faults (fired or not).
-    pub fn planned(&self) -> usize {
-        self.inner.specs.lock().len()
-    }
-
     /// The `(stage, nth, kind)` of every planted fault, in planting
     /// order — lets a harness report *where* it injected.
     pub fn spec_summary(&self) -> Vec<(String, u64, FaultKind)> {
@@ -249,26 +244,6 @@ impl std::fmt::Debug for FaultPlan {
 /// [`patty_chess::FaultScenario`]s.
 pub mod chess {
     use patty_chess::{FaultScenario, InjectKind};
-    use std::time::Duration;
-
-    /// Translate a faultsim fault kind into its chess injection: delays
-    /// become virtual ticks (1 tick ≈ 1 ms of modeled time, minimum 1),
-    /// and a dropped item is a first-class `Drop` decision instead of a
-    /// tagged panic — the cooperative scheduler can skip work without
-    /// killing the task.
-    pub fn inject_kind(kind: &crate::FaultKind) -> InjectKind {
-        match kind {
-            crate::FaultKind::Panic => InjectKind::Panic,
-            crate::FaultKind::Delay(d) => {
-                InjectKind::DelayTicks((duration_ticks(*d)).max(1))
-            }
-            crate::FaultKind::DropItem => InjectKind::DropItem,
-        }
-    }
-
-    fn duration_ticks(d: Duration) -> u64 {
-        d.as_millis().min(u128::from(u64::MAX)) as u64
-    }
 
     /// The joint scenario matrix for a set of stage labels: the no-fault
     /// scenario plus every (stage × position × kind) single-fault

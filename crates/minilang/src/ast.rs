@@ -251,15 +251,6 @@ impl Stmt {
         }
     }
 
-    /// True for statements that affect control flow across iterations
-    /// (rule PLCD cares about these).
-    pub fn is_jump(&self) -> bool {
-        matches!(
-            self.kind,
-            StmtKind::Break | StmtKind::Continue | StmtKind::Return(_)
-        )
-    }
-
     /// True for loop statements (rule PLPL: every loop is a pipeline
     /// candidate).
     pub fn is_loop(&self) -> bool {

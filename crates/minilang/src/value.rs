@@ -182,15 +182,6 @@ impl Value {
             _ => false,
         }
     }
-
-    /// Heap identity if this value is heap-allocated.
-    pub fn heap_id(&self) -> Option<HeapId> {
-        match self {
-            Value::List(l) => Some(l.id),
-            Value::Object(o) => Some(o.id),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {

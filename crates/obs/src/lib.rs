@@ -184,8 +184,6 @@ impl MetricsRegistry {
             ("patty_executor_unparks_total", "Times a parked lane woke (wake-up or idle-wait timeout).", Counter, stats.unparks),
             ("patty_executor_wakeups_total", "Wake-ups sent to a parked lane, one per hand-off.", Counter, stats.wakeups),
             ("patty_executor_deque_depth_hwm", "Highest local-deque depth any lane observed after a batch refill.", Gauge, stats.deque_depth_hwm),
-            ("patty_executor_affinity_hits_total", "Hinted resident tasks that ran on their remembered lane.", Counter, stats.affinity_hits),
-            ("patty_executor_affinity_misses_total", "Hinted resident tasks that ran on a different lane or off-pool.", Counter, stats.affinity_misses),
         ];
         for (name, help, kind, value) in g {
             self.set(name, *kind, help, &[], *value);
@@ -389,8 +387,6 @@ mod tests {
             unparks: 9,
             wakeups: 6,
             deque_depth_hwm: 7,
-            affinity_hits: 3,
-            affinity_misses: 1,
         };
         let lanes = vec![
             LaneSnapshot { lane_id: 0, short_executed: 50, resident_executed: 1, ..LaneSnapshot::default() },

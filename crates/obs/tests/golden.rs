@@ -33,8 +33,6 @@ fn golden_registry() -> MetricsRegistry {
             unparks: 12,
             wakeups: 8,
             deque_depth_hwm: 9,
-            affinity_hits: 5,
-            affinity_misses: 1,
         },
         &[
             LaneSnapshot {

@@ -279,7 +279,6 @@ pub fn serve(args: &[String]) -> i32 {
             ..AdmissionConfig::default()
         },
         job_deadline: Duration::from_millis(deadline_ms),
-        use_executor: true,
     };
     let service = Service::new(PattyJobRunner::new(), cfg);
     if use_stdin {

@@ -41,8 +41,7 @@ pub mod pipeline;
 
 pub use config::{LoopTuning, PipelineTuning};
 pub use executor::{
-    annotate_executor_telemetry, stage_affinity, AffinityHint, Executor, ExecutorStats,
-    LaneSnapshot, SpawnMode,
+    annotate_executor_telemetry, Executor, ExecutorStats, LaneSnapshot, SpawnMode,
 };
 pub use fault::{register_fault_counters, CancelToken, FailurePolicy, RunOptions, RuntimeError};
 pub use masterworker::{Item, MasterWorker};

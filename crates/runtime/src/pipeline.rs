@@ -134,11 +134,6 @@ impl<T: Send + 'static> Pipeline<T> {
         }
     }
 
-    /// Number of (unfused) stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
-
     /// Set the SequentialExecution flag.
     pub fn sequential(mut self, sequential: bool) -> Pipeline<T> {
         self.sequential = sequential;
@@ -329,13 +324,7 @@ impl<T: Send + 'static> Pipeline<T> {
                     let errors = &errors;
                     let stage_deadline = opts.stage_deadline;
                     let wt = self.tracer.worker(stage_id, worker);
-                    // Sticky lane preference per (effective stage ×
-                    // worker): the slot outlives this run, so the next
-                    // run of the same pipeline shape lands each worker
-                    // on its previous lane (warm stack and deque).
-                    let affinity =
-                        crate::executor::stage_affinity(&format!("pipeline.{}.{worker}", stage.name));
-                    scope.spawn_resident_with_affinity(&affinity, move || {
+                    scope.spawn_resident(move || {
                         let _wall = telemetry.span(&span_name);
                         let guard = Guard::new(stage_name, stage_deadline, counters, &wt);
                         let record_depth = telemetry.is_enabled();

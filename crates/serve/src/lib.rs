@@ -26,7 +26,8 @@
 //!   loopback by one loop: request lines read as bytes and capped at
 //!   [`MAX_LINE_BYTES`], each response framed with its newline into a
 //!   single write, a hit spliced from the entry's pre-rendered bytes;
-//!   jobs execute on the shared `patty_runtime::executor` pool;
+//!   each connection is a resident task on the shared
+//!   `patty_runtime::executor` pool and runs its jobs on its own lane;
 //! - a live `patty_serve_*` scrape of the whole plane through
 //!   `patty_obs::MetricsRegistry`.
 

@@ -1,6 +1,6 @@
 //! The service proper: single-flight dedup, deadline watchdog, job
-//! execution on the shared executor pool, the line protocol loop, and
-//! the live metrics scrape.
+//! execution on the thread that submitted it (a TCP connection's lane),
+//! the line protocol loop, and the live metrics scrape.
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::cache::{Artifact, CacheConfig, CacheSource, ShardedCache};
@@ -83,9 +83,6 @@ pub struct ServeConfig {
     pub admission: AdmissionConfig,
     /// Wall budget per job; the watchdog cancels the job's token past it.
     pub job_deadline: Duration,
-    /// Run job bodies inside the shared executor pool (the default).
-    /// Off runs them on the calling thread — for deterministic tests.
-    pub use_executor: bool,
 }
 
 impl Default for ServeConfig {
@@ -94,7 +91,6 @@ impl Default for ServeConfig {
             cache: CacheConfig::default(),
             admission: AdmissionConfig::default(),
             job_deadline: Duration::from_secs(30),
-            use_executor: true,
         }
     }
 }
@@ -445,25 +441,12 @@ impl<R: JobRunner> Service<R> {
         }
     }
 
-    /// Run the job body on the shared executor pool (dogfooding the
-    /// runtime this service exists to serve), catching panics.
+    /// Run the job body on the calling thread, turning a panic into an
+    /// error. Over TCP that thread is the connection's own executor
+    /// lane, so a miss starts at once instead of after a hand-off.
     fn run_job(&self, kind: JobKind, source: &str, ctl: &JobCtl) -> Result<Json, String> {
-        let body = || {
-            std::panic::catch_unwind(AssertUnwindSafe(|| self.runner.run(kind, source, ctl)))
-                .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_payload(&*payload))))
-        };
-        if !self.cfg.use_executor {
-            return body();
-        }
-        let slot: Mutex<Option<Result<Json, String>>> = Mutex::new(None);
-        Executor::global().scope(SpawnMode::Pooled, |scope| {
-            scope.spawn_resident(|| {
-                *slot.lock().unwrap() = Some(body());
-            });
-        });
-        slot.into_inner()
-            .unwrap()
-            .expect("executor scope returned before the job task ran")
+        std::panic::catch_unwind(AssertUnwindSafe(|| self.runner.run(kind, source, ctl)))
+            .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_payload(&*payload))))
     }
 
     /// The live `patty_serve_*` scrape plus the executor's own families.

@@ -47,7 +47,6 @@ fn quick_config() -> ServeConfig {
             retry_after: Duration::from_millis(5),
         },
         job_deadline: Duration::from_secs(5),
-        use_executor: false,
     }
 }
 
@@ -172,14 +171,18 @@ fn overload_sheds_with_a_retry_hint_instead_of_queueing_unboundedly() {
 }
 
 #[test]
-fn jobs_run_on_the_shared_executor_pool() {
-    let calls = Arc::new(AtomicU64::new(0));
-    let mut cfg = quick_config();
-    cfg.use_executor = true;
-    let svc = Service::new(counting_runner(calls, Duration::ZERO), cfg);
-    match svc.submit(JobKind::Analyze, "pooled") {
+fn a_job_runs_on_the_thread_that_submitted_it() {
+    // The default configuration: no test-only switch picks the thread.
+    let svc = Service::new(
+        |_: JobKind, _: &str, _: &JobCtl| -> Result<Json, String> {
+            Ok(Json::Str(format!("{:?}", std::thread::current().id())))
+        },
+        ServeConfig::default(),
+    );
+    let caller = format!("{:?}", std::thread::current().id());
+    match svc.submit(JobKind::Analyze, "where") {
         Served::Computed { result, .. } => {
-            assert_eq!(result.get("kind").and_then(Json::as_str), Some("analyze"));
+            assert_eq!(result.as_str(), Some(caller.as_str()));
         }
         other => panic!("expected a computed result, got {other:?}"),
     }
@@ -252,9 +255,7 @@ fn line_loopback_round_trips_jobs_stats_and_shutdown() {
 #[test]
 fn tcp_server_round_trips_and_shuts_down_cleanly() {
     let calls = Arc::new(AtomicU64::new(0));
-    let mut cfg = quick_config();
-    cfg.use_executor = true;
-    let svc = Arc::new(Service::new(counting_runner(calls, Duration::ZERO), cfg));
+    let svc = Arc::new(Service::new(counting_runner(calls, Duration::ZERO), quick_config()));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = {
@@ -456,9 +457,7 @@ fn hostile_lines_get_structured_errors_and_the_connection_keeps_serving() {
 /// the service down and join it.
 fn with_tcp_service(client: impl FnOnce(TcpStream)) {
     let calls = Arc::new(AtomicU64::new(0));
-    let mut cfg = quick_config();
-    cfg.use_executor = true;
-    let svc = Arc::new(Service::new(counting_runner(calls, Duration::ZERO), cfg));
+    let svc = Arc::new(Service::new(counting_runner(calls, Duration::ZERO), quick_config()));
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let server = {

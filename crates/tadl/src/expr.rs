@@ -139,11 +139,6 @@ impl TadlExpr {
         }
     }
 
-    /// Number of items.
-    pub fn item_count(&self) -> usize {
-        self.items().len()
-    }
-
     /// JSON form, one variant key per node:
     /// `{"item": {"name": "...", "replicable": bool}}`,
     /// `{"pipeline": [...]}` or `{"parallel": [...]}`.
