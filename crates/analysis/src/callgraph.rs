@@ -90,21 +90,6 @@ impl CallGraph {
         self.edges.keys().map(|s| s.as_str())
     }
 
-    /// Transitive closure of callees from `root`.
-    pub fn reachable(&self, root: &str) -> BTreeSet<String> {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![root.to_string()];
-        while let Some(n) = stack.pop() {
-            if !seen.insert(n.clone()) {
-                continue;
-            }
-            for c in self.callees(&n) {
-                stack.push(c.to_string());
-            }
-        }
-        seen.remove(root);
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -145,11 +130,14 @@ mod tests {
     }
 
     #[test]
-    fn reachable_is_transitive() {
+    fn each_call_is_an_edge_of_its_own_caller() {
         let src = "fn a() { b(); } fn b() { c(); } fn c() { } fn main() { a(); }";
         let cg = CallGraph::build(&parse(src).unwrap());
-        let r = cg.reachable("main");
-        assert!(r.contains("a") && r.contains("b") && r.contains("c"));
+        let callees = |f| cg.callees(f).collect::<Vec<_>>();
+        assert_eq!(callees("main"), ["a"]);
+        assert_eq!(callees("a"), ["b"]);
+        assert_eq!(callees("b"), ["c"]);
+        assert!(callees("c").is_empty());
     }
 
     #[test]

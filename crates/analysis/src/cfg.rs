@@ -45,7 +45,7 @@ impl Cfg {
     }
 
     /// Successors of a node.
-    pub fn succs(&self, n: CfgNode) -> impl Iterator<Item = CfgNode> + '_ {
+    pub(crate) fn succs(&self, n: CfgNode) -> impl Iterator<Item = CfgNode> + '_ {
         self.succs.get(&n).into_iter().flatten().copied()
     }
 
@@ -57,14 +57,6 @@ impl Cfg {
     /// All nodes.
     pub fn nodes(&self) -> impl Iterator<Item = CfgNode> + '_ {
         self.succs.keys().copied()
-    }
-
-    /// Number of statement nodes.
-    pub fn stmt_count(&self) -> usize {
-        self.succs
-            .keys()
-            .filter(|n| matches!(n, CfgNode::Stmt(_)))
-            .count()
     }
 
     /// Is `to` reachable from `from` along CFG edges?
@@ -208,7 +200,7 @@ mod tests {
     #[test]
     fn straight_line_chains_to_exit() {
         let (_, cfg) = cfg_of("fn main() { var a = 1; var b = 2; var c = 3; }");
-        assert_eq!(cfg.stmt_count(), 3);
+        assert_eq!(cfg.nodes().filter(|n| matches!(n, CfgNode::Stmt(_))).count(), 3);
         assert!(cfg.reaches(CfgNode::Entry, CfgNode::Exit));
     }
 

@@ -43,7 +43,7 @@ impl FnSummary {
     /// Like [`FnSummary::apply`] but for constructors: the receiver is a
     /// freshly allocated object, so `this`-rooted effects touch memory no
     /// one else can see yet and are dropped.
-    pub fn apply_fresh(&self, arg_paths: &[Option<String>], e: &mut Effects) {
+    pub(crate) fn apply_fresh(&self, arg_paths: &[Option<String>], e: &mut Effects) {
         self.apply_inner(Receiver::Fresh, arg_paths, e);
     }
 
@@ -145,7 +145,7 @@ impl SummaryTable {
     }
 
     /// Summary of a free (non-method) function, if declared.
-    pub fn free_function(&self, name: &str) -> Option<&FnSummary> {
+    pub(crate) fn free_function(&self, name: &str) -> Option<&FnSummary> {
         self.free.get(name)
     }
 

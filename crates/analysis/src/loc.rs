@@ -61,7 +61,7 @@ impl StaticLoc {
     ///
     /// `None` argument paths (the argument was not a simple path) degrade
     /// to [`StaticLoc::Unknown`].
-    pub fn rebase(
+    pub(crate) fn rebase(
         &self,
         receiver: Option<&str>,
         params: &[String],

@@ -169,7 +169,7 @@ pub fn jump_effects(stmt: &Stmt) -> JumpEffects {
 
 /// Names declared by `var` directly or transitively inside a statement,
 /// used to classify which `Var` locations are iteration-local.
-pub fn declared_vars(stmt: &Stmt) -> Vec<String> {
+pub(crate) fn declared_vars(stmt: &Stmt) -> Vec<String> {
     let mut out = Vec::new();
     patty_minilang::ast::visit_stmt(stmt, &mut |s| {
         if let StmtKind::VarDecl { name, .. } = &s.kind {

@@ -116,15 +116,6 @@ impl SemanticModel {
         1.0 / n as f64
     }
 
-    /// Did the dynamic analysis observe this loop executing at all?
-    pub fn loop_observed(&self, loop_id: NodeId) -> bool {
-        self.profile
-            .as_ref()
-            .and_then(|p| p.loop_traces.get(&loop_id))
-            .map(|t| t.iterations > 0)
-            .unwrap_or(false)
-    }
-
     /// Observed iteration count of a loop (0 without a profile).
     pub fn loop_iterations(&self, loop_id: NodeId) -> u64 {
         self.profile
@@ -186,7 +177,7 @@ mod tests {
         let l = &m.loops[0];
         let share = m.stage_cost_share(l.id, l.body_stmts[0]);
         assert!((share - 1.0 / 3.0).abs() < 1e-9);
-        assert!(!m.loop_observed(l.id));
+        assert_eq!(m.loop_iterations(l.id), 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 /// A vector clock over thread ids.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VectorClock {
+pub(crate) struct VectorClock {
     ticks: Vec<u32>,
 }
 
@@ -38,16 +38,11 @@ impl VectorClock {
     }
 
     /// Does `self` happen before or equal `other` (pointwise ≤)?
-    pub fn le(&self, other: &VectorClock) -> bool {
+    pub(crate) fn le(&self, other: &VectorClock) -> bool {
         self.ticks
             .iter()
             .enumerate()
             .all(|(i, t)| *t <= other.get(i))
-    }
-
-    /// Are the two clocks concurrent (neither ≤ the other)?
-    pub fn concurrent(&self, other: &VectorClock) -> bool {
-        !self.le(other) && !other.le(self)
     }
 }
 
@@ -60,7 +55,6 @@ mod tests {
         let a = VectorClock::new();
         let b = VectorClock::new();
         assert!(a.le(&b) && b.le(&a));
-        assert!(!a.concurrent(&b));
     }
 
     #[test]
@@ -78,7 +72,7 @@ mod tests {
         let mut b = VectorClock::new();
         a.tick(0);
         b.tick(1);
-        assert!(a.concurrent(&b));
+        assert!(!a.le(&b) && !b.le(&a), "neither clock is before the other");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! the thing lock clocks cannot capture, and reversing it is how the
 //! ABBA deadlock is discovered.
 //!
-//! The preemption-bounded DFS ([`crate::explore`]) stays as the
+//! The preemption-bounded DFS ([`crate::explore()`]) stays as the
 //! differential oracle: on the known-bug corpus both must report the
 //! identical failure set, with DPOR running strictly fewer schedules
 //! (asserted in `tests/known_bugs.rs` and the chess bench guard).
@@ -89,11 +89,6 @@ struct DporPolicy {
     /// Set when every enabled task was asleep: the rest of this run is
     /// known-redundant, so no further nodes are created.
     pruned: bool,
-    /// Preferred decision sequence for fresh (uncommitted) steps — a
-    /// seed schedule from [`ChessOptions::seed_schedules`]. Entries that
-    /// are stale (not runnable) or asleep fall back to the default
-    /// choice, so an out-of-date seed degrades to a normal run.
-    seed: Vec<usize>,
 }
 
 impl Policy for DporPolicy {
@@ -112,14 +107,8 @@ impl Policy for DporPolicy {
         if self.pruned {
             return runnable[0];
         }
-        let asleep = |t: usize| self.sleep.iter().any(|(s, _)| *s == t);
-        let fresh = self
-            .seed
-            .get(step)
-            .copied()
-            .filter(|&t| runnable.contains(&t) && !asleep(t))
-            .or_else(|| runnable.iter().copied().find(|&t| !asleep(t)));
-        match fresh {
+        let awake = runnable.iter().copied().find(|&t| !self.sleep.iter().any(|(s, _)| *s == t));
+        match awake {
             None => {
                 self.pruned = true;
                 runnable[0]
@@ -270,43 +259,12 @@ where
     let hash_seed = scenario_seed(scenario);
     let mut nodes: Vec<Node> = Vec::new();
     let mut report = Report::default();
-    // Seed pass: run each known-bad schedule first, fully instrumented,
-    // so a regressed bug fails on schedule 1 and the seed path's races
-    // feed the backtrack frontier immediately. DPOR is complete from
-    // *any* initial path, so adopting the last seed's path as the
-    // committed prefix (earlier seeds contribute only their failures)
-    // keeps the search sound and exhaustive.
-    for seed in &options.seed_schedules {
-        let mut policy = DporPolicy {
-            path_len: 0,
-            nodes: Vec::new(),
-            sleep: Vec::new(),
-            pruned: false,
-            seed: seed.clone(),
-        };
-        let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
-        nodes = policy.nodes;
-        report.absorb_run(run.failures, run.steps);
-        apply_backtracks(&run.step_infos, &mut nodes);
-        if (options.stop_on_first_failure && report.failed())
-            || report.schedules >= options.max_schedules
-        {
-            close_dpor_frontier(&mut report, &nodes);
-            return report;
-        }
-        if !advance(&mut nodes, &run.step_infos) {
-            report.complete = true;
-            close_dpor_frontier(&mut report, &nodes);
-            return report;
-        }
-    }
     loop {
         let mut policy = DporPolicy {
             path_len: nodes.len(),
             nodes: std::mem::take(&mut nodes),
             sleep: Vec::new(),
             pruned: false,
-            seed: Vec::new(),
         };
         let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
         nodes = policy.nodes;
@@ -314,10 +272,6 @@ where
         // Race analysis before the exit checks, so a truncated search's
         // frontier still reflects the last run's backtrack points.
         apply_backtracks(&run.step_infos, &mut nodes);
-        if options.stop_on_first_failure && report.failed() {
-            close_dpor_frontier(&mut report, &nodes);
-            return report;
-        }
         if report.schedules >= options.max_schedules {
             close_dpor_frontier(&mut report, &nodes);
             return report;
@@ -520,62 +474,6 @@ mod tests {
             truncated.estimated_total,
             full.schedules
         );
-    }
-
-    #[test]
-    fn seeded_search_hits_known_failure_on_first_schedule() {
-        // Harvest the failure witnesses of one full search, then hand
-        // them back as seeds: the known bug must now fall out of the
-        // very first schedule instead of being rediscovered.
-        let first = explore_dpor(racy_counter, ChessOptions::default());
-        let seeds = first.failure_schedules();
-        assert!(!seeds.is_empty());
-        let reseeded = explore_dpor(
-            racy_counter,
-            ChessOptions {
-                seed_schedules: seeds,
-                stop_on_first_failure: true,
-                ..ChessOptions::default()
-            },
-        );
-        assert_eq!(reseeded.schedules, 1, "seed must replay the bug immediately");
-        // The early stop reports the first seed's bug; whatever it found
-        // must be one of the harvested failures.
-        assert!(reseeded.failed());
-        assert!(kinds(&reseeded).is_subset(&kinds(&first)), "{:?}", reseeded.failures);
-    }
-
-    #[test]
-    fn seeded_search_stays_complete_and_matches_the_oracle() {
-        // With the budget left open, seeding only reorders exploration:
-        // the search still exhausts the reduced space and reports the
-        // same failure set as the unseeded run and the DFS oracle.
-        let first = explore_dpor(racy_counter, ChessOptions::default());
-        let seeded = explore_dpor(
-            racy_counter,
-            ChessOptions {
-                seed_schedules: first.failure_schedules(),
-                ..ChessOptions::default()
-            },
-        );
-        let dfs = explore(racy_counter, ChessOptions::default());
-        assert!(seeded.complete);
-        assert_eq!(kinds(&seeded), kinds(&first));
-        assert_eq!(kinds(&seeded), kinds(&dfs));
-    }
-
-    #[test]
-    fn stale_seeds_degrade_to_a_normal_search() {
-        // Decision entries that name never-runnable tids (the test
-        // changed since the seed was recorded) fall back to the default
-        // choice step by step — no panic, no lost failures.
-        let stale = vec![vec![7, 7, 7, 7, 7, 7, 7, 7], vec![99]];
-        let report = explore_dpor(
-            racy_counter,
-            ChessOptions { seed_schedules: stale, ..ChessOptions::default() },
-        );
-        assert!(report.complete);
-        assert_eq!(kinds(&report), kinds(&explore_dpor(racy_counter, ChessOptions::default())));
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Systematic schedule exploration with iterative preemption bounding.
+//! Systematic schedule exploration: stateless DFS, optionally
+//! preemption-bounded.
 //!
 //! The explorer enumerates schedules depth-first: each run replays a
 //! prefix of scheduling decisions and takes the first unexplored branch at
 //! the deepest decision point, exactly like CHESS's stateless search.
-//! *Iterative context bounding* — CHESS's key idea — explores all
-//! schedules with at most `c` preemptions before trying `c + 1`, because
-//! most concurrency bugs need only a couple of preemptions.
+//! `preemption_bound` caps the preemptions per schedule — CHESS's context
+//! bounding — because most concurrency bugs need only a couple of them.
 //!
 //! [`SearchMode::Dpor`] switches the same entry point to the dynamic
 //! partial-order reduction explorer ([`crate::dpor`]), which visits every
@@ -41,30 +41,16 @@ pub struct ChessOptions {
     pub max_steps: u64,
     /// Maximum preemptions per schedule (`None` = unbounded; DFS only).
     pub preemption_bound: Option<usize>,
-    /// Stop at the first failing schedule.
-    pub stop_on_first_failure: bool,
     /// Search algorithm.
     pub mode: SearchMode,
-    /// Known-bad decision sequences to explore *first* (DPOR only) —
-    /// typically the failure witnesses of an earlier run, i.e. the
-    /// schedules behind previously reported `sched_trace_hash`es (see
-    /// [`Report::failure_schedules`]). A regression on a known bug then
-    /// surfaces on the very first schedule instead of after the search
-    /// rediscovers the interleaving. Stale entries (the test changed and
-    /// a recorded choice is no longer runnable) degrade gracefully to
-    /// the default choice at that step.
-    pub seed_schedules: Vec<Vec<usize>>,
 }
-
 impl Default for ChessOptions {
     fn default() -> ChessOptions {
         ChessOptions {
             max_schedules: 10_000,
             max_steps: 20_000,
             preemption_bound: None,
-            stop_on_first_failure: false,
             mode: SearchMode::Dfs,
-            seed_schedules: Vec::new(),
         }
     }
 }
@@ -92,7 +78,7 @@ pub struct Report {
     /// Frontier-based estimate of the total (DPOR-reduced, for that
     /// mode) schedule space: explored schedules plus a branching-product
     /// estimate of what the open frontier still hides. Equals
-    /// `schedules` for a complete search; capped at [`ESTIMATE_CAP`].
+    /// `schedules` for a complete search; capped at `ESTIMATE_CAP`.
     pub estimated_total: u64,
 }
 
@@ -100,15 +86,6 @@ impl Report {
     /// Did any schedule fail?
     pub fn failed(&self) -> bool {
         !self.failures.is_empty()
-    }
-
-    /// The witness schedule of every recorded failure, in report order —
-    /// the decision sequences behind the report's `sched_trace_hash`es.
-    /// Feed these into [`ChessOptions::seed_schedules`] on the next run
-    /// so known-bad interleavings are re-checked before the search
-    /// explores anything new.
-    pub fn failure_schedules(&self) -> Vec<Vec<usize>> {
-        self.failures.iter().map(|f| f.schedule.clone()).collect()
     }
 
     /// How much of the (estimated) schedule space the budget explored,
@@ -153,22 +130,6 @@ impl Report {
         self.frontier_open = open;
         self.estimated_total =
             est.max(self.schedules.saturating_add(open)).min(ESTIMATE_CAP);
-    }
-
-    /// Merge another report into this one (used by iterative bounding).
-    pub(crate) fn merge(&mut self, other: Report) {
-        self.schedules += other.schedules;
-        self.total_steps += other.total_steps;
-        self.frontier_open += other.frontier_open;
-        self.estimated_total = self
-            .estimated_total
-            .saturating_add(other.estimated_total)
-            .min(ESTIMATE_CAP);
-        for f in other.failures {
-            if !self.failures.iter().any(|g| g.kind == f.kind) {
-                self.failures.push(f);
-            }
-        }
     }
 
     pub(crate) fn absorb_run(&mut self, failures: Vec<Failure>, steps: u64) {
@@ -268,10 +229,6 @@ where
         let run = run_schedule(test, &mut policy, options.max_steps, scenario, hash_seed);
         frames = policy.frames;
         report.absorb_run(run.failures, run.steps);
-        if options.stop_on_first_failure && report.failed() {
-            close_dfs_frontier(&mut report, &frames);
-            return report;
-        }
         if report.schedules >= options.max_schedules {
             close_dfs_frontier(&mut report, &frames);
             return report;
@@ -305,78 +262,6 @@ fn close_dfs_frontier(report: &mut Report, frames: &[Frame]) {
         .map(|f| (f.choices.len().saturating_sub(f.next + 1)) as u64)
         .sum();
     report.close_frontier(open, frames.iter().map(|f| f.choices.len() as u64));
-}
-
-/// Iterative context bounding: explore with preemption bounds
-/// `0, 1, …, max_bound`, stopping early when a failure is found (if
-/// requested). The returned report accumulates all bounds explored.
-pub fn explore_iterative<F, Fut>(test: F, max_bound: usize, options: ChessOptions) -> Report
-where
-    F: Fn(ThreadCtx) -> Fut + 'static,
-    Fut: Future<Output = ()> + 'static,
-{
-    let test = Rc::new(test);
-    let mut total = Report { complete: true, ..Report::default() };
-    for c in 0..=max_bound {
-        let opts = ChessOptions {
-            preemption_bound: Some(c),
-            max_schedules: options
-                .max_schedules
-                .saturating_sub(total.schedules)
-                .max(1),
-            mode: SearchMode::Dfs,
-            ..options.clone()
-        };
-        let r = explore_dfs_scenario(&test, &FaultScenario::none(), &opts);
-        let complete = r.complete;
-        total.merge(r);
-        total.complete &= complete;
-        if options.stop_on_first_failure && total.failed() {
-            return total;
-        }
-        if total.schedules >= options.max_schedules {
-            total.complete = false;
-            return total;
-        }
-    }
-    total
-}
-
-/// Random schedule sampling — the practical fallback when the state space
-/// is too large to exhaust: `runs` independent random walks over the
-/// scheduling decisions. Far cheaper than DFS per unit of coverage
-/// diversity; finds shallow bugs quickly but gives no completeness
-/// guarantee.
-pub fn explore_random<F, Fut>(test: F, runs: u64, seed: u64, options: ChessOptions) -> Report
-where
-    F: Fn(ThreadCtx) -> Fut + 'static,
-    Fut: Future<Output = ()> + 'static,
-{
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    struct RandomPolicy {
-        rng: StdRng,
-    }
-    impl Policy for RandomPolicy {
-        fn choose(&mut self, _step: usize, runnable: &[usize], _last: Option<usize>) -> usize {
-            runnable[self.rng.gen_range(0..runnable.len())]
-        }
-    }
-
-    let test = Rc::new(test);
-    let scenario = FaultScenario::none();
-    let hash_seed = scenario_seed(&scenario);
-    let mut report = Report::default();
-    for i in 0..runs {
-        let mut policy = RandomPolicy { rng: StdRng::seed_from_u64(seed ^ i) };
-        let run = run_schedule(&test, &mut policy, options.max_steps, &scenario, hash_seed);
-        report.absorb_run(run.failures, run.steps);
-        if options.stop_on_first_failure && report.failed() {
-            break;
-        }
-    }
-    report
 }
 
 struct ReplayPolicy<'a> {
@@ -624,14 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn iterative_bounding_accumulates() {
-        let report = explore_iterative(racy_counter, 2, ChessOptions::default());
-        assert!(report.failed());
-        assert!(report.schedules > 0);
-    }
-
-    #[test]
-    fn failure_schedules_replay() {
+    fn failure_witness_replays() {
         let report = explore(racy_counter, ChessOptions::default());
         let lost = report
             .failures
@@ -884,53 +762,5 @@ mod channel_tests {
             .failures
             .iter()
             .any(|f| f.kind == FailureKind::Deadlock));
-    }
-}
-
-#[cfg(test)]
-mod random_tests {
-    use super::*;
-    use crate::sched::FailureKind;
-
-    async fn racy(ctx: ThreadCtx) {
-        let x = ctx.shared("x", 0i64);
-        let xc = x.clone();
-        let t = ctx.spawn(move |ctx| async move {
-            let v = xc.read(&ctx).await;
-            xc.write(&ctx, v + 1).await;
-        }).await;
-        let v = x.read(&ctx).await;
-        x.write(&ctx, v + 1).await;
-        ctx.join(t).await;
-    }
-
-    #[test]
-    fn random_exploration_finds_shallow_races() {
-        let report = explore_random(racy, 40, 7, ChessOptions::default());
-        assert!(report
-            .failures
-            .iter()
-            .any(|f| matches!(f.kind, FailureKind::Race { .. })));
-        assert_eq!(report.schedules, 40);
-    }
-
-    #[test]
-    fn random_exploration_is_deterministic_per_seed() {
-        let a = explore_random(racy, 10, 3, ChessOptions::default());
-        let b = explore_random(racy, 10, 3, ChessOptions::default());
-        assert_eq!(a.failures.len(), b.failures.len());
-        assert_eq!(a.total_steps, b.total_steps);
-    }
-
-    #[test]
-    fn stop_on_first_failure_stops_early() {
-        let report = explore_random(
-            racy,
-            1000,
-            1,
-            ChessOptions { stop_on_first_failure: true, ..ChessOptions::default() },
-        );
-        assert!(report.failed());
-        assert!(report.schedules < 1000);
     }
 }

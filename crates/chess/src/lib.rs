@@ -11,8 +11,8 @@
 //! threads, every `Shared`/`CMutex`/`CChannel` operation is a
 //! deterministic yield point, blocking is a virtual-time event — so
 //! every schedule gets a stable `sched_trace_hash` and replays
-//! byte-stably. Two search modes share the scheduler: stateless DFS with
-//! iterative preemption bounding (the differential oracle) and dynamic
+//! byte-stably. Two search modes share the scheduler: stateless DFS,
+//! optionally preemption-bounded (the differential oracle), and dynamic
 //! partial-order reduction ([`explore_dpor`]): same failure set,
 //! strictly fewer schedules. The joint explorer ([`explore_joint`])
 //! drives schedules × injected faults ([`FaultScenario`]) in one search.
@@ -55,11 +55,8 @@ pub mod explore;
 pub mod joint;
 pub mod sched;
 
-pub use clock::VectorClock;
 pub use dpor::explore_dpor;
-pub use explore::{
-    explore, explore_iterative, explore_random, replay, ChessOptions, Report, SearchMode,
-};
+pub use explore::{explore, replay, ChessOptions, Report, SearchMode};
 pub use joint::{explore_joint, replay_hash, JointReport, ReplayOutcome, ScenarioReport};
 pub use sched::{
     CChannel, CMutex, Failure, FailureKind, FaultPoint, FaultScenario, Inject, InjectKind,

@@ -41,7 +41,7 @@ fn main() {
 "#;
 
 /// Desktop-search index generator (Meder & Tichy, ref. \[28\]).
-pub const DESKTOP_SEARCH: &str = r#"
+pub(crate) const DESKTOP_SEARCH: &str = r#"
 class Tokenizer {
     var sep = " ";
     fn split(doc) { work(120); return doc.split(this.sep); }
@@ -91,7 +91,7 @@ fn main() {
 "#;
 
 /// Dense matrix multiplication.
-pub const MATMUL: &str = r#"
+pub(crate) const MATMUL: &str = r#"
 fn cell(a, b, i, j, n) {
     var sum = 0;
     for (var k = 0; k < n; k = k + 1) {
@@ -127,7 +127,7 @@ fn main() {
 "#;
 
 /// Word statistics over a token stream.
-pub const WORDSTATS: &str = r#"
+pub(crate) const WORDSTATS: &str = r#"
 class Counters {
     var buckets = [0, 0, 0, 0, 0, 0, 0, 0];
     fn bump(t) {
@@ -158,7 +158,7 @@ fn main() {
 
 /// A ring-buffer cache simulation — the dynamic analysis' blind spot:
 /// conflicts appear only beyond the traced iteration prefix.
-pub const RINGBUFFER: &str = r#"
+pub(crate) const RINGBUFFER: &str = r#"
 fn main() {
     var ring = [];
     for (var i = 0; i < 30; i = i + 1) {
@@ -185,7 +185,7 @@ fn main() {
 "#;
 
 /// N-body simulation step.
-pub const NBODY: &str = r#"
+pub(crate) const NBODY: &str = r#"
 class Body {
     var pos = 0;
     var vel = 0;
@@ -233,7 +233,7 @@ fn main() {
 
 /// Image convolution pipeline with an in-place smoothing pass whose
 /// element conflict *is* visible in the traced prefix.
-pub const IMAGEPIPE: &str = r#"
+pub(crate) const IMAGEPIPE: &str = r#"
 class Blur {
     var radius = 1;
     fn apply(v) { work(150); return (v * 3 + this.radius) % 255; }

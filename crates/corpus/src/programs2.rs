@@ -5,7 +5,7 @@
 //! not a synthetic kernel).
 
 /// CSV-style sales analytics: parse → filter → aggregate → report.
-pub const CSV_ANALYTICS: &str = r#"
+pub(crate) const CSV_ANALYTICS: &str = r#"
 class Row {
     var region = "";
     var amount = 0;
@@ -65,7 +65,7 @@ fn main() {
 "#;
 
 /// Run-length compression and verification.
-pub const RLE_COMPRESS: &str = r#"
+pub(crate) const RLE_COMPRESS: &str = r#"
 fn encode(data) {
     var out = [];
     var i = 0;
@@ -126,7 +126,7 @@ fn main() {
 "#;
 
 /// Mandelbrot-style escape-time fractal over an integer grid.
-pub const MANDELBROT: &str = r#"
+pub(crate) const MANDELBROT: &str = r#"
 class Plane {
     var scale = 40;
     fn escape(cx, cy) {
@@ -167,7 +167,7 @@ fn main() {
 /// Monte-Carlo pi estimation: the RNG makes the draw loop inherently
 /// order-sensitive (the deterministic stream must not be consumed
 /// concurrently), but the counting over pre-drawn samples is parallel.
-pub const MONTECARLO: &str = r#"
+pub(crate) const MONTECARLO: &str = r#"
 fn main() {
     var xs = [];
     var ys = [];
@@ -194,7 +194,7 @@ fn inCircle(x, y) {
 
 /// Spell checking against a dictionary: lookup pipeline plus a
 /// first-match search (early exit — PLCD).
-pub const SPELLCHECK: &str = r#"
+pub(crate) const SPELLCHECK: &str = r#"
 class Dictionary {
     var words = [];
     fn load() {
@@ -237,7 +237,7 @@ fn main() {
 /// One k-means iteration: assignment is pointwise parallel, the centroid
 /// update accumulates into shared sums (parallel only after
 /// privatization — a classic detector miss).
-pub const KMEANS: &str = r#"
+pub(crate) const KMEANS: &str = r#"
 fn dist(a, b) { work(25); return abs(a - b); }
 fn main() {
     var points = [];
@@ -284,7 +284,7 @@ fn nearest(p, centroids) {
 
 /// FIR audio filter bank: per-sample convolution is parallel over the
 /// output (reads only the input window), the feedback echo is not.
-pub const AUDIOFIR: &str = r#"
+pub(crate) const AUDIOFIR: &str = r#"
 class Fir {
     var taps = [3, 5, 7, 5, 3];
     fn apply(signal, i) {
@@ -329,7 +329,7 @@ fn main() {
 "#;
 
 /// Web-server log triage: parse, sessionize (stateful), rank.
-pub const LOGTRIAGE: &str = r#"
+pub(crate) const LOGTRIAGE: &str = r#"
 class Entry {
     var path = "";
     var status = 0;

@@ -4,7 +4,7 @@
 /// mutates shared `dist`/frontier state — a classic "looks parallel"
 /// workload whose per-level inner loop carries real conflicts through
 /// `dist`, while the edge-weight audit below is a clean reduction.
-pub const GRAPH_BFS: &str = r#"
+pub(crate) const GRAPH_BFS: &str = r#"
 class Graph {
     var adj = [];
     fn init(n) {
@@ -58,7 +58,7 @@ fn main() {
 
 /// Prime sieve plus per-number primality audit: the sieve writes overlap
 /// (multiples), the audit is pointwise independent.
-pub const PRIMES: &str = r#"
+pub(crate) const PRIMES: &str = r#"
 fn isPrime(n) {
     work(20);
     if (n < 2) { return 0; }
@@ -101,7 +101,7 @@ fn main() {
 
 /// Polynomial evaluation over a point grid (Horner inside, pointwise
 /// outside) and a derivative check.
-pub const POLYEVAL: &str = r#"
+pub(crate) const POLYEVAL: &str = r#"
 class Poly {
     var coeffs = [];
     fn init(cs) { this.coeffs = cs; }
@@ -142,7 +142,7 @@ fn main() {
 
 /// Moving-average smoothing of a sensor series: window reads only the
 /// input (parallel); the cumulative drift is a scan (sequential).
-pub const SENSOR_SMOOTH: &str = r#"
+pub(crate) const SENSOR_SMOOTH: &str = r#"
 fn window(series, i) {
     work(25);
     var lo = max(0, i - 2);
@@ -181,7 +181,7 @@ fn main() {
 
 /// Matrix transpose and symmetric check — disjoint index writes vs a
 /// reduction over pairs.
-pub const TRANSPOSE: &str = r#"
+pub(crate) const TRANSPOSE: &str = r#"
 fn idx(r, c, n) { return r * n + c; }
 fn main() {
     var n = 8;
@@ -208,7 +208,7 @@ fn main() {
 
 /// Tiny expression tokenizer: the scanner is a stateful character walk
 /// (sequential), token classification afterwards is pointwise.
-pub const TOKENIZER: &str = r#"
+pub(crate) const TOKENIZER: &str = r#"
 fn classify(tok) {
     work(35);
     if (tok == "+" || tok == "*" || tok == "-") { return 1; }

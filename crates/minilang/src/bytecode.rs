@@ -7,7 +7,7 @@
 //!
 //! * **Virtual cost.** The tree-walker ticks one unit per evaluated
 //!   expression node (pre-order) and per executed statement. The compiler
-//!   emits an explicit [`Op::Tick`] before each expression's sub-ops and
+//!   emits an explicit `Op::Tick` before each expression's sub-ops and
 //!   coalesces adjacent ticks — safe because no observable event happens
 //!   between a parent's tick and its first child's, and never across a jump
 //!   target (the `barrier` below).
@@ -33,7 +33,7 @@
 //!   dynamic-scope evaluation of initializer expressions. A class whose
 //!   field initializers construct the class itself (directly or via a
 //!   cycle) cannot terminate under the tree-walker either; such sites
-//!   compile to [`Op::CtorRecursion`], which reports `step limit exceeded`.
+//!   compile to `Op::CtorRecursion`, which reports `step limit exceeded`.
 
 use crate::ast::*;
 use crate::builtins::{BuiltinId, MethodTag};

@@ -20,7 +20,7 @@
 //!    rewritten into single fused ops — slot-load + binop, constant +
 //!    binop, compare + branch, slot-load + slot-store, statement-enter +
 //!    tick, … — and back-edge jumps whose target is a tick absorb it
-//!    ([`Op::TickJump`]). Fusion never crosses a *barrier* (a jump target
+//!    (`Op::TickJump`). Fusion never crosses a *barrier* (a jump target
 //!    or function entry): control entering mid-pair must still observe
 //!    the second op alone.
 //!

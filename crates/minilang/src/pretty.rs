@@ -71,7 +71,7 @@ fn write_func(out: &mut String, f: &FuncDecl, level: usize) {
 }
 
 /// Render a block at the given indentation level.
-pub fn print_block(out: &mut String, b: &Block, level: usize) {
+pub(crate) fn print_block(out: &mut String, b: &Block, level: usize) {
     out.push_str("{\n");
     for s in &b.stmts {
         print_stmt(out, s, level + 1);
@@ -205,7 +205,7 @@ fn print_lvalue(lv: &LValue) -> String {
 }
 
 /// Render an expression.
-pub fn print_expr(e: &Expr) -> String {
+pub(crate) fn print_expr(e: &Expr) -> String {
     print_expr_prec(e, 0)
 }
 

@@ -347,15 +347,6 @@ impl Profile {
         }
     }
 
-    /// Statements ranked by inclusive cost, hottest first. This is what a
-    /// plain runtime profiler (the manual control group's built-in VS
-    /// profiler, or VTune in Parallel Studio) surfaces.
-    pub fn hotspots(&self) -> Vec<(NodeId, u64)> {
-        let mut v: Vec<(NodeId, u64)> = self.stmt_cost.iter().map(|(k, c)| (*k, *c)).collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v
-    }
-
     /// Canonical JSON rendering of the complete profile.
     ///
     /// Every container is ordered (`BTreeMap`/`BTreeSet`, the canonical
@@ -534,15 +525,5 @@ mod tests {
         t.stmt_cost.insert(nid(2), 25);
         assert!((t.cost_share(nid(1)) - 0.75).abs() < 1e-9);
         assert_eq!(t.cost_share(nid(3)), 0.0);
-    }
-
-    #[test]
-    fn hotspots_ranked_by_cost() {
-        let mut p = Profile::default();
-        p.stmt_cost.insert(nid(1), 10);
-        p.stmt_cost.insert(nid(2), 99);
-        p.stmt_cost.insert(nid(3), 50);
-        let ids: Vec<u32> = p.hotspots().iter().map(|(n, _)| n.0).collect();
-        assert_eq!(ids, vec![2, 3, 1]);
     }
 }

@@ -16,9 +16,6 @@ use std::fmt;
 pub struct NodeId(pub u32);
 
 impl NodeId {
-    /// Reserved id of the program root.
-    pub const ROOT: NodeId = NodeId(0);
-
     /// The id as a usize index.
     #[inline]
     pub fn index(self) -> usize {
@@ -98,7 +95,7 @@ impl fmt::Display for Span {
 
 /// Allocates dense [`NodeId`]s during parsing.
 #[derive(Debug, Default)]
-pub struct NodeIdGen {
+pub(crate) struct NodeIdGen {
     next: u32,
 }
 
@@ -160,6 +157,5 @@ mod tests {
         assert_eq!(g.fresh(), NodeId(1));
         assert_eq!(g.fresh(), NodeId(2));
         assert_eq!(g.count(), 3);
-        assert_eq!(NodeId::ROOT.index(), 0);
     }
 }

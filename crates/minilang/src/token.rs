@@ -11,7 +11,7 @@ use crate::error::LangError;
 use crate::span::Span;
 use std::fmt;
 
-/// Token kinds produced by [`Lexer`].
+/// Token kinds produced by `Lexer`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Tok {
     // literals and identifiers
@@ -143,7 +143,7 @@ pub struct Token {
 }
 
 /// Hand-written single-pass lexer.
-pub struct Lexer<'s> {
+pub(crate) struct Lexer<'s> {
     src: &'s str,
     bytes: &'s [u8],
     pos: usize,

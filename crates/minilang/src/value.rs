@@ -8,7 +8,7 @@ use std::rc::Rc;
 /// interpreter so the dynamic analysis can name memory precisely
 /// (the dynamic counterpart to the optimistic syntactic paths used by the
 /// static analysis).
-pub type HeapId = u64;
+pub(crate) type HeapId = u64;
 
 /// A minilang runtime value.
 #[derive(Clone, Debug)]
@@ -43,7 +43,7 @@ pub struct ObjectData {
 /// minilang objects have a handful of fields, so a vector with linear scan
 /// beats a hash map on every axis that matters here — no hashing on access,
 /// one allocation for the table instead of one per key, and inserting an
-/// already-interned name ([`FieldTable::set_interned`]) is a refcount bump.
+/// already-interned name (`FieldTable::set_interned`) is a refcount bump.
 /// Entries keep insertion order; `set` on an existing name replaces in
 /// place, so objects of the same class share a layout.
 #[derive(Debug, Default)]
@@ -73,14 +73,14 @@ impl FieldTable {
     /// Lookup with a pre-interned key. Objects the VM allocates share their
     /// key `Rc`s with the compiled name pool, so the common case is one
     /// pointer comparison per entry; content equality is the fallback.
-    pub fn get_interned(&self, name: &Rc<str>) -> Option<&Value> {
+    pub(crate) fn get_interned(&self, name: &Rc<str>) -> Option<&Value> {
         self.entries
             .iter()
             .find(|(k, _)| Rc::ptr_eq(k, name) || k.as_ref() == name.as_ref())
             .map(|(_, v)| v)
     }
 
-    pub fn get_mut_interned(&mut self, name: &Rc<str>) -> Option<&mut Value> {
+    pub(crate) fn get_mut_interned(&mut self, name: &Rc<str>) -> Option<&mut Value> {
         self.entries
             .iter_mut()
             .find(|(k, _)| Rc::ptr_eq(k, name) || k.as_ref() == name.as_ref())
@@ -93,7 +93,7 @@ impl FieldTable {
     /// of one class may lay the same name out at different offsets — and
     /// the key re-check is what makes a stale hint a miss instead of a
     /// wrong answer.
-    pub fn get_at(&self, idx: usize, name: &Rc<str>) -> Option<&Value> {
+    pub(crate) fn get_at(&self, idx: usize, name: &Rc<str>) -> Option<&Value> {
         match self.entries.get(idx) {
             Some((k, v)) if Rc::ptr_eq(k, name) || k.as_ref() == name.as_ref() => Some(v),
             _ => None,
@@ -102,7 +102,7 @@ impl FieldTable {
 
     /// Like [`FieldTable::get_interned`], but also returns the entry
     /// offset so the caller can cache it for [`FieldTable::get_at`].
-    pub fn get_interned_at(&self, name: &Rc<str>) -> Option<(usize, &Value)> {
+    pub(crate) fn get_interned_at(&self, name: &Rc<str>) -> Option<(usize, &Value)> {
         self.entries
             .iter()
             .enumerate()
@@ -120,7 +120,7 @@ impl FieldTable {
 
     /// Insert or replace with a pre-interned key: lookup is pointer-first
     /// and a miss clones the `Rc` instead of copying the string.
-    pub fn set_interned(&mut self, name: &Rc<str>, value: Value) {
+    pub(crate) fn set_interned(&mut self, name: &Rc<str>, value: Value) {
         match self.get_mut_interned(name) {
             Some(slot) => *slot = value,
             None => self.entries.push((name.clone(), value)),
@@ -167,7 +167,7 @@ impl Value {
 
     /// Equality as the `==` operator sees it: structural for primitives,
     /// reference identity for lists and objects.
-    pub fn loose_eq(&self, other: &Value) -> bool {
+    pub(crate) fn loose_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Int(a), Value::Int(b)) => a == b,

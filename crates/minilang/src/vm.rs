@@ -12,7 +12,7 @@
 //!   chain, no string hashing on variable access; the current frame's base
 //!   is cached in the dispatch loop;
 //! * expression-node ticks are pre-coalesced by the compiler into single
-//!   [`Op::Tick`] ops;
+//!   `Op::Tick` ops;
 //! * functions, builtins and classes are pre-resolved table indices, and
 //!   call arguments move straight from the value stack into parameter
 //!   slots — no per-call argument vector;
@@ -28,7 +28,7 @@
 //!   contexts (`rec_ctxs`). A traced location gets its dense id through
 //!   side tables — the frame's locals, the object's fields — and record-time
 //!   dedup compares one stamp per (id, context position, kind): no hashing
-//!   on the common paths ([`Cells`]);
+//!   on the common paths (`Cells`);
 //! * programs arrive fused by [`crate::fuse`]: superinstructions, hoisted
 //!   ticks and (in exec mode) stripped trace bookkeeping. [`profile_ops`]
 //!   counts what a run of them dispatched.

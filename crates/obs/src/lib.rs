@@ -66,7 +66,7 @@ impl MetricKind {
 }
 
 /// A sorted `(key, value)` label set identifying one series of a family.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 /// One metric family: help text, kind, and its series.
 #[derive(Clone, Debug)]
@@ -485,6 +485,21 @@ mod tests {
         assert!(text.contains("patty_runtime_counter{name=\"fault.caught\"} 2"), "{text}");
         assert!(text.contains("patty_runtime_histogram_count{name=\"queue.depth\"} 1"), "{text}");
         assert!(text.contains("patty_trace_dropped_events_total 0"), "{text}");
+    }
+
+    #[test]
+    fn ring_wrap_reaches_the_scrape_as_dropped_events() {
+        // A 2-slot ring that records 8 events keeps the newest 2; the six
+        // it overwrote are the only overflow count the scrape carries.
+        let tracer = patty_trace::Tracer::deterministic(2);
+        let wt = tracer.worker(tracer.stage("s"), 0);
+        for i in 0..8u64 {
+            wt.fault(i);
+        }
+        let mut reg = MetricsRegistry::new();
+        reg.ingest_trace(&tracer.report());
+        let text = reg.prometheus();
+        assert!(text.contains("patty_trace_dropped_events_total 6\n"), "{text}");
     }
 
     #[test]

@@ -39,15 +39,13 @@ pub struct DetectOptions {
     /// Upper bound for replication / worker-count tuning domains
     /// (the target platform's core count).
     pub max_workers: i64,
-    /// Use dynamic evidence to discharge static may-dependencies.
-    pub use_dynamic: bool,
     /// Minimum estimated speedup for a candidate to be reported.
     pub min_speedup: f64,
 }
 
 impl Default for DetectOptions {
     fn default() -> DetectOptions {
-        DetectOptions { max_workers: 8, use_dynamic: true, min_speedup: 1.2 }
+        DetectOptions { max_workers: 8, min_speedup: 1.2 }
     }
 }
 
@@ -124,11 +122,10 @@ pub fn detect_loop(
 
     // ---- PLDD with optimistic dynamic refinement ----
     // Only a trace of two iterations or more can show (or rule out) a
-    // cross-iteration conflict; a static-only run never consults it.
+    // cross-iteration conflict; a static-only model has none to consult.
     let trace = model
         .profile
         .as_ref()
-        .filter(|_| opts.use_dynamic)
         .and_then(|p| p.loop_traces.get(&loop_info.id))
         .filter(|t| t.traced_iters() >= 2);
     let dynamic_usable = trace.is_some();
@@ -987,14 +984,13 @@ mod tests {
     }
 
     #[test]
-    fn use_dynamic_off_never_consults_the_trace() {
+    fn a_model_without_a_profile_never_consults_a_trace() {
         // Poison the loop's trace: every body statement writes one shared
         // field in iterations 0 and 1, so every pair of statements carries
         // a dependence — for whoever reads the trace.
         use patty_minilang::profile::{Access, AccessKind, DynLoc, LoopTrace};
-        let clean = model_of(AVISTREAM);
-        let l = clean.loops[0].clone();
         let mut poisoned = model_of(AVISTREAM);
+        let l = poisoned.loops[0].clone();
         let t = poisoned.profile.as_mut().unwrap().loop_traces.get_mut(&l.id).unwrap();
         let accesses = l
             .body_stmts
@@ -1004,14 +1000,19 @@ mod tests {
         let poison = vec![DynLoc::Field(99, "poison".into())];
         *t = LoopTrace::new(t.iterations, t.stmt_cost.clone(), poison, accesses);
 
-        let static_only = DetectOptions { use_dynamic: false, ..DetectOptions::default() };
-        let expected = detect_loop(&clean, &l, &static_only).unwrap();
-        let found = detect_loop(&poisoned, &l, &static_only).unwrap();
+        let opts = DetectOptions::default();
+        // With the profile, the poison merges the body into one stage.
+        let dynamic = detect_loop(&poisoned, &l, &opts);
+        assert_eq!(dynamic.unwrap_err(), Rejection::SingleStage);
+        // Dropped, the poisoned trace is never read: detection answers
+        // exactly as on a model built without a profile.
+        poisoned.profile = None;
+        let found = detect_loop(&poisoned, &l, &opts).unwrap();
+        let static_model = SemanticModel::build_static(&parse(AVISTREAM).unwrap());
+        let expected = detect_loop(&static_model, &l, &opts).unwrap();
+        assert!(found.stages.len() > 1, "{:?}", found.stages);
         assert_eq!(found.arch.expr, expected.arch.expr);
         assert_eq!(found.stages, expected.stages);
-        // With dynamic evidence on, the poison merges the body into one stage.
-        let dynamic = detect_loop(&poisoned, &l, &DetectOptions::default());
-        assert_eq!(dynamic.unwrap_err(), Rejection::SingleStage);
     }
 
     #[test]

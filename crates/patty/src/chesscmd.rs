@@ -141,7 +141,7 @@ fn positions(elements: usize) -> Vec<u64> {
 
 /// The fault scenario matrix of one generated unit test: no-fault plus
 /// every stage label × stream position × injection kind.
-pub fn unit_test_scenarios(test: &patty_testgen::ParallelUnitTest) -> Vec<FaultScenario> {
+pub(crate) fn unit_test_scenarios(test: &patty_testgen::ParallelUnitTest) -> Vec<FaultScenario> {
     scenario_matrix(&fault_labels(test), &positions(test.elements))
 }
 

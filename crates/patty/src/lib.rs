@@ -35,12 +35,9 @@ pub mod servecmd;
 pub mod statscmd;
 
 pub use chesscmd::{chess_explore, chess_replay, render_replay, ChessReport};
-pub use servecmd::{
-    analyze_artifact, faultcheck_artifact, render_tune_artifact, trace_artifact, tune_artifact,
-    tune_cached, PattyJobRunner,
-};
+pub use servecmd::{analyze_artifact, tune_artifact, tune_cached, PattyJobRunner};
 pub use faultcheck::{faultcheck, FaultcheckReport, Outcome, Scenario};
-pub use overlay::{render_candidates, render_hotspots, render_overlay, render_process_chart, Phase};
+pub use overlay::{render_candidates, render_overlay, render_process_chart, Phase};
 pub use statscmd::stats_registry;
 pub use process::{
     load_tuning, InstanceArtifacts, Patty, PattyError, PattyOptions, PattyRun,

@@ -105,44 +105,6 @@ pub fn render_process_chart(current: Phase) -> String {
     out
 }
 
-/// Plain runtime-profiler view: statements ranked by runtime share — what
-/// the built-in VS profiler (or VTune) shows. In the user study this view
-/// reveals only the hottest location, which is exactly why the manual
-/// group missed the colder ones (Section 4.2).
-pub fn render_hotspots(
-    model: &patty_analysis::SemanticModel,
-    top: usize,
-) -> String {
-    let Some(profile) = &model.profile else {
-        return "no dynamic profile available\n".to_string();
-    };
-    let mut out = String::new();
-    out.push_str("runtime share  location\n");
-    let mut shown = 0;
-    for (stmt_id, _) in profile.hotspots() {
-        if shown >= top {
-            break;
-        }
-        let Some(stmt) = model.program.find_stmt(stmt_id) else { continue };
-        // Show loops and calls, not every expression statement.
-        if !stmt.is_loop() {
-            continue;
-        }
-        let share = model.runtime_share(stmt_id);
-        if share < 0.005 {
-            continue;
-        }
-        out.push_str(&format!(
-            "{:>11.1}%  line {:>4} | {}\n",
-            share * 100.0,
-            stmt.span.line,
-            stmt.describe(&model.program.source)
-        ));
-        shown += 1;
-    }
-    out
-}
-
 /// One-line candidate list (the wizard's result view).
 pub fn render_candidates(instances: &[PatternInstance]) -> String {
     let mut out = String::new();

@@ -82,7 +82,7 @@ pub fn tune_artifact(patty: &Patty, run: &PattyRun) -> Json {
 
 /// Render a `tune` artifact exactly as the pre-cache CLI printed live
 /// results, so cached and fresh invocations are byte-identical.
-pub fn render_tune_artifact(artifact: &Json) -> String {
+pub(crate) fn render_tune_artifact(artifact: &Json) -> String {
     let mut out = String::new();
     let archs = artifact.get("archs").and_then(Json::as_arr).unwrap_or(&[]);
     for arch in archs {
@@ -105,7 +105,7 @@ pub fn render_tune_artifact(artifact: &Json) -> String {
 
 /// The `faultcheck` artifact: matrix verdicts plus the chess sweep's
 /// pass/fail, compact enough to cache and diff.
-pub fn faultcheck_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
+pub(crate) fn faultcheck_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
     let report = crate::faultcheck::faultcheck(patty, source)?;
     let scenarios = report
         .scenarios
@@ -130,7 +130,7 @@ pub fn faultcheck_artifact(patty: &Patty, source: &str) -> Result<Json, PattyErr
 }
 
 /// The `trace` artifact: the deterministic per-stage trace summary.
-pub fn trace_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
+pub(crate) fn trace_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
     let (_trace, report) = patty.trace(source)?;
     Ok(report.to_json_value())
 }

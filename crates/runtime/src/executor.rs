@@ -54,7 +54,7 @@ use std::time::Duration;
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Hard ceiling on pool capacity, whatever `PATTY_THREADS` says.
-pub const MAX_POOL_THREADS: usize = 512;
+pub(crate) const MAX_POOL_THREADS: usize = 512;
 
 /// Ring capacity of each lane's local deque; overflow drains back to
 /// the injector, so this only bounds batch locality, not correctness.
@@ -389,7 +389,7 @@ impl Executor {
 
     /// A private pool with the given capacity (clamped to
     /// `1..=MAX_POOL_THREADS`). Lanes are joined when the pool drops,
-    /// and retire on their own after [`DEFAULT_LANE_RETIRE`] of
+    /// and retire on their own after `DEFAULT_LANE_RETIRE` of
     /// continuous quiescence.
     pub fn with_threads(cap: usize) -> Executor {
         Executor::with_idle_retirement(cap, DEFAULT_LANE_RETIRE)

@@ -46,4 +46,4 @@ pub use executor::{
 pub use fault::{register_fault_counters, CancelToken, FailurePolicy, RunOptions, RuntimeError};
 pub use masterworker::{Item, MasterWorker};
 pub use parfor::ParallelFor;
-pub use pipeline::{Pipeline, Stage, StageFunc};
+pub use pipeline::{Pipeline, Stage};

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 const CANCEL_POLL: Duration = Duration::from_millis(10);
 
 /// A pipeline stage function over stream elements of type `T`.
-pub type StageFunc<T> = Arc<dyn Fn(T) -> T + Send + Sync>;
+pub(crate) type StageFunc<T> = Arc<dyn Fn(T) -> T + Send + Sync>;
 
 /// A run of consecutive stream elements: `(first sequence number,
 /// elements)`. Element `j` of the vector has sequence `first + j`.

@@ -119,7 +119,7 @@ impl Admission {
         (st.running, st.queued)
     }
 
-    pub fn admitted_total(&self) -> u64 {
+    pub(crate) fn admitted_total(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
     }
 

@@ -40,8 +40,8 @@ mod wire;
 
 pub use admission::{Admission, AdmissionConfig, Permit, Shed};
 pub use cache::{Artifact, CacheConfig, CacheSource, CacheStats, ShardedCache};
-pub use metrics::{ServeMetrics, STATS_OP};
-pub use protocol::{error_response, ok_response, parse_request, shed_response, Request};
+pub use metrics::ServeMetrics;
+pub use protocol::{ok_response, parse_request, Request};
 pub use service::{JobCtl, JobRunner, ServeConfig, Served, Service};
 pub use wire::MAX_LINE_BYTES;
 

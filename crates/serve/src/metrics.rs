@@ -13,7 +13,7 @@ use std::sync::Mutex;
 pub(crate) const OPS: [&str; 5] = ["analyze", "tune", "faultcheck", "trace", "stats"];
 
 /// Op index of the `stats` endpoint in [`OPS`].
-pub const STATS_OP: usize = 4;
+pub(crate) const STATS_OP: usize = 4;
 
 const WINDOW: usize = 4096;
 
@@ -107,11 +107,11 @@ impl ServeMetrics {
         self.lat[op].lock().unwrap().record(micros);
     }
 
-    pub fn jobs_total(&self, op: usize) -> u64 {
+    pub(crate) fn jobs_total(&self, op: usize) -> u64 {
         self.jobs[op].load(Ordering::Relaxed)
     }
 
-    pub fn errors_total(&self) -> u64 {
+    pub(crate) fn errors_total(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
     }
 

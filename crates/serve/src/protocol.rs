@@ -87,7 +87,7 @@ pub fn ok_response(id: i64, op: &str, cached: &str, micros: u64, result: Json) -
         .with("result", result)
 }
 
-pub fn shed_response(id: i64, op: &str, retry_after_ms: u64) -> Json {
+pub(crate) fn shed_response(id: i64, op: &str, retry_after_ms: u64) -> Json {
     Json::obj()
         .with("id", Json::Int(id))
         .with("op", Json::Str(op.into()))
@@ -95,7 +95,7 @@ pub fn shed_response(id: i64, op: &str, retry_after_ms: u64) -> Json {
         .with("retry_after_ms", Json::Int(retry_after_ms as i64))
 }
 
-pub fn error_response(id: i64, op: &str, error: &str, deadline: bool) -> Json {
+pub(crate) fn error_response(id: i64, op: &str, error: &str, deadline: bool) -> Json {
     let status = if deadline { "deadline" } else { "error" };
     Json::obj()
         .with("id", Json::Int(id))

@@ -121,7 +121,7 @@ pub enum Served {
 
 impl Served {
     /// The `cached` field of the wire response.
-    pub fn cached_tag(&self) -> &'static str {
+    pub(crate) fn cached_tag(&self) -> &'static str {
         match self {
             Served::Hit { source, .. } => source.as_str(),
             Served::Computed { .. } => "no",

@@ -445,7 +445,7 @@ pub struct SpanSummary {
 }
 
 impl SpanSummary {
-    pub fn total_ms(&self) -> f64 {
+    pub(crate) fn total_ms(&self) -> f64 {
         self.total_ns as f64 / 1e6
     }
 }

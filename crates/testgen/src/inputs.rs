@@ -12,8 +12,8 @@
 //! also rather small").
 //!
 //! Candidate runs are bounded by fuel (the VM's virtual cost), never by
-//! wall clock: each run may spend [`CANDIDATE_FUEL`], all runs of one
-//! function together [`FUNCTION_FUEL`], and evaluation stops when that is
+//! wall clock: each run may spend `CANDIDATE_FUEL`, all runs of one
+//! function together `FUNCTION_FUEL`, and evaluation stops when that is
 //! spent. The source may come from anyone (`patty serve`), and a function
 //! that never returns must not cost one full run per candidate.
 
@@ -31,7 +31,7 @@ const FUNCTION_FUEL: u64 = 4 * CANDIDATE_FUEL;
 
 /// A coverage goal: a branch direction of a conditional statement.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Goal {
+pub(crate) enum Goal {
     /// The then-branch of the `if` with this id was entered.
     Then(NodeId),
     /// The else-branch (or fallthrough) of the `if` was taken.

@@ -16,7 +16,7 @@
 pub mod inputs;
 pub mod unittest;
 
-pub use inputs::{generate_test_inputs, path_coverage_inputs, CoverageReport, Goal};
+pub use inputs::{generate_test_inputs, path_coverage_inputs, CoverageReport};
 pub use unittest::{
     fault_labels, generate_unit_test, replay_unit_test_hash, run_unit_test, run_unit_test_joint,
     Op, ParallelUnitTest, StagePlan,

@@ -1,8 +1,8 @@
 //! # patty-trace
 //!
-//! Structured per-item event tracing for the pattern runtime, layered on
-//! `patty-telemetry`. Where telemetry answers *how much* (aggregate
-//! counters, histograms, span totals), tracing answers *where and when*:
+//! Structured per-item event tracing for the pattern runtime. Where
+//! `patty-telemetry` answers *how much* (aggregate counters, histograms,
+//! span totals), tracing answers *where and when*:
 //! every worker thread records fixed-size events — item start/end,
 //! blocked sends and receives, idle tails, caught faults, tuner steps —
 //! into a private lock-free ring buffer, and a collector snapshots the
@@ -48,18 +48,18 @@ pub use report::{StageSummary, TraceReport};
 /// Events per ring by default: 8192 × 48 bytes = 384 KiB per worker,
 /// enough for ~2700 items per worker at 3 events/item before wrapping
 /// (batched runs record one event pair per batch, so they go further).
-pub const DEFAULT_RING_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 8192;
 
 /// Nanoseconds the virtual clock advances per read; every clock access
 /// is one tick, so deterministic call sequences yield deterministic
 /// timestamps.
-pub const VIRTUAL_TICK_NS: u64 = 1_000;
+pub(crate) const VIRTUAL_TICK_NS: u64 = 1_000;
 
 /// Stage id reserved for auto-tuner step events (not a pipeline stage).
-pub const TUNER_STAGE: u16 = u16::MAX;
+pub(crate) const TUNER_STAGE: u16 = u16::MAX;
 
 /// Name reported for [`TUNER_STAGE`].
-pub const TUNER_STAGE_NAME: &str = "tuner";
+pub(crate) const TUNER_STAGE_NAME: &str = "tuner";
 
 /// The seven fixed event kinds a worker can record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,8 +118,8 @@ pub struct TraceEvent {
     pub seqno: u64,
     pub tick_ns: u64,
     pub kind: EventKind,
-    /// Stage id from the tracer's interner ([`TUNER_STAGE`] for tuner
-    /// steps).
+    /// Stage id from the tracer's interner (`u16::MAX`, the reserved
+    /// tuner stage, for tuner steps).
     pub stage: u16,
     /// Worker index within the stage.
     pub worker: u16,
@@ -158,20 +158,10 @@ struct EventRing {
     mask: u64,
     stage: u16,
     worker: u16,
-    /// Live overflow accounting: bumped on every push that overwrites
-    /// an old event, so ring wrap is visible in a telemetry report
-    /// without ever taking a full snapshot. Inert unless the tracer was
-    /// wired via [`Tracer::wire_overflow_counter`].
-    overflow: patty_telemetry::Counter,
 }
 
 impl EventRing {
-    fn new(
-        capacity: usize,
-        stage: u16,
-        worker: u16,
-        overflow: patty_telemetry::Counter,
-    ) -> EventRing {
+    fn new(capacity: usize, stage: u16, worker: u16) -> EventRing {
         let cap = capacity.next_power_of_two().max(2);
         EventRing {
             slots: (0..cap).map(|_| Slot::new()).collect(),
@@ -179,18 +169,12 @@ impl EventRing {
             mask: cap as u64 - 1,
             stage,
             worker,
-            overflow,
         }
     }
 
     #[inline]
     fn push(&self, kind: EventKind, tick_ns: u64, item: u64, dur_ns: u64, count: u64) {
         let n = self.head.load(Ordering::Relaxed);
-        if n > self.mask {
-            // The slot we are about to claim still holds a live event:
-            // this push overwrites it.
-            self.overflow.incr();
-        }
         let slot = &self.slots[(n & self.mask) as usize];
         let packed =
             kind as u64 | (self.stage as u64) << 8 | (self.worker as u64) << 24;
@@ -263,9 +247,6 @@ struct Inner {
     /// order and defines the stage ids of all events.
     stages: Mutex<Vec<String>>,
     rings: Mutex<Vec<Arc<EventRing>>>,
-    /// Counter cloned into each ring at registration; rings created
-    /// before [`Tracer::wire_overflow_counter`] keep an inert clone.
-    overflow: Mutex<patty_telemetry::Counter>,
 }
 
 impl Inner {
@@ -277,12 +258,7 @@ impl Inner {
         if let Some(r) = rings.iter().find(|r| r.stage == stage && r.worker == worker) {
             return Arc::clone(r);
         }
-        let r = Arc::new(EventRing::new(
-            self.capacity,
-            stage,
-            worker,
-            self.overflow.lock().clone(),
-        ));
+        let r = Arc::new(EventRing::new(self.capacity, stage, worker));
         rings.push(Arc::clone(&r));
         r
     }
@@ -313,7 +289,7 @@ impl Tick {
 }
 
 /// A cheaply cloneable tracing handle — either a shared sink or a
-/// no-op, mirroring [`patty_telemetry::Telemetry`]. Pattern builders
+/// no-op, mirroring `patty_telemetry::Telemetry`. Pattern builders
 /// take one by value; `Tracer::disabled()` is the default everywhere.
 #[derive(Clone, Default)]
 pub struct Tracer {
@@ -342,27 +318,12 @@ impl Tracer {
                 capacity,
                 stages: Mutex::new(Vec::new()),
                 rings: Mutex::new(Vec::new()),
-                overflow: Mutex::new(patty_telemetry::Counter::disabled()),
             })),
         }
     }
 
-    /// Cross-wire ring overflow into the sink's `trace.dropped_events`
-    /// counter: every push that overwrites a live event bumps it at
-    /// write time, so wrap is visible in a plain telemetry report
-    /// without taking a full trace snapshot. The counter is registered
-    /// immediately (so it appears at 0 in schema-stable reports). Call
-    /// before workers register — rings created earlier keep an inert
-    /// counter clone. Inert on disabled tracer or telemetry handles.
-    pub fn wire_overflow_counter(&self, telemetry: &patty_telemetry::Telemetry) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
-        *inner.overflow.lock() = telemetry.counter("trace.dropped_events");
-    }
-
     /// A live tracer on the virtual clock: every clock read advances a
-    /// counter by exactly [`VIRTUAL_TICK_NS`], so a single-threaded run
+    /// counter by exactly 1 µs, so a single-threaded run
     /// produces byte-identical reports across runs (the pinning-test
     /// mode).
     pub fn deterministic(capacity: usize) -> Tracer {
@@ -372,7 +333,6 @@ impl Tracer {
                 capacity,
                 stages: Mutex::new(Vec::new()),
                 rings: Mutex::new(Vec::new()),
-                overflow: Mutex::new(patty_telemetry::Counter::disabled()),
             })),
         }
     }
@@ -419,7 +379,7 @@ impl Tracer {
     /// Record one auto-tuner evaluation: `iteration` (1-based) and the
     /// measured objective in nanoseconds. Reported as
     /// `TraceReport::tuner_steps` and exported on a dedicated pseudo
-    /// thread named [`TUNER_STAGE_NAME`].
+    /// thread named `tuner`.
     pub fn tuner_step(&self, iteration: u64, objective_ns: u64) {
         let Some(inner) = &self.inner else {
             return;
@@ -560,19 +520,6 @@ impl WorkerTracer {
         }
     }
 
-    /// Record `StageBlockedRecv` since `since`; returns the now-tick.
-    #[inline]
-    pub fn blocked_recv(&self, item: u64, since: Tick) -> Tick {
-        match &self.core {
-            Some((ring, inner)) => {
-                let now = inner.clock.now_ns();
-                ring.push(EventKind::StageBlockedRecv, now, item, Tick(Some(now)).since(since), 1);
-                Tick(Some(now))
-            }
-            None => Tick::none(),
-        }
-    }
-
     /// Record `StageBlockedSend` since `since`; returns the now-tick
     /// (reusable as the start of the next receive wait).
     #[inline]
@@ -637,27 +584,6 @@ impl Trace {
         }
         self.stage_names.get(id as usize).map(String::as_str).unwrap_or("?")
     }
-
-    /// Total captured events across all threads.
-    pub fn total_events(&self) -> u64 {
-        self.threads.iter().map(|t| t.events.len() as u64).sum()
-    }
-}
-
-/// Push the trace's headline numbers into a telemetry sink, so a
-/// profile that also traced carries `trace.*` counters next to the
-/// `fault.*` family (the "layered on patty-telemetry" seam).
-///
-/// `trace.dropped_events` here is the snapshot-time total; a tracer
-/// wired with [`Tracer::wire_overflow_counter`] already streams drops
-/// into the same counter live, so use one mechanism per sink, not both.
-pub fn annotate_telemetry(trace: &Trace, telemetry: &patty_telemetry::Telemetry) {
-    if !telemetry.is_enabled() {
-        return;
-    }
-    telemetry.add("trace.events", trace.total_events());
-    telemetry.add("trace.dropped_events", trace.dropped_events);
-    telemetry.add("trace.threads", trace.threads.len() as u64);
 }
 
 #[cfg(test)]
@@ -672,13 +598,13 @@ mod tests {
         assert!(!wt.is_enabled());
         let t = wt.item_start(1);
         wt.item_end(1, t);
-        wt.blocked_recv(1, Tick::none());
+        wt.begin_item(1, Tick::none());
         wt.blocked_send(1, Tick::none());
         wt.worker_idle(Tick::none(), 0, 0);
         wt.fault(1);
         tracer.tuner_step(1, 5);
         let trace = tracer.snapshot();
-        assert_eq!(trace.total_events(), 0);
+        assert!(trace.threads.is_empty());
         assert_eq!(trace.dropped_events, 0);
         assert!(tracer.report().stages.is_empty());
     }
@@ -799,7 +725,8 @@ mod tests {
             }
         });
         let trace = tracer.snapshot();
-        assert_eq!(trace.total_events(), 4 * 1000);
+        let events: usize = trace.threads.iter().map(|t| t.events.len()).sum();
+        assert_eq!(events, 4 * 1000);
         assert_eq!(trace.dropped_events, 0);
         assert_eq!(trace.threads.len(), 4);
         for t in &trace.threads {
@@ -819,54 +746,5 @@ mod tests {
         let report = tracer.report();
         assert_eq!(report.tuner_steps, 2);
         assert!(report.stages.is_empty(), "tuner steps are not a pipeline stage");
-    }
-
-    #[test]
-    fn wired_overflow_counter_counts_wraps_live_without_a_snapshot() {
-        // Satellite regression: ring wrap must be visible in telemetry
-        // the moment it happens, not only after a full snapshot.
-        let tracer = Tracer::deterministic(4);
-        let telemetry = patty_telemetry::Telemetry::enabled();
-        tracer.wire_overflow_counter(&telemetry);
-        assert_eq!(
-            telemetry.report().counter("trace.dropped_events"),
-            Some(0),
-            "wiring registers the counter at 0 before any event"
-        );
-        let wt = tracer.worker(tracer.stage("s"), 0);
-        for i in 0..10u64 {
-            wt.fault(i);
-        }
-        // No snapshot yet — the live counter alone reports the wrap.
-        assert_eq!(telemetry.report().counter("trace.dropped_events"), Some(6));
-        // And the snapshot agrees with the live count.
-        assert_eq!(tracer.snapshot().dropped_events, 6);
-    }
-
-    #[test]
-    fn overflow_wiring_is_inert_on_disabled_handles() {
-        let tracer = Tracer::disabled();
-        tracer.wire_overflow_counter(&patty_telemetry::Telemetry::enabled());
-        let tracer = Tracer::deterministic(2);
-        let telemetry = patty_telemetry::Telemetry::disabled();
-        tracer.wire_overflow_counter(&telemetry);
-        let wt = tracer.worker(tracer.stage("s"), 0);
-        for i in 0..8u64 {
-            wt.fault(i);
-        }
-        assert_eq!(tracer.snapshot().dropped_events, 6, "tracing itself is unaffected");
-    }
-
-    #[test]
-    fn annotate_telemetry_exports_headline_counters() {
-        let tracer = Tracer::deterministic(16);
-        let wt = tracer.worker(tracer.stage("s"), 0);
-        wt.fault(0);
-        let telemetry = patty_telemetry::Telemetry::enabled();
-        annotate_telemetry(&tracer.snapshot(), &telemetry);
-        let report = telemetry.report();
-        assert_eq!(report.counter("trace.events"), Some(1));
-        assert_eq!(report.counter("trace.dropped_events"), Some(0));
-        assert_eq!(report.counter("trace.threads"), Some(1));
     }
 }

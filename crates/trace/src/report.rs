@@ -66,7 +66,7 @@ impl StageSummary {
 }
 
 /// The collector's aggregate: what `patty trace --format summary`
-/// prints and what [`BottleneckAnalyzer`] in `patty-tuning` consumes.
+/// prints and what `BottleneckAnalyzer` in `patty-tuning` consumes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceReport {
     /// One summary per stage, in registration (pipeline) order.

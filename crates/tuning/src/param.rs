@@ -166,7 +166,7 @@ impl ParamDomain {
 
     /// Clamp/snap an arbitrary value into the domain (used by the
     /// continuous tuners).
-    pub fn snap(&self, raw: f64) -> ParamValue {
+    pub(crate) fn snap(&self, raw: f64) -> ParamValue {
         match self {
             ParamDomain::Bool => ParamValue::Bool(raw >= 0.5),
             ParamDomain::IntRange { lo, hi, step } => {

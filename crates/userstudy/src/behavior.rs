@@ -35,7 +35,7 @@ pub struct Benchmark {
 }
 
 /// Run the real toolchain on the study benchmark once.
-pub fn prepare_benchmark() -> Benchmark {
+pub(crate) fn prepare_benchmark() -> Benchmark {
     let prog = raytracer_program();
     let parsed = prog.parse();
     let model = SemanticModel::build(&parsed, InterpOptions::default())
@@ -98,10 +98,10 @@ impl Outcome {
 
 /// The study-session time limit (Section 4.1: "The maximum time to
 /// accomplish the given task was one hour").
-pub const TIME_LIMIT_MIN: f64 = 60.0;
+pub(crate) const TIME_LIMIT_MIN: f64 = 60.0;
 
 /// Simulate one participant working on the benchmark.
-pub fn simulate_participant(p: &Participant, bench: &Benchmark, seed: u64) -> Outcome {
+pub(crate) fn simulate_participant(p: &Participant, bench: &Benchmark, seed: u64) -> Outcome {
     let mut rng = StdRng::seed_from_u64(seed ^ (p.id as u64).wrapping_mul(0x9E3779B9));
     let jitter = |rng: &mut StdRng, base: f64, spread: f64| -> f64 {
         (base + rng.gen_range(-spread..spread)).max(0.1)

@@ -12,7 +12,7 @@ use rand::{Rng, SeedableRng};
 
 /// The nine features of Fig. 5a, with which tools provide them.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Feature {
+pub(crate) struct Feature {
     pub name: &'static str,
     /// How helpful the manual group rates it (base attitude, −3..3).
     pub base: f64,
@@ -22,7 +22,7 @@ pub struct Feature {
 
 /// The feature catalog. Patty provides five of the nine; Parallel Studio
 /// two (only one of them in the top five) — the paper's R2 conclusion.
-pub const FEATURES: [Feature; 9] = [
+pub(crate) const FEATURES: [Feature; 9] = [
     Feature { name: "Emphasize source", base: 2.2, patty_provides: true, studio_provides: false },
     Feature { name: "Model source", base: 0.9, patty_provides: false, studio_provides: false },
     Feature { name: "Visualize call graph", base: 0.2, patty_provides: false, studio_provides: false },
@@ -47,7 +47,7 @@ pub struct FeatureRow {
 }
 
 /// Collect the manual group's feature ratings.
-pub fn rate_features(manual: &[&Participant], seed: u64) -> Vec<FeatureRow> {
+pub(crate) fn rate_features(manual: &[&Participant], seed: u64) -> Vec<FeatureRow> {
     FEATURES
         .iter()
         .map(|f| {

@@ -28,10 +28,10 @@ pub mod questionnaire;
 pub mod roster;
 pub mod study;
 
-pub use behavior::{prepare_benchmark, simulate_participant, Benchmark, Outcome, TIME_LIMIT_MIN};
-pub use features::{rate_features, top_features, Feature, FeatureRow, FEATURES};
-pub use questionnaire::{answer, mean_sd, Answers, ASSISTANCE, COMPREHENSIBILITY};
-pub use roster::{build_roster, Group, Participant, SkillBand};
+pub use behavior::{Benchmark, Outcome};
+pub use features::{top_features, FeatureRow};
+pub use questionnaire::{answer, Answers};
+pub use roster::{Group, Participant, SkillBand};
 pub use study::{
     run_study, EffectivityRow, IndicatorRow, StudyConfig, StudyResults, TimeRow,
 };

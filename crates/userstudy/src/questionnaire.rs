@@ -14,11 +14,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The comprehensibility indicators of Table 1.
-pub const COMPREHENSIBILITY: [&str; 4] =
+pub(crate) const COMPREHENSIBILITY: [&str; 4] =
     ["Clarity", "Complexity", "Perceivability", "Learnability"];
 
 /// The tool-assistance indicators of Table 2.
-pub const ASSISTANCE: [&str; 2] = ["Perceived tool support", "Subjective satisfaction with result"];
+pub(crate) const ASSISTANCE: [&str; 2] = ["Perceived tool support", "Subjective satisfaction with result"];
 
 /// One participant's normalized answers.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ pub fn answer(p: &Participant, outcome: &Outcome, seed: u64) -> Option<Answers> 
 }
 
 /// Mean and (population) standard deviation.
-pub fn mean_sd(values: &[f64]) -> (f64, f64) {
+pub(crate) fn mean_sd(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
         return (0.0, 0.0);
     }

@@ -58,12 +58,13 @@ pub struct Participant {
     pub group: Group,
 }
 
-impl Participant {
-    /// Combined experience score used for balancing.
-    pub fn experience(&self) -> f64 {
-        0.5 * self.se_skill + 0.5 * self.mc_skill
-    }
+/// Combined experience score of a `(se_skill, mc_skill)` pair, used for
+/// balancing the groups.
+fn experience((se, mc): (f64, f64)) -> f64 {
+    0.5 * se + 0.5 * mc
+}
 
+impl Participant {
     /// The paper's skill band.
     pub fn band(&self) -> SkillBand {
         if self.mc_skill >= 0.6 {
@@ -79,7 +80,7 @@ impl Participant {
 /// Build the 10-person roster and assign balanced groups of sizes
 /// 3 (Patty), 4 (Parallel Studio) and 3 (Manual) — the sizes implied by
 /// the paper's group averages (thirds, quarters, thirds).
-pub fn build_roster(seed: u64) -> Vec<Participant> {
+pub(crate) fn build_roster(seed: u64) -> Vec<Participant> {
     let mut rng = StdRng::seed_from_u64(seed);
     // Skill draws spanning the bands: a couple of novices, a majority of
     // solid sequential engineers, one genuine multicore expert.
@@ -100,11 +101,7 @@ pub fn build_roster(seed: u64) -> Vec<Participant> {
     // Greedy balancing: sort by experience descending, deal into the
     // group with the lowest current average that still has capacity.
     let mut order: Vec<usize> = (0..10).collect();
-    order.sort_by(|&a, &b| {
-        let ea = 0.5 * skills[a].0 + 0.5 * skills[a].1;
-        let eb = 0.5 * skills[b].0 + 0.5 * skills[b].1;
-        eb.total_cmp(&ea)
-    });
+    order.sort_by(|&a, &b| experience(skills[b]).total_cmp(&experience(skills[a])));
     let capacities = [(Group::Patty, 3), (Group::ParallelStudio, 4), (Group::Manual, 3)];
     let mut assigned: Vec<(Group, Vec<usize>)> =
         capacities.iter().map(|(g, _)| (*g, Vec::new())).collect();
@@ -114,8 +111,6 @@ pub fn build_roster(seed: u64) -> Vec<Participant> {
     assigned[1].1.push(9);
     order.retain(|&i| i != 9);
     for idx in order {
-        let exp = 0.5 * skills[idx].0 + 0.5 * skills[idx].1;
-        let _ = exp;
         // Pick the group with the lowest total experience so far that has
         // remaining capacity.
         let slot = assigned
@@ -123,8 +118,8 @@ pub fn build_roster(seed: u64) -> Vec<Participant> {
             .zip(capacities.iter())
             .filter(|((_, members), (_, cap))| members.len() < *cap)
             .min_by(|((_, a), _), ((_, b), _)| {
-                let sa: f64 = a.iter().map(|&i| 0.5 * skills[i].0 + 0.5 * skills[i].1).sum();
-                let sb: f64 = b.iter().map(|&i| 0.5 * skills[i].0 + 0.5 * skills[i].1).sum();
+                let sa: f64 = a.iter().map(|&i| experience(skills[i])).sum();
+                let sb: f64 = b.iter().map(|&i| experience(skills[i])).sum();
                 sa.total_cmp(&sb)
             })
             .map(|((_, members), _)| members)
@@ -165,7 +160,7 @@ mod tests {
         let r = build_roster(42);
         let avg = |g| {
             let members: Vec<&Participant> = r.iter().filter(|p| p.group == g).collect();
-            members.iter().map(|p| p.experience()).sum::<f64>() / members.len() as f64
+            members.iter().map(|p| experience((p.se_skill, p.mc_skill))).sum::<f64>() / members.len() as f64
         };
         let (a, b, c) = (
             avg(Group::Patty),

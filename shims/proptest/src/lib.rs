@@ -362,7 +362,7 @@ tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Accepted size specifications for [`vec`].
+    /// Accepted size specifications for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
