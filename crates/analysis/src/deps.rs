@@ -9,7 +9,7 @@ use crate::effects::SummaryTable;
 use crate::loc::StaticLoc;
 use crate::loops::{declared_vars, LoopInfo};
 use crate::rw::{stmt_effects, Effects};
-use patty_minilang::ast::Program;
+use patty_minilang::ast::StmtTable;
 use patty_minilang::profile::DepKind;
 use patty_minilang::span::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,8 +39,9 @@ pub struct LoopDeps {
 }
 
 impl LoopDeps {
-    /// Compute the dependence summary of `loop_info` in `program`.
-    pub fn compute(program: &Program, loop_info: &LoopInfo, table: &SummaryTable) -> LoopDeps {
+    /// Compute the dependence summary of `loop_info`, looking its
+    /// statements up in `by_id`, its program's statement table.
+    pub fn compute(by_id: &StmtTable, loop_info: &LoopInfo, table: &SummaryTable) -> LoopDeps {
         let mut out = LoopDeps::default();
         if let Some(v) = &loop_info.iter_var {
             out.iteration_locals.insert(v.clone());
@@ -48,7 +49,7 @@ impl LoopDeps {
         let stmts: Vec<_> = loop_info
             .body_stmts
             .iter()
-            .filter_map(|id| program.find_stmt(*id))
+            .filter_map(|id| by_id.get(*id))
             .collect();
         for s in &stmts {
             for v in declared_vars(s) {
@@ -61,7 +62,7 @@ impl LoopDeps {
         // StreamGenerator stage (rule PLPL), so body deps on header-written
         // vars are *reads of the stream element* rather than carried deps.
         // We therefore treat the induction variable like an iteration-local.
-        if let Some(stmt) = program.find_stmt(loop_info.id) {
+        if let Some(stmt) = by_id.get(loop_info.id) {
             if let patty_minilang::ast::StmtKind::For { init, update, .. } = &stmt.kind {
                 for h in [init, update].into_iter().flatten() {
                     match &h.kind {
@@ -152,7 +153,7 @@ mod tests {
         let table = SummaryTable::build(&p);
         let loops = collect_loops(&p);
         let l = loops[0].clone();
-        let d = LoopDeps::compute(&p, &l, &table);
+        let d = LoopDeps::compute(&p.stmt_table(), &l, &table);
         (p, l, d)
     }
 

@@ -50,9 +50,10 @@ impl SemanticModel {
         }
         let callgraph = CallGraph::build(program);
         let loops = collect_loops(program);
+        let stmts = program.stmt_table();
         let mut loop_deps = BTreeMap::new();
         for l in &loops {
-            loop_deps.insert(l.id, LoopDeps::compute(program, l, &summaries));
+            loop_deps.insert(l.id, LoopDeps::compute(&stmts, l, &summaries));
         }
         SemanticModel {
             program: program.clone(),

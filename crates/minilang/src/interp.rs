@@ -142,17 +142,20 @@ impl Frame {
 }
 
 /// An active loop-trace context: accesses made while executing direct body
-/// statement `cur_stmt` of loop `loop_id` during iteration `iter`.
+/// statement `cur_stmt` of loop `loop_id` during iteration `iter`, in the
+/// frame with serial `frame`.
 struct TraceCtx {
     loop_id: NodeId,
+    frame: u32,
     iter: usize,
     recording: bool,
     cur_stmt: Option<NodeId>,
 }
 
-/// One loop's raw access records `(location id, iter, stmt, kind)`. A set,
-/// so a statement that repeats an access a million times holds it once.
-type Records = FxHashSet<(u32, u32, NodeId, AccessKind)>;
+/// One loop's traced prefix and raw access records `(location id, iter,
+/// stmt, kind)`. A set, so a statement that repeats an access a million
+/// times holds it once.
+type Records = (usize, FxHashSet<(u32, u32, NodeId, AccessKind)>);
 
 struct Interp<'p> {
     program: &'p Program,
@@ -167,8 +170,8 @@ struct Interp<'p> {
     traces: Vec<TraceCtx>,
     /// Every location a traced loop touched, numbered as first seen.
     loc_ids: FxHashMap<DynLoc, u32>,
-    /// Raw records per traced loop, turned into the loops' access tables
-    /// when the run ends.
+    /// The traced prefix and raw records per traced loop, turned into the
+    /// loops' access tables when the run ends.
     records: BTreeMap<NodeId, Records>,
     rng: u64,
     /// 1-based source line of the innermost executing statement, for
@@ -224,17 +227,28 @@ impl<'p> Interp<'p> {
     }
 
     /// Record one dynamic access into every active recording trace context
-    /// (nested loops record into outer contexts too).
+    /// (nested loops record into outer contexts too) — except a local into
+    /// a context of another frame: a frame called inside an iteration is
+    /// private to it. Every recording context's traced prefix still reaches
+    /// the current iteration.
     fn record(&mut self, loc: DynLoc, kind: AccessKind) {
-        let mut recording =
-            self.traces.iter().filter(|ctx| ctx.recording).filter_map(|ctx| Some((ctx, ctx.cur_stmt?))).peekable();
-        if recording.peek().is_none() {
-            return;
-        }
-        let next = self.loc_ids.len() as u32;
-        let id = *self.loc_ids.entry(loc).or_insert(next);
-        for (ctx, stmt) in recording {
-            self.records.entry(ctx.loop_id).or_default().insert((id, ctx.iter as u32, stmt, kind));
+        let frame = match loc {
+            DynLoc::Local(serial, _) => Some(serial),
+            _ => None,
+        };
+        let mut id = None;
+        for ctx in &self.traces {
+            let (true, Some(stmt)) = (ctx.recording, ctx.cur_stmt) else { continue };
+            let (traced, records) = self.records.entry(ctx.loop_id).or_default();
+            *traced = (*traced).max(ctx.iter + 1);
+            if frame.is_some_and(|serial| serial != ctx.frame) {
+                continue;
+            }
+            let id = *id.get_or_insert_with(|| {
+                let next = self.loc_ids.len() as u32;
+                *self.loc_ids.entry(loc.clone()).or_insert(next)
+            });
+            records.insert((id, ctx.iter as u32, stmt, kind));
         }
     }
 
@@ -251,7 +265,7 @@ impl<'p> Interp<'p> {
         }
         // A loop's own rank of each location, refilled per loop.
         let mut local = vec![0u32; by_rank.len()];
-        for (loop_id, records) in self.records {
+        for (loop_id, (traced, records)) in self.records {
             let t = self.profile.loop_traces.get_mut(&loop_id).expect("begin_loop made the entry");
             let stmt_cost = std::mem::take(&mut t.stmt_cost);
             let mut ranks: Vec<usize> = records.iter().map(|r| rank_of[r.0 as usize]).collect();
@@ -265,7 +279,7 @@ impl<'p> Interp<'p> {
                 .into_iter()
                 .map(|(id, iter, stmt, kind)| Access { iter, stmt, loc: local[rank_of[id as usize]], kind })
                 .collect();
-            *t = LoopTrace::new(t.iterations, stmt_cost, locs, accesses);
+            *t = LoopTrace::new(t.iterations, traced, stmt_cost, locs, accesses);
         }
         self.profile
     }
@@ -514,8 +528,10 @@ impl<'p> Interp<'p> {
     fn begin_loop(&mut self, loop_id: NodeId) {
         if self.options.trace_loops {
             self.profile.loop_traces.entry(loop_id).or_default();
+            let frame = self.frame_serial();
             self.traces.push(TraceCtx {
                 loop_id,
+                frame,
                 iter: 0,
                 recording: false,
                 cur_stmt: None,

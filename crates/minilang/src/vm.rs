@@ -25,10 +25,13 @@
 //!   loop;
 //! * loop-trace recording hides behind one cached `record_active` flag,
 //!   maintained incrementally alongside the list of actively-recording
-//!   contexts (`rec_ctxs`). A traced location gets its dense id through
-//!   side tables — the frame's locals, the object's fields — and record-time
-//!   dedup compares one stamp per (id, context position, kind): no hashing
-//!   on the common paths (`Cells`);
+//!   contexts (`rec_ctxs`). A loop records the heap and the locals of the
+//!   frame it runs in, nothing else: a local of a frame called inside the
+//!   iteration cannot carry a dependence, and is left out before it gets an
+//!   id. A recorded location gets its dense id through side tables — the
+//!   frame's locals, the object's fields — and record-time dedup compares
+//!   one stamp per (id, context position, kind): no hashing on the common
+//!   paths (`Cells`);
 //! * programs arrive fused by [`crate::fuse`]: superinstructions, hoisted
 //!   ticks and (in exec mode) stripped trace bookkeeping. [`profile_ops`]
 //!   counts what a run of them dispatched.
@@ -180,10 +183,11 @@ struct HeapLink {
     next: u32,
 }
 
-/// Dense ids for traced locations, handed out the first time any recording
-/// context touches one, through side tables instead of hashing:
-/// * a local of the current frame goes through that frame's `(name, id)`
-///   segment of `frame_cells`, which a return truncates;
+/// Dense ids for traced locations, handed out the first time a recording
+/// context records one, through side tables instead of hashing:
+/// * a local of the current frame — recorded only when a loop of that frame
+///   is recording ([`Vm::frame_ctxs`]) — goes through that frame's `(name,
+///   id)` segment of `frame_cells`, which a return truncates;
 /// * a field or the list structure of an object goes through a chain
 ///   hanging off the object's heap id;
 /// * everything else — an element, a cell a builtin reports by name, an
@@ -326,6 +330,9 @@ struct LoopRun {
     /// Which slots ever executed: the tree-walker creates a cost entry on
     /// first execution even when the attributed delta is zero.
     stmt_seen: Vec<bool>,
+    /// One past the last iteration that made any access, one to a callee's
+    /// locals included (see [`LoopTrace::traced_iters`]).
+    traced: u32,
     /// The traced prefix's accesses in arrival order, `loc` holding the
     /// [`Cells`] id until the profile is built. A context stamps what it
     /// recorded, so a site repeated a thousand times in one statement of
@@ -338,6 +345,9 @@ struct LoopRun {
 /// An active loop-trace context, mirroring the tree-walker's stack.
 struct VmTraceCtx {
     loop_idx: u32,
+    /// Serial of the frame the loop runs in: the only frame whose locals
+    /// it records.
+    frame: u32,
     iter: usize,
     recording: bool,
     cur_stmt: Option<NodeId>,
@@ -407,6 +417,11 @@ struct Vm<'p> {
     /// innermost context ever toggles its `cur_stmt`, so this stays
     /// correct with O(1) push/pop at the trace ops.
     rec_ctxs: Vec<u32>,
+    /// How many of `rec_ctxs`, from the outermost, have their loop's
+    /// `LoopRun::traced` past their current iteration already. An entry's
+    /// iteration is fixed while it is in `rec_ctxs`, so only a pop lowers
+    /// this.
+    rec_marked: usize,
     /// Source of `VmTraceCtx::gen` stamps.
     gen_next: u32,
     /// The traced locations' ids and dedup stamps.
@@ -440,6 +455,7 @@ impl<'p> Vm<'p> {
                         iterations: 0,
                         stmt_cost: vec![0; info.stmts.len()],
                         stmt_seen: vec![false; info.stmts.len()],
+                        traced: 0,
                         records: Vec::new(),
                     })
                     .collect()
@@ -461,6 +477,7 @@ impl<'p> Vm<'p> {
             current_line: 0,
             record_active: false,
             rec_ctxs: Vec::new(),
+            rec_marked: 0,
             gen_next: 0,
             cells: Cells::default(),
             counters: None,
@@ -560,16 +577,17 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Record one access to the location `id` into every active recording
-    /// trace context — a 16-byte push per context that has not recorded it
-    /// in its current `(iteration, statement)` yet. Iterates only the
-    /// contexts known to be recording (`rec_ctxs`); a repeat can only land
-    /// in an iteration and statement its first occurrence already created,
-    /// so skipping it changes nothing downstream.
-    fn record_cell(&mut self, id: u32, kind: AccessKind) {
+    /// Record one access to the location `id` into the recording trace
+    /// contexts from position `from` of `rec_ctxs` inwards — a 16-byte push
+    /// per context that has not recorded it in its current `(iteration,
+    /// statement)` yet. A heap cell goes to every context (`from` 0), a
+    /// local only to those of its own frame ([`Vm::frame_ctxs`]). A repeat
+    /// can only land in an iteration and statement its first occurrence
+    /// already created, so skipping it changes nothing downstream.
+    fn record_cell(&mut self, from: usize, id: u32, kind: AccessKind) {
         let at = 2 * id as usize + kind as usize;
         let n_ids = self.cells.cells.len();
-        for (pos, &ci) in self.rec_ctxs.iter().enumerate() {
+        for (pos, &ci) in self.rec_ctxs.iter().enumerate().skip(from) {
             let ctx = &self.traces[ci as usize];
             debug_assert!(ctx.recording);
             let Some(stmt) = ctx.cur_stmt else {
@@ -594,25 +612,60 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Record an access to local `name` of the current frame.
+    /// An access is about to be recorded or left out: every recording
+    /// context's loop has now traced its current iteration.
+    #[inline]
+    fn mark_traced(&mut self) {
+        if self.rec_marked == self.rec_ctxs.len() {
+            return;
+        }
+        for &ci in &self.rec_ctxs[self.rec_marked..] {
+            let ctx = &self.traces[ci as usize];
+            let run = &mut self.loop_runs[ctx.loop_idx as usize];
+            run.traced = run.traced.max(ctx.iter as u32 + 1);
+        }
+        self.rec_marked = self.rec_ctxs.len();
+    }
+
+    /// Where the recording contexts of frame `serial` start in `rec_ctxs`,
+    /// if the innermost one runs in it: frames nest, so they are a suffix.
+    /// `None` when it runs in another frame: then frame `serial` was called
+    /// inside every recording iteration, and none of them records its
+    /// locals.
+    #[inline]
+    fn frame_ctxs(&self, serial: u32) -> Option<usize> {
+        let frame_of = |&ci: &u32| self.traces[ci as usize].frame;
+        if self.rec_ctxs.last().map(frame_of) != Some(serial) {
+            return None;
+        }
+        Some(self.rec_ctxs.iter().rposition(|ci| frame_of(ci) != serial).map_or(0, |p| p + 1))
+    }
+
+    /// Record an access to local `name` of the current frame, into the
+    /// contexts of loops that run in that frame.
     #[inline]
     fn record_local(&mut self, name: u32, kind: AccessKind) {
+        self.mark_traced();
         let frame = self.frames.last().expect("a frame is running");
-        let id = self.cells.local(frame.cells_at, frame.serial, name);
-        self.record_cell(id, kind);
+        let (serial, at) = (frame.serial, frame.cells_at);
+        let Some(from) = self.frame_ctxs(serial) else { return };
+        let id = self.cells.local(at, serial, name);
+        self.record_cell(from, id, kind);
     }
 
     /// Record an access to field `key` of object `obj`, or to its list
     /// structure when `key` is [`STRUCTURE`].
     #[inline]
     fn record_heap(&mut self, obj: HeapId, key: u32, kind: AccessKind) {
+        self.mark_traced();
         let id = self.cells.heap(obj, key, self.heap_next);
-        self.record_cell(id, kind);
+        self.record_cell(0, id, kind);
     }
 
     fn record_other(&mut self, cell: Cell, kind: AccessKind) {
+        self.mark_traced();
         let id = self.cells.other(cell);
-        self.record_cell(id, kind);
+        self.record_cell(0, id, kind);
     }
 
     #[inline]
@@ -815,7 +868,7 @@ impl<'p> Vm<'p> {
             for a in &mut accesses {
                 a.loc = local[a.loc as usize];
             }
-            traces.push((info.id, LoopTrace::new(run.iterations, stmt_cost, locs, accesses)));
+            traces.push((info.id, LoopTrace::new(run.iterations, run.traced as usize, stmt_cost, locs, accesses)));
         }
         p.loop_traces = BTreeMap::from_iter(traces);
         p
@@ -1093,8 +1146,10 @@ impl<'p> Vm<'p> {
                         self.loop_runs[loop_idx as usize].entered = true;
                         // Not recording until `IterStart` decides; no
                         // `rec_ctxs` change.
+                        let frame = self.frames.last().expect("a frame is running").serial;
                         self.traces.push(VmTraceCtx {
                             loop_idx,
+                            frame,
                             iter: 0,
                             recording: false,
                             cur_stmt: None,
@@ -1125,6 +1180,7 @@ impl<'p> Vm<'p> {
                         }
                         if self.rec_ctxs.last() == Some(&top) {
                             self.rec_ctxs.pop();
+                            self.rec_marked = self.rec_marked.min(self.rec_ctxs.len());
                         }
                         self.record_active = !self.rec_ctxs.is_empty();
                     }
@@ -1580,10 +1636,15 @@ impl Host for Vm<'_> {
             DynLoc::ListStruct(id) => self.record_heap(id, STRUCTURE, kind),
             DynLoc::Elem(id, i) => self.record_other(Cell::Elem(id, i), kind),
             // Builtins report list cells; a local or a field would arrive
-            // by name and goes through the exact map.
+            // by name and goes through the exact map, a local only into
+            // its own frame's contexts.
             DynLoc::Local(serial, name) => {
+                debug_assert_eq!(self.frames.last().map(|f| f.serial), Some(serial), "a local of the running frame");
+                self.mark_traced();
+                let Some(from) = self.frame_ctxs(serial) else { return };
                 let name = self.intern_dyn(&name);
-                self.record_other(Cell::Local(serial, name), kind);
+                let id = self.cells.other(Cell::Local(serial, name));
+                self.record_cell(from, id, kind);
             }
             DynLoc::Field(id, name) => {
                 let name = self.intern_dyn(&name);

@@ -26,7 +26,7 @@ use crate::instance::{PatternInstance, Rejection, Stage};
 use patty_analysis::loc::StaticLoc;
 use patty_analysis::loops::{jump_effects, LoopInfo};
 use patty_analysis::SemanticModel;
-use patty_minilang::ast::{AssignOp, ExprKind, LValueKind, StmtKind};
+use patty_minilang::ast::{AssignOp, ExprKind, LValueKind, StmtKind, StmtTable};
 use patty_minilang::profile::DynLoc;
 use patty_minilang::span::NodeId;
 use patty_tadl::{ArchItem, ArchitectureDescription, PatternKind, TadlExpr};
@@ -51,9 +51,10 @@ impl Default for DetectOptions {
 
 /// Detect all pattern instances in a program, best candidates first.
 pub fn detect_patterns(model: &SemanticModel, opts: &DetectOptions) -> Vec<PatternInstance> {
+    let table = model.program.stmt_table();
     let mut out = Vec::new();
     for l in &model.loops {
-        if let Ok(inst) = detect_loop(model, l, opts) {
+        if let Ok(inst) = detect_loop_in(model, &table, l, opts) {
             if inst.est_speedup >= opts.min_speedup {
                 out.push(inst);
             }
@@ -78,6 +79,17 @@ pub fn detect_loop(
     loop_info: &LoopInfo,
     opts: &DetectOptions,
 ) -> Result<PatternInstance, Rejection> {
+    detect_loop_in(model, &model.program.stmt_table(), loop_info, opts)
+}
+
+/// [`detect_loop`], looking statements up in `table`, the model's
+/// program's statement table.
+fn detect_loop_in(
+    model: &SemanticModel,
+    table: &StmtTable,
+    loop_info: &LoopInfo,
+    opts: &DetectOptions,
+) -> Result<PatternInstance, Rejection> {
     let stmts = &loop_info.body_stmts;
     if stmts.is_empty() {
         return Err(Rejection::Empty);
@@ -85,7 +97,7 @@ pub fn detect_loop(
 
     // ---- PLCD ----
     for id in stmts {
-        let stmt = model.program.find_stmt(*id).ok_or(Rejection::Empty)?;
+        let stmt = table.get(*id).ok_or(Rejection::Empty)?;
         let j = jump_effects(stmt);
         if j.violates_plcd() {
             let what = if j.breaks { "break" } else { "return" };
@@ -109,7 +121,7 @@ pub fn detect_loop(
     // of a condition variable (`i = i + 1`) is part of stream generation;
     // any other body write the condition observes means the trip count
     // depends on processed values — no continuous stream exists.
-    let (stmts, folded_vars) = fold_header_induction(model, loop_info, deps)?;
+    let (stmts, folded_vars) = fold_header_induction(table, loop_info, deps)?;
     let stmts = &stmts;
     if stmts.is_empty() {
         return Err(Rejection::Empty);
@@ -188,7 +200,7 @@ pub fn detect_loop(
     }
 
     // ---- reductions (for DOALL classification) ----
-    let reductions = recognize_reductions(model, stmts, &iteration_locals, deps, &carried_pairs);
+    let reductions = recognize_reductions(table, stmts, &iteration_locals, deps, &carried_pairs);
     let non_reduction_pairs: BTreeSet<(NodeId, NodeId)> = carried_pairs
         .iter()
         .filter(|(a, b)| {
@@ -201,7 +213,7 @@ pub fn detect_loop(
 
     if non_reduction_pairs.is_empty() {
         // Fully independent iterations → data-parallel loop.
-        return Ok(build_doall(model, loop_info, opts, iterations, reductions));
+        return Ok(build_doall(model, table, loop_info, opts, iterations, reductions));
     }
 
     // ---- stage formation: merge carried-dependence spans ----
@@ -351,7 +363,7 @@ pub fn detect_loop(
         .iter()
         .map(|&si| {
             let s = &stages[si];
-            let first = model.program.find_stmt(s.stmts[0]);
+            let first = table.get(s.stmts[0]);
             ArchItem {
                 name: s.name.clone(),
                 line: first.map(|f| f.span.line).unwrap_or(0),
@@ -443,6 +455,7 @@ pub fn detect_loop(
 /// Build the data-parallel-loop instance for a fully independent loop.
 fn build_doall(
     model: &SemanticModel,
+    table: &StmtTable,
     loop_info: &LoopInfo,
     opts: &DetectOptions,
     iterations: u64,
@@ -456,7 +469,7 @@ fn build_doall(
     let first = loop_info
         .body_stmts
         .first()
-        .and_then(|id| model.program.find_stmt(*id));
+        .and_then(|id| table.get(*id));
     let stage = Stage {
         name: "A".into(),
         stmts: loop_info.body_stmts.clone(),
@@ -524,11 +537,11 @@ fn build_doall(
 /// Returns the remaining stage-candidate statements and the folded
 /// generator-managed variables.
 fn fold_header_induction(
-    model: &SemanticModel,
+    table: &StmtTable,
     loop_info: &LoopInfo,
     deps: &patty_analysis::LoopDeps,
 ) -> Result<(Vec<NodeId>, BTreeSet<String>), Rejection> {
-    let loop_stmt = model.program.find_stmt(loop_info.id).ok_or(Rejection::Empty)?;
+    let loop_stmt = table.get(loop_info.id).ok_or(Rejection::Empty)?;
     let cond = match &loop_stmt.kind {
         StmtKind::While { cond, .. } => Some(cond),
         StmtKind::For { cond, .. } => cond.as_ref(),
@@ -566,7 +579,7 @@ fn fold_header_induction(
     let mut remaining = Vec::new();
     let mut folded = BTreeSet::new();
     for id in &loop_info.body_stmts {
-        let s = model.program.find_stmt(*id).ok_or(Rejection::Empty)?;
+        let s = table.get(*id).ok_or(Rejection::Empty)?;
         if let Some(var) = simple_induction_var(s, &cond_vars) {
             folded.insert(var);
             continue;
@@ -654,7 +667,7 @@ fn simple_induction_var(
 /// `v = v + e` on a non-iteration-local variable where `e` does not read
 /// `v` and no other body statement touches `v`.
 fn recognize_reductions(
-    model: &SemanticModel,
+    table: &StmtTable,
     body_stmts: &[NodeId],
     iteration_locals: &BTreeSet<String>,
     deps: &patty_analysis::LoopDeps,
@@ -662,7 +675,7 @@ fn recognize_reductions(
 ) -> Vec<(NodeId, String)> {
     let mut out = Vec::new();
     for id in body_stmts {
-        let Some(stmt) = model.program.find_stmt(*id) else { continue };
+        let Some(stmt) = table.get(*id) else { continue };
         let var = match &stmt.kind {
             StmtKind::Assign { target, op, value } => {
                 let LValueKind::Var(name) = &target.kind else { continue };
@@ -998,7 +1011,7 @@ mod tests {
             .flat_map(|&stmt| [0, 1].map(|iter| Access { iter, stmt, loc: 0, kind: AccessKind::Write }))
             .collect();
         let poison = vec![DynLoc::Field(99, "poison".into())];
-        *t = LoopTrace::new(t.iterations, t.stmt_cost.clone(), poison, accesses);
+        *t = LoopTrace::new(t.iterations, 2, t.stmt_cost.clone(), poison, accesses);
 
         let opts = DetectOptions::default();
         // With the profile, the poison merges the body into one stage.
