@@ -14,9 +14,10 @@ pub fn render_overlay(program: &Program, instance: &PatternInstance) -> String {
     let source = &program.source;
     // line → stage marker
     let mut markers: Vec<Option<String>> = vec![None; source.lines().count() + 2];
+    let stmts = program.stmt_table();
     for stage in &instance.stages {
         for stmt_id in &stage.stmts {
-            if let Some(stmt) = program.find_stmt(*stmt_id) {
+            if let Some(stmt) = stmts.get(*stmt_id) {
                 let line = stmt.span.line as usize;
                 if line < markers.len() {
                     let suffix = if stage.replicable { "+" } else { "" };
@@ -25,10 +26,7 @@ pub fn render_overlay(program: &Program, instance: &PatternInstance) -> String {
             }
         }
     }
-    let loop_line = program
-        .find_stmt(instance.loop_id)
-        .map(|s| s.span.line as usize)
-        .unwrap_or(0);
+    let loop_line = stmts.get(instance.loop_id).map(|s| s.span.line as usize).unwrap_or(0);
 
     let mut out = String::new();
     for (i, line) in source.lines().enumerate() {
