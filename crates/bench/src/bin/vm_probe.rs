@@ -157,7 +157,7 @@ fn main() {
 
     // Dispatch diagnostics: the top-10 opcode pairs across the corpus on
     // raw and on fused bytecode, each superinstruction's share of the
-    // dispatched ops in both modes (which ones pay is ROADMAP item 5), and
+    // dispatched ops in both modes (which ones pay is ROADMAP item 7), and
     // a fused-vs-raw A/B per program so fusion wins are visible in CI logs.
     let add = |totals: &mut BTreeMap<String, u64>, pairs: &[(String, u64)]| {
         for (pair, count) in pairs {

@@ -46,6 +46,7 @@
 //! happens-before pruning ([`crate::dpor`]).
 
 use crate::clock::VectorClock;
+use patty_hash::{fnv1a64, Fnv};
 use std::any::Any;
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
@@ -175,25 +176,16 @@ pub enum Inject {
 // ---------------------------------------------------------------------------
 // Trace hashing (FNV-1a 64).
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Hash seed for a fault scenario (the empty scenario included).
 pub(crate) fn scenario_seed(scenario: &FaultScenario) -> u64 {
-    fnv_bytes(FNV_OFFSET, scenario.encode().as_bytes())
+    fnv1a64(scenario.encode().as_bytes())
 }
 
 /// Fold one scheduling decision into a running trace hash.
 pub(crate) fn hash_step(h: u64, tid: usize) -> u64 {
-    fnv_bytes(h, &(tid as u64).to_le_bytes())
+    let mut h = Fnv(h);
+    h.update(&(tid as u64).to_le_bytes());
+    h.finish()
 }
 
 // ---------------------------------------------------------------------------

@@ -87,11 +87,11 @@ impl CondCtx {
 /// Variants are declared hottest-first (as [`crate::vm::profile_ops`]
 /// counted dispatches over the corpus when the order was fixed) so the
 /// hot opcodes share low discriminants and pack into the same icache
-/// lines of the dispatch jump table. The thirteen fused variants declared
+/// lines of the dispatch jump table. The six fused variants declared
 /// between [`Op::Tick`] and [`Op::StmtEnter`] are *superinstructions*:
 /// they never come out of [`compile`], only out of
-/// [`CompiledProgram::fused`], and each is observationally identical to
-/// the sequence of plain ops it replaces.
+/// [`CompiledProgram::fused`], and the VM runs each as the code of the
+/// plain ops it replaces, in sequence.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Op {
     /// Add `n` virtual cost units (coalesced expression-node ticks).
@@ -100,22 +100,8 @@ pub(crate) enum Op {
     LoadSlotBin { slot: u32, name: u32, op: BinOp },
     /// Fused `Const` + `Binary`: pop lhs, combine with the constant.
     ConstBin { idx: u32, op: BinOp },
-    /// Fused `Binary` + `JumpIfFalse` (compare-and-branch).
-    BinJumpIfFalse { op: BinOp, target: u32, cond: CondCtx },
-    /// Fused back-edge: `Jump` whose target was a `Tick(n)` — the tick is
-    /// executed as part of the jump and the target advanced past it.
-    TickJump { n: u32, target: u32 },
     /// Fused `StmtEnter` + `Tick(n)` (statement prologue + first ticks).
     StmtEnterTick { id: NodeId, line: u32, n: u8 },
-    /// Fused `LoadSlot` + `StoreSlot` (slot-to-slot copy); `aux` indexes
-    /// [`CompiledProgram::move_aux`] for the two slot/name pairs.
-    SlotMove { aux: u32 },
-    /// Fused `IterStmtEnter` + `StmtEnter` + `Tick(n)` — the fixed
-    /// three-op prologue of every direct loop-body statement in traced
-    /// programs (both enters carry the same statement id).
-    IterStmtEnterTick { id: NodeId, line: u32, n: u8 },
-    /// Fused `StmtExit` + `IterStmtExit` — the matching epilogue.
-    StmtExitIter { loop_idx: u32, slot: u32 },
     /// Fused `Tick(n)` + `LoadSlot`: segment-start ticks that follow an
     /// error-capable op (so tick hoisting could not merge them further
     /// back) are swallowed by the load that almost always comes next.
@@ -125,12 +111,6 @@ pub(crate) enum Op {
     StmtExitEnterTick { id: NodeId, line: u32, n: u8 },
     /// Fused `StoreSlot` + `StmtExit` — assignment statements end this way.
     StoreSlotExit { slot: u32, name: u32 },
-    /// Fused `LoadSlot` + `LoadField`; `aux` indexes
-    /// [`CompiledProgram::move_aux`] as `[slot, slot_name, field_name, 0]`.
-    SlotField { aux: u32 },
-    /// Two consecutive `LoadSlot`s; `aux` indexes
-    /// [`CompiledProgram::move_aux`] for the two slot/name pairs.
-    LoadSlot2 { aux: u32 },
     /// Statement prologue: set the current line, tick 1, count a hit, and
     /// mark the cost watermark for inclusive-cost accounting.
     StmtEnter { id: NodeId, line: u32 },
@@ -282,10 +262,6 @@ pub struct CompiledProgram {
     /// Builtin-method tag per interned name (parallel to `names`), so the
     /// VM dispatches list/string methods without comparing strings.
     pub(crate) method_tags: Vec<Option<MethodTag>>,
-    /// Aux payloads of the fused [`Op::SlotMove`], [`Op::SlotField`] and
-    /// [`Op::LoadSlot2`] ops, in emission order. Out-of-line so `Op`
-    /// stays within its 12-byte budget.
-    pub(crate) move_aux: Vec<[u32; 4]>,
     /// Set by [`CompiledProgram::fused`] when trace-only bookkeeping ops
     /// were stripped: such a program can only run with
     /// `trace_loops = false` ([`crate::vm::run_compiled`] enforces this).
@@ -432,7 +408,6 @@ impl<'p> Compiler<'p> {
             class_names,
             names_rc,
             method_tags,
-            move_aux: Vec::new(),
             stripped_tracing: false,
         }
     }

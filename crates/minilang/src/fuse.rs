@@ -16,13 +16,14 @@
 //!    run with tracing enabled.
 //! 2. **Tick hoisting**: within a straight-line segment every tick merges
 //!    into the segment's first.
-//! 3. **Superinstruction fusion**: adjacent pairs and triples are
-//!    rewritten into single fused ops — slot-load + binop, constant +
-//!    binop, compare + branch, slot-load + slot-store, statement-enter +
-//!    tick, … — and back-edge jumps whose target is a tick absorb it
-//!    (`Op::TickJump`). Fusion never crosses a *barrier* (a jump target
-//!    or function entry): control entering mid-pair must still observe
-//!    the second op alone.
+//! 3. **Superinstruction fusion**: six fused ops — slot-load + binop,
+//!    constant + binop, statement-enter + tick, tick + slot-load,
+//!    slot-store + statement-exit, and statement-exit + statement-enter
+//!    (+ tick), the boundary between consecutive statements. The VM runs
+//!    a fused op as its plain ops' own code in sequence: fusion saves
+//!    dispatches, never bookkeeping. Fusion never crosses a *barrier* (a
+//!    jump target or function entry): control entering mid-pair must
+//!    still observe the second op alone.
 //!
 //! **Counting** ([`OpCounts`], filled by [`crate::vm::profile_ops`]) is a
 //! readout, never an input: per-kind dispatch counts, adjacent-pair
@@ -34,11 +35,11 @@ use crate::ast::Program;
 use crate::bytecode::{compile, CompiledFunc, CompiledProgram, Op};
 
 /// Number of distinct [`Op`] kinds (dense counter index space).
-pub(crate) const N_OP_KINDS: usize = 56;
+pub(crate) const N_OP_KINDS: usize = 49;
 
 /// The kinds of the superinstructions: ops that only [`CompiledProgram::fused`]
 /// emits, never [`compile`].
-const FUSED_KINDS: std::ops::RangeInclusive<u8> = 1..=13;
+const FUSED_KINDS: std::ops::RangeInclusive<u8> = 1..=6;
 
 /// Dense discriminant of an op, for the frequency counters; numbered in
 /// `Op`'s declaration order.
@@ -47,59 +48,52 @@ pub(crate) fn op_kind(op: &Op) -> u8 {
         Op::Tick(_) => 0,
         Op::LoadSlotBin { .. } => 1,
         Op::ConstBin { .. } => 2,
-        Op::BinJumpIfFalse { .. } => 3,
-        Op::TickJump { .. } => 4,
-        Op::StmtEnterTick { .. } => 5,
-        Op::SlotMove { .. } => 6,
-        Op::IterStmtEnterTick { .. } => 7,
-        Op::StmtExitIter { .. } => 8,
-        Op::TickLoadSlot { .. } => 9,
-        Op::StmtExitEnterTick { .. } => 10,
-        Op::StoreSlotExit { .. } => 11,
-        Op::SlotField { .. } => 12,
-        Op::LoadSlot2 { .. } => 13,
-        Op::StmtEnter { .. } => 14,
-        Op::StmtExit => 15,
-        Op::Const { .. } => 16,
-        Op::LoadSlot { .. } => 17,
-        Op::StoreSlot { .. } => 18,
-        Op::CompoundSlot { .. } => 19,
-        Op::Binary(_) => 20,
-        Op::Jump { .. } => 21,
-        Op::JumpIfFalse { .. } => 22,
-        Op::IterStmtEnter { .. } => 23,
-        Op::IterStmtExit { .. } => 24,
-        Op::BeginLoop { .. } => 25,
-        Op::IterStart { .. } => 26,
-        Op::EndIterBody => 27,
-        Op::EndLoop => 28,
-        Op::PopIterState => 29,
-        Op::Pop => 30,
-        Op::UndefVar { .. } => 31,
-        Op::Unary(_) => 32,
-        Op::ToBool => 33,
-        Op::ShortCircuit { .. } => 34,
-        Op::LoadField { .. } => 35,
-        Op::StoreField { .. } => 36,
-        Op::CompoundField { .. } => 37,
-        Op::LoadIndex => 38,
-        Op::StoreIndex => 39,
-        Op::CompoundIndex { .. } => 40,
-        Op::MakeList { .. } => 41,
-        Op::CallFunc { .. } => 42,
-        Op::CallMethod { .. } => 43,
-        Op::CallBuiltin { .. } => 44,
-        Op::Work => 45,
-        Op::UnknownCall { .. } => 46,
-        Op::AllocObject { .. } => 47,
-        Op::InitField { .. } => 48,
-        Op::CallCtor { .. } => 49,
-        Op::PositionalInit { .. } => 50,
-        Op::NoClass { .. } => 51,
-        Op::CtorRecursion => 52,
-        Op::ForeachIter => 53,
-        Op::ForeachNext { .. } => 54,
-        Op::Ret => 55,
+        Op::StmtEnterTick { .. } => 3,
+        Op::TickLoadSlot { .. } => 4,
+        Op::StmtExitEnterTick { .. } => 5,
+        Op::StoreSlotExit { .. } => 6,
+        Op::StmtEnter { .. } => 7,
+        Op::StmtExit => 8,
+        Op::Const { .. } => 9,
+        Op::LoadSlot { .. } => 10,
+        Op::StoreSlot { .. } => 11,
+        Op::CompoundSlot { .. } => 12,
+        Op::Binary(_) => 13,
+        Op::Jump { .. } => 14,
+        Op::JumpIfFalse { .. } => 15,
+        Op::IterStmtEnter { .. } => 16,
+        Op::IterStmtExit { .. } => 17,
+        Op::BeginLoop { .. } => 18,
+        Op::IterStart { .. } => 19,
+        Op::EndIterBody => 20,
+        Op::EndLoop => 21,
+        Op::PopIterState => 22,
+        Op::Pop => 23,
+        Op::UndefVar { .. } => 24,
+        Op::Unary(_) => 25,
+        Op::ToBool => 26,
+        Op::ShortCircuit { .. } => 27,
+        Op::LoadField { .. } => 28,
+        Op::StoreField { .. } => 29,
+        Op::CompoundField { .. } => 30,
+        Op::LoadIndex => 31,
+        Op::StoreIndex => 32,
+        Op::CompoundIndex { .. } => 33,
+        Op::MakeList { .. } => 34,
+        Op::CallFunc { .. } => 35,
+        Op::CallMethod { .. } => 36,
+        Op::CallBuiltin { .. } => 37,
+        Op::Work => 38,
+        Op::UnknownCall { .. } => 39,
+        Op::AllocObject { .. } => 40,
+        Op::InitField { .. } => 41,
+        Op::CallCtor { .. } => 42,
+        Op::PositionalInit { .. } => 43,
+        Op::NoClass { .. } => 44,
+        Op::CtorRecursion => 45,
+        Op::ForeachIter => 46,
+        Op::ForeachNext { .. } => 47,
+        Op::Ret => 48,
     }
 }
 
@@ -109,17 +103,10 @@ pub(crate) fn op_kind_name(kind: u8) -> &'static str {
         "tick",
         "load_slot_bin",
         "const_bin",
-        "bin_jump_if_false",
-        "tick_jump",
         "stmt_enter_tick",
-        "slot_move",
-        "iter_stmt_enter_tick",
-        "stmt_exit_iter",
         "tick_load_slot",
         "stmt_exit_enter_tick",
         "store_slot_exit",
-        "slot_field",
-        "load_slot2",
         "stmt_enter",
         "stmt_exit",
         "const",
@@ -291,9 +278,7 @@ fn jump_target_mut(op: &mut Op) -> Option<&mut u32> {
         Op::Jump { target }
         | Op::JumpIfFalse { target, .. }
         | Op::ShortCircuit { target, .. }
-        | Op::ForeachNext { target, .. }
-        | Op::TickJump { target, .. }
-        | Op::BinJumpIfFalse { target, .. } => Some(target),
+        | Op::ForeachNext { target, .. } => Some(target),
         _ => None,
     }
 }
@@ -358,8 +343,8 @@ impl CompiledProgram {
         // reports the current line, which only changes at (hard) `StmtEnter`,
         // so moving cost earlier across loads/stores/consts cannot change
         // any outcome. Hoisting (rather than sinking) lets the merged tick
-        // coalesce into `StmtEnterTick` and `TickJump`, and frees pairs like
-        // `LoadSlot`+`Binary` of the interleaved expression-node ticks.
+        // coalesce into `StmtEnterTick` and `TickLoadSlot`, and frees pairs
+        // like `LoadSlot`+`Binary` of the interleaved expression-node ticks.
         let mut mid: Vec<Op> = Vec::with_capacity(n);
         let mut map1 = vec![0u32; n + 1];
         // Index into `mid` of the current segment's open tick, if any.
@@ -414,83 +399,37 @@ impl CompiledProgram {
         while j < mid.len() {
             map2[j] = out.len() as u32;
             let op = mid[j];
-            // Triple fusion first: the fixed prologue of a traced loop-body
-            // statement (both enters carry the same id, asserted here), and
-            // the exit/enter/tick boundary between consecutive statements.
+            // Triple fusion first: the exit/enter/tick boundary between
+            // consecutive statements.
             if j + 2 < mid.len() && !barrier1[j + 1] && !barrier1[j + 2] {
-                let fused3 = match (op, mid[j + 1], mid[j + 2]) {
-                    (Op::IterStmtEnter { stmt }, Op::StmtEnter { id, line }, Op::Tick(t))
-                        if stmt == id && t <= 255 =>
-                    {
-                        Some(Op::IterStmtEnterTick { id, line, n: t as u8 })
-                    }
-                    (Op::StmtExit, Op::StmtEnter { id, line }, Op::Tick(t)) if t <= 255 => {
-                        Some(Op::StmtExitEnterTick { id, line, n: t as u8 })
-                    }
-                    _ => None,
-                };
-                if let Some(f) = fused3 {
+                if let (Op::StmtExit, Op::StmtEnter { id, line }, Op::Tick(t @ ..=255)) =
+                    (op, mid[j + 1], mid[j + 2])
+                {
                     map2[j + 1] = out.len() as u32;
                     map2[j + 2] = out.len() as u32;
-                    out.push(f);
+                    out.push(Op::StmtExitEnterTick { id, line, n: t as u8 });
                     j += 3;
                     continue;
                 }
             }
             if j + 1 < mid.len() && !barrier1[j + 1] {
-                let mut aux = |payload: [u32; 4]| {
-                    self.move_aux.push(payload);
-                    self.move_aux.len() as u32 - 1
-                };
                 let fused2 = match (op, mid[j + 1]) {
                     (Op::StmtEnter { id, line }, Op::Tick(t)) if t <= 255 => {
                         Some(Op::StmtEnterTick { id, line, n: t as u8 })
                     }
-                    (Op::IterStmtEnter { stmt }, Op::StmtEnter { id, line }) if stmt == id => {
-                        Some(Op::IterStmtEnterTick { id, line, n: 0 })
-                    }
-                    (Op::StmtExit, Op::IterStmtExit { loop_idx, slot }) => {
-                        Some(Op::StmtExitIter { loop_idx, slot })
-                    }
                     (Op::StmtExit, Op::StmtEnter { id, line }) => {
                         Some(Op::StmtExitEnterTick { id, line, n: 0 })
                     }
-                    // Jump-target ticks (`barrier1[j]`) are left alone: Pass D
-                    // threads unconditional back-edges through them instead,
-                    // which also covers heads not followed by a slot load.
-                    (Op::Tick(t), Op::LoadSlot { slot, name }) if t <= 255 && !barrier1[j] => {
+                    (Op::Tick(t), Op::LoadSlot { slot, name }) if t <= 255 => {
                         Some(Op::TickLoadSlot { slot, name, n: t as u8 })
                     }
                     (Op::StoreSlot { slot, name }, Op::StmtExit) => {
                         Some(Op::StoreSlotExit { slot, name })
                     }
-                    (Op::LoadSlot { slot, name }, Op::LoadField { name: field }) => {
-                        Some(Op::SlotField { aux: aux([slot, name, field, 0]) })
-                    }
-                    // Skip when the op after the second load would rather fuse
-                    // with it (`LoadSlotBin`/`SlotMove`/`SlotField` keep the
-                    // operand off the stack entirely, which beats a paired
-                    // push).
-                    (Op::LoadSlot { slot, name }, Op::LoadSlot { slot: s2, name: n2 })
-                        if !(j + 2 < mid.len()
-                            && !barrier1[j + 2]
-                            && matches!(
-                                mid[j + 2],
-                                Op::Binary(_) | Op::StoreSlot { .. } | Op::LoadField { .. }
-                            )) =>
-                    {
-                        Some(Op::LoadSlot2 { aux: aux([slot, name, s2, n2]) })
-                    }
                     (Op::LoadSlot { slot, name }, Op::Binary(b)) => {
                         Some(Op::LoadSlotBin { slot, name, op: b })
                     }
                     (Op::Const { idx }, Op::Binary(b)) => Some(Op::ConstBin { idx, op: b }),
-                    (Op::Binary(b), Op::JumpIfFalse { target, cond }) => {
-                        Some(Op::BinJumpIfFalse { op: b, target, cond })
-                    }
-                    (Op::LoadSlot { slot, name }, Op::StoreSlot { slot: dst, name: dst_name }) => {
-                        Some(Op::SlotMove { aux: aux([slot, name, dst, dst_name]) })
-                    }
                     _ => None,
                 };
                 if let Some(f) = fused2 {
@@ -516,17 +455,6 @@ impl CompiledProgram {
         }
         for f in &mut self.funcs {
             f.entry = remap(f.entry);
-        }
-
-        // Pass D — back-edge tick threading: a `Jump` whose (final) target
-        // is a `Tick(t)` executes the tick inside the jump and lands past
-        // it. The tick stays for the fall-through entry path.
-        for i in 0..out.len() {
-            if let Op::Jump { target } = out[i] {
-                if let Some(Op::Tick(t)) = out.get(target as usize) {
-                    out[i] = Op::TickJump { n: *t, target: target + 1 };
-                }
-            }
         }
 
         self.code = out;
@@ -561,9 +489,12 @@ mod tests {
     }
 
     /// The VM fetches ops unchecked, so this has to hold for whatever the
-    /// pass is given; the corpus is the widest input there is.
+    /// pass is given; the corpus is the widest input there is. It is also
+    /// what a superinstruction has to earn its place on: each one has a
+    /// site in some corpus program, in one mode or the other.
     #[test]
     fn every_corpus_program_keeps_control_in_bounds_in_both_modes() {
+        let mut sites = [0u64; N_OP_KINDS];
         for p in patty_corpus::all_programs() {
             let program = parse(p.source).unwrap();
             let raw = compile(&program);
@@ -584,8 +515,12 @@ mod tests {
                         "{}: {op:?} is not in FUSED_KINDS",
                         p.name
                     );
+                    sites[k as usize] += 1;
                 }
             }
+        }
+        for k in FUSED_KINDS {
+            assert!(sites[k as usize] > 0, "{} has no site in the corpus", op_kind_name(k));
         }
     }
 
@@ -594,12 +529,6 @@ mod tests {
         let opt = fused("fn main() { var s = 0; while (s < 3) { s += 1; } return s; }", true);
         assert!(!opt.stripped_tracing);
         assert!(opt.code.iter().any(|op| matches!(op, Op::IterStart { .. })));
-    }
-
-    #[test]
-    fn back_edges_absorb_their_target_tick() {
-        let opt = fused("fn main() { var s = 0; while (s < 3) { s += 1; } return s; }", false);
-        assert!(opt.code.iter().any(|op| matches!(op, Op::TickJump { .. })));
     }
 
     #[test]

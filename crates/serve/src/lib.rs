@@ -94,46 +94,10 @@ impl JobKind {
     }
 }
 
-/// Incremental 64-bit FNV-1a. The artifact cache keys on this hash, so
-/// it must stay byte-stable across releases: on-disk spill files are
-/// named after it and survive process restarts.
-#[derive(Clone, Copy)]
-pub struct Fnv(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv(FNV_OFFSET)
-    }
-
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
-    }
-
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
-    }
-}
-
-/// One-shot FNV-1a over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
+/// The artifact cache keys on this hash, so it must stay byte-stable
+/// across releases: on-disk spill files are named after it and survive
+/// process restarts.
+pub use patty_hash::{fnv1a64, Fnv};
 
 /// The content address of a job: kind tag, NUL separator, then the
 /// program source, so the same source analyzed and tuned lands on two
@@ -149,14 +113,6 @@ pub fn job_hash(kind: JobKind, source: &str) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn job_hash_separates_kinds_and_sources() {

@@ -7,6 +7,7 @@
 //! helpful these feature would be to them."
 
 use crate::roster::Participant;
+use patty_hash::fnv1a64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,7 +56,7 @@ pub(crate) fn rate_features(manual: &[&Participant], seed: u64) -> Vec<FeatureRo
                 .iter()
                 .map(|p| {
                     let mut rng = StdRng::seed_from_u64(
-                        seed ^ (p.id as u64).wrapping_mul(0xFEA7) ^ hash_name(f.name),
+                        seed ^ (p.id as u64).wrapping_mul(0xFEA7) ^ fnv1a64(f.name.as_bytes()),
                     );
                     // Struggling participants (low multicore skill) want
                     // dependence views and strategies even more.
@@ -78,12 +79,6 @@ pub(crate) fn rate_features(manual: &[&Participant], seed: u64) -> Vec<FeatureRo
             }
         })
         .collect()
-}
-
-fn hash_name(s: &str) -> u64 {
-    s.bytes().fold(0xcbf29ce484222325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100000001b3)
-    })
 }
 
 /// The top-`k` features by average rating.

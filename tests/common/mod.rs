@@ -31,11 +31,6 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-/// FNV-1a, for pinning a long text by length and digest.
-pub fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
-}
-
 /// Pass if `actual` is `golden` (the bytes of `tests/golden/<name>.txt`);
 /// otherwise write `actual` next to the test binaries and panic on the
 /// first line that differs.

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::fnv1a;
+use patty_hash::fnv1a64;
 use patty_workspace::corpus::all_programs;
 use patty_workspace::minilang::{parse, Value};
 use patty_workspace::patty::{Patty, PattyRun};
@@ -67,7 +67,7 @@ fn render(out: &mut String, name: &str, source: &str, run: &PattyRun) {
             out,
             "  annotated len={} fnv={:016x}",
             a.annotated_source.len(),
-            fnv1a(&a.annotated_source)
+            fnv1a64(a.annotated_source.as_bytes())
         )
         .unwrap();
     }

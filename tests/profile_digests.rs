@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::fnv1a;
+use patty_hash::fnv1a64;
 use patty_workspace::corpus::all_programs;
 use patty_workspace::minilang::profile::AccessKind;
 use patty_workspace::minilang::{run, Engine, InterpOptions};
@@ -60,7 +60,7 @@ fn profiles_and_unit_tests_match_the_golden_file() {
             for (mode, trace_iters) in [("default", InterpOptions::default().trace_iters), ("iters1", 1)] {
                 let options = InterpOptions { engine, trace_iters, ..InterpOptions::default() };
                 let json = run(&program, options).expect("the program runs").profile.to_json();
-                writeln!(actual, "profile {label} {mode} len={} fnv={:016x}", json.len(), fnv1a(&json))
+                writeln!(actual, "profile {label} {mode} len={} fnv={:016x}", json.len(), fnv1a64(json.as_bytes()))
                     .unwrap();
             }
         }
@@ -87,7 +87,7 @@ fn profiles_and_unit_tests_match_the_golden_file() {
                             a.arch.name,
                             t.stages.len(),
                             t.cells.len(),
-                            fnv1a(&render_unit_test(t))
+                            fnv1a64(render_unit_test(t).as_bytes())
                         )
                         .unwrap();
                     }
