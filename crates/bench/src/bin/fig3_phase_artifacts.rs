@@ -11,11 +11,13 @@ use patty_tool::Patty;
 
 fn main() {
     let program = avistream_program();
-    let run = Patty::new().run_automatic(program.source).expect("avistream runs");
+    let patty = Patty::new();
+    let run = patty.run_automatic(program.source).expect("avistream runs");
     let a = &run.artifacts[0];
+    let annotated = patty.annotate(&run).expect("avistream annotates");
 
     println!("== Figure 3a — Sequential Source Code ==\n{}", program.source.trim());
-    println!("\n== Figure 3b — Annotated Sequential Source Code ==\n{}", a.annotated_source.trim());
+    println!("\n== Figure 3b — Annotated Sequential Source Code ==\n{}", annotated[0].trim());
     println!("\n== Figure 3c — Tuning Parameter Configuration ==\n{}", a.tuning_json);
     println!("\n== Figure 3d — Parallel Source Code ==\n{}", a.plan.code.trim());
     println!("\ndetected architecture: {}", a.arch.expr);

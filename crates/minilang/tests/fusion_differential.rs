@@ -109,8 +109,8 @@ fn break_target_blocks_post_loop_pair_fusion() {
     );
 }
 
-/// An if/else join point: the else-branch jump targets the eligible
-/// `LoadSlot`+`StoreSlot` move after the if — barrier case for SlotMove.
+/// An if/else join point: the else-branch jump lands on the statement
+/// after the if, so no superinstruction may swallow the op it lands on.
 #[test]
 fn if_join_blocks_slot_move_fusion() {
     assert_src_agrees(
@@ -147,8 +147,7 @@ fn operand_type_change_mid_loop_is_identical_through_fusion() {
     );
 }
 
-/// Float arithmetic, comparison and division through `ConstBin` and
-/// `BinJumpIfFalse`.
+/// Float arithmetic, comparison and division through `ConstBin`.
 #[test]
 fn float_arithmetic_is_identical_through_fusion() {
     assert_src_agrees(
@@ -182,8 +181,9 @@ fn division_by_zero_error_is_identical_through_fusion() {
     );
 }
 
-/// Step-limit exhaustion can trigger inside a fused `TickJump` or
-/// `StmtEnterTick`; the reported error must match the tree-walker's.
+/// Step-limit exhaustion can trigger inside a fused op that carries ticks
+/// (`StmtEnterTick`, `StmtExitEnterTick`, `TickLoadSlot`); the reported
+/// error must match the tree-walker's.
 #[test]
 fn step_limit_error_is_identical_through_fusion() {
     for limit in [50, 97, 214, 1003] {

@@ -22,9 +22,11 @@
 //!         print(len(out));
 //!     }
 //! "#;
-//! let run = Patty::new().run_automatic(source).unwrap();
+//! let patty = Patty::new();
+//! let run = patty.run_automatic(source).unwrap();
 //! assert_eq!(run.artifacts.len(), 1);
-//! assert!(run.artifacts[0].annotated_source.contains("#region TADL:"));
+//! // The annotated source is a step of its own, computed on request.
+//! assert!(patty.annotate(&run).unwrap()[0].contains("#region TADL:"));
 //! ```
 
 pub mod chesscmd;

@@ -155,7 +155,7 @@ fn run(args: &[String]) -> i32 {
     };
     match cmd.as_str() {
         "analyze" => analyze(&run),
-        "annotate" => annotate(&run),
+        "annotate" => return annotate(&patty, &run),
         "transform" => transform(&run),
         "validate" => validate(&patty, &run),
         other => unreachable!("command `{other}` validated above"),
@@ -464,11 +464,19 @@ fn analyze(run: &PattyRun) {
     }
 }
 
-fn annotate(run: &PattyRun) {
-    for a in &run.artifacts {
+fn annotate(patty: &Patty, run: &PattyRun) -> i32 {
+    let sources = match patty.annotate(run) {
+        Ok(sources) => sources,
+        Err(e) => {
+            eprintln!("patty: {e}");
+            return 1;
+        }
+    };
+    for (a, source) in run.artifacts.iter().zip(sources) {
         println!("// —— annotated source for {} ——", a.arch.name);
-        println!("{}", a.annotated_source);
+        println!("{source}");
     }
+    0
 }
 
 fn transform(run: &PattyRun) {
@@ -481,9 +489,10 @@ fn transform(run: &PattyRun) {
 }
 
 fn validate(patty: &Patty, run: &PattyRun) {
-    if !run.test_inputs.is_empty() {
+    let inputs = patty.coverage_inputs(run);
+    if !inputs.is_empty() {
         println!("— path-coverage inputs for unit tests —");
-        for (func, report) in &run.test_inputs {
+        for (func, report) in &inputs {
             println!(
                 "  {func}: {} input set(s), {}/{} branch goals covered",
                 report.inputs.len(),

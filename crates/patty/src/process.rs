@@ -7,15 +7,22 @@
 //! and architecture descriptions) → **4. Code Transform** (parallel plan,
 //! tuning configuration file, parallel unit tests).
 //!
-//! Every phase's artifacts are kept and exposed (requirement R2: "the
-//! necessity to visualize the phase artifacts after each step").
+//! Every phase's artifacts are exposed (requirement R2: "the necessity to
+//! visualize the phase artifacts after each step"). [`Patty::run`] builds
+//! what validation and tuning read — the model, the instances and per
+//! instance the architecture, plan, tuning file and unit test. The two
+//! artifacts nothing downstream reads are steps of their own, computed
+//! when a caller steps to them: [`Patty::annotate`] (the TADL-annotated
+//! source) and [`Patty::coverage_inputs`] (path-coverage input sets).
 
 use patty_analysis::SemanticModel;
 use patty_chess::{ChessOptions, Report, SearchMode};
 use patty_minilang::{parse, InterpOptions, LangError};
 use patty_patterns::{detect_patterns, DetectOptions, PatternInstance};
 use patty_tadl::ArchitectureDescription;
-use patty_testgen::{generate_test_inputs, generate_unit_test, run_unit_test, ParallelUnitTest};
+use patty_testgen::{
+    generate_test_inputs, generate_unit_test, run_unit_test, CoverageReport, ParallelUnitTest,
+};
 use patty_transform::{
     extract_annotations, generate_plan, instance_from_annotation, Annotator, ParallelPlan,
     PipelineSimEvaluator, SimParams,
@@ -62,9 +69,8 @@ impl Default for PattyOptions {
 pub struct InstanceArtifacts {
     pub instance: PatternInstance,
     /// Phase-3 artifact: the architecture description (TADL interface).
+    /// The annotated source (Fig. 3b) is [`Patty::annotate`]'s.
     pub arch: ArchitectureDescription,
-    /// Phase-3 artifact: the source with TADL annotations (Fig. 3b).
-    pub annotated_source: String,
     /// Phase-4 artifact: the parallel plan and source rendering (Fig. 3d).
     pub plan: ParallelPlan,
     /// Phase-4 artifact: the tuning configuration file (Fig. 3c).
@@ -80,10 +86,6 @@ pub struct PattyRun {
     pub model: SemanticModel,
     /// Per-instance artifacts, best candidate first.
     pub artifacts: Vec<InstanceArtifacts>,
-    /// Phase-4 artifact: path-coverage input sets for every parameterized
-    /// free function ("we perform a path coverage analysis to generate a
-    /// set of input data for each unit test", Section 2.1).
-    pub test_inputs: Vec<(String, patty_testgen::CoverageReport)>,
 }
 
 /// Errors of the Patty process.
@@ -162,11 +164,10 @@ impl Patty {
         self.process(source, true)
     }
 
-    /// The four phases. The modes differ only in where the instances come
-    /// from; everything built from the program is built once — one parse,
-    /// one traced run for the model, one printed program for the
-    /// annotations, one compiled program for path coverage — and every
-    /// instance and function borrows it.
+    /// The four phases, up to what validation and tuning read. The modes
+    /// differ only in where the instances come from; the program is
+    /// parsed once and run traced once for the model, and every instance
+    /// borrows that model.
     fn process(&self, source: &str, annotated: bool) -> Result<PattyRun, PattyError> {
         let (model, instances) = self.telemetry.timed("phase.detect", || {
             let program = parse(source)?;
@@ -183,32 +184,18 @@ impl Patty {
             };
             Ok::<_, PattyError>((model, instances))
         })?;
-        // Printed inside the first instance's span: a program without
-        // instances is never printed, and the span count stays one per
-        // instance.
-        let mut annotator = None;
         let artifacts = instances
             .into_iter()
-            .map(|instance| {
-                let annotated_source = self.telemetry.timed("phase.annotate", || {
-                    if annotator.is_none() {
-                        annotator = Some(Annotator::new(&model.program)?);
-                    }
-                    annotator.as_ref().expect("built above").annotate(&instance)
-                })?;
-                Ok(self.transform_instance(&model, instance, annotated_source))
-            })
-            .collect::<Result<Vec<_>, PattyError>>()?;
-        let test_inputs = generate_test_inputs(&model.program);
-        Ok(PattyRun { model, artifacts, test_inputs })
+            .map(|instance| self.transform_instance(&model, instance))
+            .collect();
+        Ok(PattyRun { model, artifacts })
     }
 
-    /// Phase 4 for one annotated instance.
+    /// Phase 4 for one instance.
     fn transform_instance(
         &self,
         model: &SemanticModel,
         instance: PatternInstance,
-        annotated_source: String,
     ) -> InstanceArtifacts {
         let _span = self.telemetry.span("phase.transform");
         let body_cost = loop_body_cost(model, &instance);
@@ -217,7 +204,6 @@ impl Patty {
         let unit_test = generate_unit_test(model, &instance, self.options.unit_test_elements);
         InstanceArtifacts {
             arch: instance.arch.clone(),
-            annotated_source,
             plan,
             tuning_json,
             unit_test,
@@ -225,7 +211,40 @@ impl Patty {
         }
     }
 
-    /// **`patty profile`** — run the full process with telemetry enabled,
+    /// **Phase 3, annotated source** (Fig. 3b): the program with each
+    /// instance's TADL regions, one source per instance in `run`'s order.
+    /// The program is printed once and every instance re-prints only the
+    /// declaration that owns its loop. The re-parse that checks the result
+    /// can fail: regions nest a loop at the parser's depth bound past it.
+    pub fn annotate(&self, run: &PattyRun) -> Result<Vec<String>, PattyError> {
+        // Printed inside the first instance's span: a program without
+        // instances is never printed, and the span count stays one per
+        // instance.
+        let mut annotator = None;
+        run.artifacts
+            .iter()
+            .map(|a| {
+                self.telemetry.timed("phase.annotate", || {
+                    if annotator.is_none() {
+                        annotator = Some(Annotator::new(&run.model.program)?);
+                    }
+                    Ok(annotator.as_ref().expect("built above").annotate(&a.instance)?)
+                })
+            })
+            .collect()
+    }
+
+    /// **Phase 4, unit-test inputs**: path-coverage input sets for every
+    /// parameterized free function ("we perform a path coverage analysis
+    /// to generate a set of input data for each unit test", Section 2.1),
+    /// from one exec-mode compilation of the program.
+    pub fn coverage_inputs(&self, run: &PattyRun) -> Vec<(String, CoverageReport)> {
+        generate_test_inputs(&run.model.program)
+    }
+
+    /// **`patty profile`** — run the whole process with telemetry enabled
+    /// (the on-request [`annotate`](Patty::annotate) and
+    /// [`coverage_inputs`](Patty::coverage_inputs) steps included),
     /// execute every generated plan on the runtime library over its
     /// observed stream, and return the aggregated report: per-stage item
     /// counts, per-phase span timings and the auto-tuner's iteration log.
@@ -238,6 +257,8 @@ impl Patty {
         patty_runtime::register_fault_counters(&telemetry);
         let patty = self.clone().with_telemetry(telemetry.clone());
         let run = patty.run(source)?;
+        patty.annotate(&run)?;
+        patty.coverage_inputs(&run);
         for a in &run.artifacts {
             execute_plan(a, &telemetry, &Tracer::disabled())?;
         }
@@ -422,7 +443,7 @@ mod tests {
         assert_eq!(run.artifacts.len(), 1);
         let a = &run.artifacts[0];
         assert_eq!(a.arch.kind, PatternKind::Pipeline);
-        assert!(a.annotated_source.contains("#region TADL:"));
+        assert!(patty.annotate(&run).unwrap()[0].contains("#region TADL:"));
         assert!(a.tuning_json.contains("StageReplication"));
         assert!(a.plan.code.contains("build_pipeline"));
         assert!(a.unit_test.is_some());
@@ -480,7 +501,13 @@ fn main() {{
         let on_a_small_stack = |source: String| {
             std::thread::Builder::new()
                 .stack_size(2 << 20)
-                .spawn(move || Patty::new().run(&source).map(|run| run.artifacts.len()))
+                .spawn(move || {
+                    let patty = Patty::new();
+                    let run = patty.run(&source)?;
+                    patty.annotate(&run)?;
+                    patty.coverage_inputs(&run);
+                    Ok::<_, PattyError>(run.artifacts.len())
+                })
                 .unwrap()
                 .join()
                 .expect("no stack overflow")
@@ -489,7 +516,7 @@ fn main() {{
             assert!(matches!(on_a_small_stack(source), Ok(1..)));
         }
         // A loop detected at the bound is annotated inside regions of its
-        // own, which nest it past the bound: that run stops with the
+        // own, which nest it past the bound: annotation stops with the
         // parser's error.
         match on_a_small_stack(loops) {
             Err(PattyError::Lang(e)) => assert!(e.message.starts_with("nesting deeper than"), "{e}"),
@@ -566,8 +593,8 @@ fn main() {{
         let patty = Patty::new();
         let run = patty.run_automatic(raytracer_program().source).unwrap();
         // the ray tracer has the free function pickBetter(best, t, color)
-        let (name, report) = run
-            .test_inputs
+        let inputs = patty.coverage_inputs(&run);
+        let (name, report) = inputs
             .iter()
             .find(|(n, _)| n == "pickBetter")
             .expect("inputs for pickBetter");

@@ -8,6 +8,12 @@
 //! each result as a patty-json artifact so it is cacheable by the
 //! program's content hash.
 //!
+//! `analyze` and `tune` compute what their artifacts carry and no more:
+//! one `Patty::run` (model, instances, plans, tuning files, unit tests),
+//! then `tune_performance` for `tune`. Neither response carries an
+//! annotated source or path-coverage inputs, so a never-seen program does
+//! not pay for `Patty::annotate` or `Patty::coverage_inputs`.
+//!
 //! `patty tune` routes through the same cache (`tune_cached`): the
 //! artifact spills to `$PATTY_CACHE_DIR` (default: a `patty-cache`
 //! directory under the system temp dir), so repeated tuning of an

@@ -206,6 +206,74 @@ fn serve_stdin_round_trips_analyze_tune_and_stats() {
     assert_eq!(lines[4].get("op").and_then(|o| o.as_str()), Some("shutdown"));
 }
 
+/// A loop nest at the parser's depth bound parses, models and detects, so
+/// serve `analyze` answers it. Its annotated source wraps the detected loop
+/// in regions that nest it past the bound, so `patty annotate` fails with
+/// the parser's message.
+#[test]
+fn a_loop_at_the_depth_bound_analyzes_but_does_not_annotate() {
+    use std::io::Write as _;
+    let program = |n: usize| {
+        format!(
+            "class F {{ var g = 2; fn apply(x) {{ work(150); return x * this.g; }} }}
+fn deep(x) {{
+{}x = x + 1;{}
+    return x;
+}}
+fn main() {{
+    var f = new F();
+    var out = [];
+    foreach (x in range(0, 8)) {{
+        var a = f.apply(deep(x));
+        out.add(a);
+    }}
+    print(len(out));
+}}",
+            "foreach (i in range(0, 1)) { ".repeat(n),
+            " }".repeat(n)
+        )
+    };
+    let mut n = 1;
+    while patty_minilang::parse(&program(n + 1)).is_ok() {
+        n += 1;
+    }
+    let source = program(n);
+
+    let mut child = Command::new(patty_bin())
+        .args(["serve", "--stdin", "--no-spill"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("patty serve spawns");
+    {
+        let request = Json::obj()
+            .with("id", Json::Int(1))
+            .with("op", Json::Str("analyze".into()))
+            .with("source", Json::Str(source.clone()));
+        let stdin = child.stdin.as_mut().expect("piped stdin");
+        writeln!(stdin, "{request}").unwrap();
+        writeln!(stdin, "{{\"id\":2,\"op\":\"shutdown\"}}").unwrap();
+    }
+    let out = child.wait_with_output().expect("serve exits");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let analyze = patty_json::parse(stdout.lines().next().expect("a response")).expect("JSON");
+    assert_eq!(analyze.get("status").and_then(|s| s.as_str()), Some("ok"), "{analyze}");
+
+    let file = write_temp("loop_at_bound.mini", &source);
+    let out = Command::new(patty_bin())
+        .args(["annotate", file.to_str().unwrap()])
+        .output()
+        .expect("patty runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("patty: parse error") && stderr.contains("nesting deeper than"),
+        "{stderr}"
+    );
+}
+
 /// The real daemon path: bind an ephemeral loopback port, learn it from
 /// the stderr banner, round-trip analyze + repeat tune + stats over a
 /// TCP connection, and shut the daemon down cleanly over the wire.

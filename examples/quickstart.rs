@@ -18,8 +18,8 @@ fn main() {
     println!("architecture (Fig. 3b annotation): {}", artifact.arch.expr);
     println!("stream length observed: {} elements", artifact.arch.stream_length);
     println!("\n— annotated source (excerpt) —");
-    for line in artifact
-        .annotated_source
+    let annotated = patty.annotate(&run).expect("avistream annotates cleanly");
+    for line in annotated[0]
         .lines()
         .filter(|l| l.contains("#region") || l.contains("#endregion"))
     {

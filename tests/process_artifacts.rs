@@ -34,8 +34,14 @@ fn programs() -> Vec<(String, String)> {
     all
 }
 
-fn run(source: &str) -> PattyRun {
-    Patty::new().run_automatic(source).expect("the program runs")
+/// The run, its annotated sources (one per instance) and its coverage
+/// reports: the whole process, its two on-request steps included.
+fn run(source: &str) -> (PattyRun, Vec<String>, Vec<(String, CoverageReport)>) {
+    let patty = Patty::new();
+    let run = patty.run_automatic(source).expect("the program runs");
+    let annotated = patty.annotate(&run).expect("the program annotates");
+    let inputs = patty.coverage_inputs(&run);
+    (run, annotated, inputs)
 }
 
 fn render_inputs(inputs: &[Vec<Value>]) -> String {
@@ -55,9 +61,10 @@ fn render_inputs(inputs: &[Vec<Value>]) -> String {
     rows.join(" ")
 }
 
-fn render(out: &mut String, name: &str, source: &str, run: &PattyRun) {
+fn render(out: &mut String, name: &str, source: &str) {
+    let (run, annotated, inputs) = run(source);
     writeln!(out, "== {name} bytes={} instances={}", source.len(), run.artifacts.len()).unwrap();
-    for a in &run.artifacts {
+    for (a, annotated) in run.artifacts.iter().zip(&annotated) {
         let stages: Vec<&str> = a.plan.stages.iter().map(|s| s.name.as_str()).collect();
         writeln!(out, "instance {} | {}", a.arch.name, a.arch.expr).unwrap();
         writeln!(out, "  plan {} stages=[{}]", a.plan.kind, stages.join(",")).unwrap();
@@ -66,12 +73,12 @@ fn render(out: &mut String, name: &str, source: &str, run: &PattyRun) {
         writeln!(
             out,
             "  annotated len={} fnv={:016x}",
-            a.annotated_source.len(),
-            fnv1a64(a.annotated_source.as_bytes())
+            annotated.len(),
+            fnv1a64(annotated.as_bytes())
         )
         .unwrap();
     }
-    for (func, r) in &run.test_inputs {
+    for (func, r) in &inputs {
         let CoverageReport { inputs, covered, achievable, total, .. } = r;
         writeln!(
             out,
@@ -86,7 +93,7 @@ fn render(out: &mut String, name: &str, source: &str, run: &PattyRun) {
 fn artifacts_match_the_golden_file() {
     let mut actual = String::new();
     for (name, source) in programs() {
-        render(&mut actual, &name, &source, &run(&source));
+        render(&mut actual, &name, &source);
     }
     common::assert_matches_golden("process_artifacts", &actual, GOLDEN);
 }
@@ -94,8 +101,9 @@ fn artifacts_match_the_golden_file() {
 #[test]
 fn every_annotated_source_reparses_to_its_architecture() {
     for (name, source) in programs() {
-        for a in &run(&source).artifacts {
-            let reparsed = parse(&a.annotated_source)
+        let (run, annotated, _) = run(&source);
+        for (a, annotated) in run.artifacts.iter().zip(&annotated) {
+            let reparsed = parse(annotated)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.arch.name));
             let annotations = extract_annotations(&reparsed)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.arch.name));
@@ -108,13 +116,13 @@ fn every_annotated_source_reparses_to_its_architecture() {
 #[test]
 fn one_shot_wrappers_agree_with_the_process_model() {
     for (name, source) in programs() {
-        let run = run(&source);
-        for a in &run.artifacts {
+        let (run, annotated, inputs) = run(&source);
+        for (a, annotated) in run.artifacts.iter().zip(&annotated) {
             let one_shot = annotate_source(&run.model.program, &a.instance)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.arch.name));
-            assert_eq!(one_shot, a.annotated_source, "{name}/{}", a.arch.name);
+            assert_eq!(&one_shot, annotated, "{name}/{}", a.arch.name);
         }
-        for (func, report) in &run.test_inputs {
+        for (func, report) in &inputs {
             let one_shot =
                 path_coverage_inputs(&run.model.program, func, &[-3, -1, 0, 1, 2, 7], 4, 512);
             assert_eq!(format!("{one_shot:?}"), format!("{report:?}"), "{name}/{func}");

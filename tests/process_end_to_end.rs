@@ -13,11 +13,12 @@ fn automatic_mode_runs_on_every_corpus_program() {
         let result = patty
             .run_automatic(prog.source)
             .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
-        for a in &result.artifacts {
+        let annotated = patty.annotate(&result).unwrap_or_else(|e| panic!("{}: {e}", prog.name));
+        for (a, annotated) in result.artifacts.iter().zip(&annotated) {
             // every artifact set is internally consistent
             a.arch.validate().unwrap_or_else(|e| panic!("{}: {e}", prog.name));
             assert!(
-                a.annotated_source.contains("#region TADL:"),
+                annotated.contains("#region TADL:"),
                 "{}: annotation missing",
                 prog.name
             );
@@ -37,8 +38,9 @@ fn annotated_source_reanalyzes_identically() {
     let patty = Patty::new();
     for prog in all_programs() {
         let auto = patty.run_automatic(prog.source).unwrap();
-        for a in &auto.artifacts {
-            let reparsed = parse(&a.annotated_source)
+        let annotated = patty.annotate(&auto).unwrap();
+        for (a, annotated) in auto.artifacts.iter().zip(&annotated) {
+            let reparsed = parse(annotated)
                 .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
             let anns = extract_annotations(&reparsed)
                 .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
@@ -55,8 +57,8 @@ fn annotation_never_changes_program_behaviour() {
         let original = run(&prog.parse(), InterpOptions::default())
             .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
         let auto = patty.run_automatic(prog.source).unwrap();
-        for a in &auto.artifacts {
-            let annotated = parse(&a.annotated_source).unwrap();
+        for (a, annotated) in auto.artifacts.iter().zip(patty.annotate(&auto).unwrap()) {
+            let annotated = parse(&annotated).unwrap();
             let transformed = run(&annotated, InterpOptions::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", prog.name));
             assert_eq!(
