@@ -36,9 +36,16 @@ pub struct SemanticModel {
 }
 
 impl SemanticModel {
-    /// Build the model from static analysis only.
-    pub fn build_static(program: &Program) -> SemanticModel {
-        let summaries = SummaryTable::build(program);
+    /// Build the model of `program`, which it takes over: the static
+    /// analyses, then, given `dynamic` options, one profiled execution of
+    /// `main()` (the paper's dynamic analysis step; the Patty wizard asks
+    /// the engineer for input data — here the program's `main` provides
+    /// it). Without them the model is static only and this cannot fail.
+    pub fn from_program(
+        program: Program,
+        dynamic: Option<InterpOptions>,
+    ) -> Result<SemanticModel, LangError> {
+        let summaries = SummaryTable::build(&program);
         let mut cfgs = BTreeMap::new();
         for f in &program.funcs {
             cfgs.insert(f.name.clone(), Cfg::build(f));
@@ -48,32 +55,28 @@ impl SemanticModel {
                 cfgs.insert(format!("{}.{}", c.name, m.name), Cfg::build(m));
             }
         }
-        let callgraph = CallGraph::build(program);
-        let loops = collect_loops(program);
+        let callgraph = CallGraph::build(&program);
+        let loops = collect_loops(&program);
         let stmts = program.stmt_table();
         let mut loop_deps = BTreeMap::new();
         for l in &loops {
             loop_deps.insert(l.id, LoopDeps::compute(&stmts, l, &summaries));
         }
-        SemanticModel {
-            program: program.clone(),
-            summaries,
-            cfgs,
-            callgraph,
-            loops,
-            loop_deps,
-            profile: None,
-        }
+        let profile = match dynamic {
+            Some(options) => Some(run(&program, options)?.profile),
+            None => None,
+        };
+        Ok(SemanticModel { program, summaries, cfgs, callgraph, loops, loop_deps, profile })
     }
 
-    /// Build the full model: static analyses plus one profiled execution of
-    /// `main()` (the paper's dynamic analysis step; the Patty wizard asks
-    /// the engineer for input data — here the program's `main` provides it).
+    /// The static model of a copy of `program`.
+    pub fn build_static(program: &Program) -> SemanticModel {
+        SemanticModel::from_program(program.clone(), None).expect("a static build runs nothing")
+    }
+
+    /// The full model of a copy of `program`, profiled under `options`.
     pub fn build(program: &Program, options: InterpOptions) -> Result<SemanticModel, LangError> {
-        let mut model = SemanticModel::build_static(program);
-        let outcome = run(program, options)?;
-        model.profile = Some(outcome.profile);
-        Ok(model)
+        SemanticModel::from_program(program.clone(), Some(options))
     }
 
     /// Attach an existing profile (e.g. from a custom entry point).

@@ -18,7 +18,7 @@ fn main() {
 
     println!("== Figure 3a — Sequential Source Code ==\n{}", program.source.trim());
     println!("\n== Figure 3b — Annotated Sequential Source Code ==\n{}", annotated[0].trim());
-    println!("\n== Figure 3c — Tuning Parameter Configuration ==\n{}", a.tuning_json);
+    println!("\n== Figure 3c — Tuning Parameter Configuration ==\n{}", a.instance.tuning.to_json());
     println!("\n== Figure 3d — Parallel Source Code ==\n{}", a.plan.code.trim());
     println!("\ndetected architecture: {}", a.arch.expr);
     println!("paper reference: (A || B || C+) => D => E with the oil filter replicable");

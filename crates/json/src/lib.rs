@@ -187,27 +187,91 @@ fn write_seq(
     out.push(close);
 }
 
+/// `b` in each of a word's eight byte lanes.
+const fn splat(b: u8) -> u64 {
+    0x0101_0101_0101_0101 * b as u64
+}
+
+/// The high bit of each lane of `word` that is zero. A borrow can flag
+/// a lane above a zero lane falsely, never one below it, so the lowest
+/// flag is exact.
+fn zero_lanes(word: u64) -> u64 {
+    word.wrapping_sub(splat(1)) & !word & splat(0x80)
+}
+
+/// Index of the first byte at or after `from` that is special, eight
+/// bytes at a time: `lanes` flags the special bytes of a little-endian
+/// word, exactly in its lowest flag, and `special` tests one byte, for
+/// the last few bytes and so for every short string.
+fn find_special(
+    bytes: &[u8],
+    from: usize,
+    lanes: impl Fn(u64) -> u64,
+    special: impl Fn(u8) -> bool,
+) -> Option<usize> {
+    let mut i = from;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let hits = lanes(u64::from_le_bytes(chunk.try_into().expect("eight bytes")));
+        if hits != 0 {
+            return Some(i + hits.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    let tail = bytes.get(i..)?;
+    tail.iter().position(|&b| special(b)).map(|j| i + j)
+}
+
+/// The next byte a rendered string must escape: `"`, `\` or a control
+/// byte.
+fn find_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    find_special(
+        bytes,
+        from,
+        |w| {
+            (w.wrapping_sub(splat(0x20)) & !w & splat(0x80))
+                | zero_lanes(w ^ splat(b'"'))
+                | zero_lanes(w ^ splat(b'\\'))
+        },
+        |b| b < 0x20 || b == b'"' || b == b'\\',
+    )
+}
+
+/// The next `"` or `\` of a string being parsed.
+fn find_quote_or_backslash(bytes: &[u8], from: usize) -> Option<usize> {
+    find_special(
+        bytes,
+        from,
+        |w| zero_lanes(w ^ splat(b'"')) | zero_lanes(w ^ splat(b'\\')),
+        |b| b == b'"' || b == b'\\',
+    )
+}
+
 /// Only `"`, `\` and control characters are escaped; everything between
 /// two of them is copied as one run. All three are ASCII, so a run always
 /// ends on a character boundary.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
-        out.push_str(&rest[..i]);
-        match rest.as_bytes()[i] {
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while let Some(i) = find_escape(bytes, start) {
+        out.push_str(&s[start..i]);
+        match bytes[i] {
             b'"' => out.push_str("\\\""),
             b'\\' => out.push_str("\\\\"),
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             b => {
-                let _ = write!(out, "\\u{b:04x}");
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
             }
         }
-        rest = &rest[i + 1..];
+        start = i + 1;
     }
-    out.push_str(rest);
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -253,6 +317,12 @@ impl From<&str> for Json {
 impl From<String> for Json {
     fn from(v: String) -> Json {
         Json::Str(v)
+    }
+}
+/// A copy, for APIs that take `impl Into<Json>` and would rather own.
+impl From<&Json> for Json {
+    fn from(v: &Json) -> Json {
+        v.clone()
     }
 }
 impl<T: Into<Json>> From<Vec<T>> for Json {
@@ -460,18 +530,37 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        // Find the closing quote, stepping over escapes. Decoding never
+        // makes a string longer, so that sizes the result once; a string
+        // without escapes is that slice, and one without a closing quote
+        // is an error the decoding below reports.
+        let mut at = start;
+        let mut escaped = false;
+        let end = loop {
+            match find_quote_or_backslash(self.bytes, at) {
+                Some(i) if self.bytes[i] == b'\\' => {
+                    escaped = true;
+                    at = i + 2;
+                }
+                found => break found,
+            }
+        };
+        if let (Some(end), false) = (end, escaped) {
+            self.pos = end + 1;
+            return Ok(self.text[start..end].to_string());
+        }
+        let mut out = String::with_capacity(end.map_or(0, |end| end - start));
         loop {
             // Copy everything up to the next quote or backslash as one
             // run; both are ASCII, so the run ends on a char boundary.
-            let rest = &self.bytes[self.pos..];
-            let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+            let Some(run_end) = find_quote_or_backslash(self.bytes, self.pos) else {
                 self.pos = self.bytes.len();
                 return Err(self.error("unterminated string"));
             };
-            out.push_str(&self.text[self.pos..self.pos + run]);
-            self.pos += run + 1;
-            if rest[run] == b'"' {
+            out.push_str(&self.text[self.pos..run_end]);
+            self.pos = run_end + 1;
+            if self.bytes[run_end] == b'"' {
                 return Ok(out);
             }
             match self.peek() {
@@ -484,17 +573,24 @@ impl<'a> Parser<'a> {
                 Some(b'b') => out.push('\u{0008}'),
                 Some(b'f') => out.push('\u{000c}'),
                 Some(b'u') => {
-                    let hex = self
-                        .bytes
-                        .get(self.pos + 1..self.pos + 5)
-                        .and_then(|h| std::str::from_utf8(h).ok())
-                        .ok_or_else(|| self.error("truncated \\u escape"))?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| self.error(format!("invalid \\u escape `{hex}`")))?;
-                    // Surrogate pairs are not reconstructed; lone
-                    // surrogates map to the replacement character.
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    let unit = self.code_unit(self.pos)?;
                     self.pos += 4;
+                    // A high surrogate and the low one after it are one
+                    // char; a surrogate without its partner is U+FFFD.
+                    let code = if (0xd800..0xdc00).contains(&unit)
+                        && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                    {
+                        match self.code_unit(self.pos + 2) {
+                            Ok(low @ 0xdc00..0xe000) => {
+                                self.pos += 6;
+                                0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00)
+                            }
+                            _ => unit,
+                        }
+                    } else {
+                        unit
+                    };
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
                 other => {
                     return Err(self.error(format!(
@@ -505,6 +601,20 @@ impl<'a> Parser<'a> {
             }
             self.pos += 1;
         }
+    }
+
+    /// The code unit of the `\u` escape whose `u` is at `at`.
+    fn code_unit(&self, at: usize) -> Result<u32, JsonError> {
+        let hex = self
+            .bytes
+            .get(at + 1..at + 5)
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        // `from_str_radix` alone would take a sign: `\u+041` is not `A`.
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(self.error(format!("invalid \\u escape `{hex}`")));
+        }
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -752,11 +862,44 @@ mod tests {
             (r#""\u12""#, "truncated"),
             (r#""\u123é""#, "truncated"),
             (r#""\uzzzz""#, "invalid \\u escape"),
+            (r#""\u+041""#, "invalid \\u escape `+041`"),
             (r#""\q""#, "invalid escape `\\q`"),
             ("\"abc\\", "invalid escape `\\?`"),
         ] {
             let err = parse(text).unwrap_err();
             assert!(err.message.contains(message), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char_and_lone_surrogates_to_fffd() {
+        // What an encoder that escapes all non-ASCII sends, e.g. Python's
+        // `json.dumps("print(😀)")`.
+        for (text, want) in [
+            (r#""print(\ud83d\ude00)""#, "print(😀)"),
+            (r#""\uD83D\uDE00""#, "😀"),
+            (r#""\udbff\udfffx""#, "\u{10ffff}x"),
+            (r#""\ud800""#, "\u{fffd}"),
+            (r#""\udc00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud83dx\ude00""#, "\u{fffd}x\u{fffd}"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+        // A `\u` cut off at the end of input, alone or after a high
+        // surrogate, is a positioned error.
+        for (text, message, column) in [
+            (r#""\ud83d\ude0"#, "truncated \\u escape", 9),
+            (r#""\ud83d\u"#, "truncated \\u escape", 9),
+            (r#""\ud8"#, "truncated \\u escape", 3),
+            (r#""\ud83d\uzzzz""#, "invalid \\u escape `zzzz`", 9),
+            (r#""\ud83d"#, "unterminated string", 8),
+        ] {
+            let err = parse(text).unwrap_err();
+            assert_eq!(err.message, message, "{text}");
+            assert_eq!((err.line, err.column), (1, column), "{text}");
         }
     }
 

@@ -75,12 +75,23 @@ impl<'s> Parser<'s> {
         self.tokens[self.pos].span.line
     }
 
+    /// Consume the current token, moving its payload out: a consumed
+    /// token's span is read again, its `tok` never.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+        let t = &mut self.tokens[self.pos];
+        let t = Token { tok: std::mem::replace(&mut t.tok, Tok::Eof), span: t.span };
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
         t
+    }
+
+    /// Consume an identifier, string or region token and move its text out.
+    fn bump_text(&mut self) -> String {
+        match self.bump().tok {
+            Tok::Ident(text) | Tok::Str(text) | Tok::Region(text) => text,
+            other => unreachable!("bump_text on `{other}`"),
+        }
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -104,10 +115,10 @@ impl<'s> Parser<'s> {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span), LangError> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
+        match self.peek() {
+            Tok::Ident(_) => {
+                let span = self.peek_span();
+                Ok((self.bump_text(), span))
             }
             other => Err(LangError::parse(
                 self.line(),
@@ -233,11 +244,11 @@ impl<'s> Parser<'s> {
     fn stmt_inner(&mut self) -> Result<Stmt, LangError> {
         let id = self.ids.fresh();
         let start = self.peek_span();
-        let kind = match self.peek().clone() {
-            Tok::Region(label) => {
-                let rstart = self.bump().span;
-                let body = self.nested(|p| p.region_body(rstart))?;
-                return Ok(Stmt { id, span: rstart.to(body.span), kind: StmtKind::Region { label, body } });
+        let kind = match self.peek() {
+            Tok::Region(_) => {
+                let label = self.bump_text();
+                let body = self.nested(|p| p.region_body(start))?;
+                return Ok(Stmt { id, span: start.to(body.span), kind: StmtKind::Region { label, body } });
             }
             Tok::Var => {
                 self.bump();
@@ -534,19 +545,16 @@ impl<'s> Parser<'s> {
     fn primary_expr(&mut self) -> Result<Expr, LangError> {
         let start = self.peek_span();
         let id = self.ids.fresh();
-        let kind = match self.peek().clone() {
-            Tok::Int(v) => {
+        let kind = match self.peek() {
+            &Tok::Int(v) => {
                 self.bump();
                 ExprKind::Int(v)
             }
-            Tok::Float(v) => {
+            &Tok::Float(v) => {
                 self.bump();
                 ExprKind::Float(v)
             }
-            Tok::Str(s) => {
-                self.bump();
-                ExprKind::Str(s)
-            }
+            Tok::Str(_) => ExprKind::Str(self.bump_text()),
             Tok::True => {
                 self.bump();
                 ExprKind::Bool(true)
@@ -576,8 +584,8 @@ impl<'s> Parser<'s> {
                 // keep the inner node; parens are purely syntactic
                 return Ok(inner);
             }
-            Tok::Ident(name) => {
-                self.bump();
+            Tok::Ident(_) => {
+                let name = self.bump_text();
                 if self.peek() == &Tok::LParen {
                     let args = self.arg_list()?;
                     ExprKind::Call { callee: name, args }

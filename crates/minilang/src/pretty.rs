@@ -247,7 +247,7 @@ fn print_expr_prec(e: &Expr, min_prec: u8) -> String {
                 v.to_string()
             }
         }
-        ExprKind::Str(s) => format!("{s:?}"),
+        ExprKind::Str(s) => print_str(s),
         ExprKind::Bool(b) => b.to_string(),
         ExprKind::Null => "null".to_string(),
         ExprKind::Var(name) => name.clone(),
@@ -290,6 +290,24 @@ fn print_expr_prec(e: &Expr, min_prec: u8) -> String {
     }
 }
 
+/// A string literal as the lexer reads it back: minilang escapes only
+/// `"`, `\`, newline and tab, and every other char is written as is.
+fn print_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 fn print_args(args: &[Expr]) -> String {
     args.iter().map(print_expr).collect::<Vec<_>>().join(", ")
 }
@@ -315,6 +333,18 @@ mod tests {
             (Err(a), Err(b)) => assert_eq!(a.message, b.message),
             (a, b) => panic!("behaviour diverged: {a:?} vs {b:?}"),
         }
+    }
+
+    #[test]
+    fn round_trips_string_literals_as_written() {
+        // Non-ASCII text, and chars Rust's `{:?}` would escape in a way
+        // the lexer does not read: a carriage return, a control char, a
+        // zero-width space and a combining accent.
+        let literal = "\u{e9}t\u{e9} \u{65e5}\u{672c} \u{1f600} \r \u{1} \u{200b} \u{301}";
+        let src = format!("fn main() {{ print(\"{literal} \\\" \\\\ \\n \\t\"); }}");
+        round_trip(&src);
+        let printed = print_program(&parse(&src).unwrap());
+        assert!(printed.contains(&format!("print(\"{literal} \\\" \\\\ \\n \\t\")")), "{printed}");
     }
 
     #[test]

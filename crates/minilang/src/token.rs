@@ -373,22 +373,28 @@ impl<'s> Lexer<'s> {
         self.bump(); // opening quote
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash as one
+            // slice; both are ASCII, so it ends on a char boundary.
+            let Some(run) = self.bytes[self.pos..].iter().position(|&b| b == b'"' || b == b'\\') else {
+                return Err(LangError::lex(line, "unterminated string".into()));
+            };
+            let text = &self.src[self.pos..self.pos + run];
+            self.line += text.bytes().filter(|&b| b == b'\n').count() as u32;
+            out.push_str(text);
+            self.pos += run;
+            if self.bump() == Some(b'"') {
+                break;
+            }
+            let escape = self.pos;
             match self.bump() {
-                None => return Err(LangError::lex(line, "unterminated string".into())),
-                Some(b'"') => break,
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'"') => out.push('"'),
-                    other => {
-                        return Err(LangError::lex(
-                            line,
-                            format!("bad escape {:?}", other.map(|b| b as char)),
-                        ))
-                    }
-                },
-                Some(b) => out.push(b as char),
+                Some(b'n') => out.push('\n'),
+                Some(b't') => out.push('\t'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'"') => out.push('"'),
+                _ => {
+                    let other = self.src[escape..].chars().next();
+                    return Err(LangError::lex(line, format!("bad escape {other:?}")));
+                }
             }
         }
         Ok(Token { tok: Tok::Str(out), span: Span::new(lo, self.pos as u32, line) })
@@ -483,6 +489,21 @@ mod tests {
             kinds(r#""hi\n\"x\"""#),
             vec![Tok::Str("hi\n\"x\"".into()), Tok::Eof]
         );
+    }
+
+    #[test]
+    fn string_literals_keep_non_ascii_text_whole() {
+        assert_eq!(
+            kinds("\"\u{e9}t\u{e9} \\\"\u{20ac}\\\"\\n\u{1f600}\""),
+            vec![Tok::Str("\u{e9}t\u{e9} \"\u{20ac}\"\n\u{1f600}".into()), Tok::Eof]
+        );
+        // A raw newline inside a literal still counts as a line.
+        let toks = Lexer::new("\"a\u{e9}\nb\" x").lex().unwrap();
+        assert_eq!(toks[1].span.line, 2);
+        let err = Lexer::new("\"\\\u{e9}\"").lex().unwrap_err();
+        assert!(err.to_string().contains("bad escape Some('\u{e9}')"), "{err}");
+        let err = Lexer::new("\"\\").lex().unwrap_err();
+        assert!(err.to_string().contains("bad escape None"), "{err}");
     }
 
     #[test]

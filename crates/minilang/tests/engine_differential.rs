@@ -609,3 +609,14 @@ fn iterations_that_touch_nothing_stay_out_of_the_traced_prefix() {
         assert!(t.accesses().iter().all(|a| a.iter == 2), "trace length {trace_iters}: {:?}", t.accesses());
     });
 }
+
+#[test]
+fn non_ascii_string_literals_print_as_written_on_both_engines() {
+    let src = "fn main() {\n    var s = \"été € \\\"😀\\\"\";\n    print(s);\n}";
+    for engine in [Engine::Ast, Engine::Vm] {
+        let program = parse(src).unwrap();
+        let out = run(&program, InterpOptions { engine, ..InterpOptions::default() }).unwrap();
+        assert_eq!(out.output[0], "été € \"😀\"", "{engine:?}");
+    }
+    assert_src_agrees(src, &InterpOptions::default());
+}

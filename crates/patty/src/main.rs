@@ -483,7 +483,7 @@ fn transform(run: &PattyRun) {
     for a in &run.artifacts {
         println!("— {} —", a.arch.name);
         println!("architecture: {}", a.arch.expr);
-        println!("\n[tuning configuration]\n{}", a.tuning_json);
+        println!("\n[tuning configuration]\n{}", a.instance.tuning.to_json());
         println!("\n[parallel source]\n{}", a.plan.code);
     }
 }

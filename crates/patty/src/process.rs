@@ -67,14 +67,14 @@ impl Default for PattyOptions {
 /// Everything one detected instance produced in phases 3–4.
 #[derive(Clone, Debug)]
 pub struct InstanceArtifacts {
+    /// The instance. Its `tuning` is the phase-4 tuning configuration
+    /// file (Fig. 3c), rendered when asked for: `tuning.to_json()`.
     pub instance: PatternInstance,
     /// Phase-3 artifact: the architecture description (TADL interface).
     /// The annotated source (Fig. 3b) is [`Patty::annotate`]'s.
     pub arch: ArchitectureDescription,
     /// Phase-4 artifact: the parallel plan and source rendering (Fig. 3d).
     pub plan: ParallelPlan,
-    /// Phase-4 artifact: the tuning configuration file (Fig. 3c).
-    pub tuning_json: String,
     /// Phase-4 artifact: the generated parallel unit test.
     pub unit_test: Option<ParallelUnitTest>,
 }
@@ -170,8 +170,7 @@ impl Patty {
     /// borrows that model.
     fn process(&self, source: &str, annotated: bool) -> Result<PattyRun, PattyError> {
         let (model, instances) = self.telemetry.timed("phase.detect", || {
-            let program = parse(source)?;
-            let model = SemanticModel::build(&program, self.options.interp.clone())?;
+            let model = SemanticModel::from_program(parse(source)?, Some(self.options.interp.clone()))?;
             let instances = if annotated {
                 extract_annotations(&model.program)
                     .map_err(PattyError::Annotation)?
@@ -200,12 +199,10 @@ impl Patty {
         let _span = self.telemetry.span("phase.transform");
         let body_cost = loop_body_cost(model, &instance);
         let plan = generate_plan(&instance, body_cost);
-        let tuning_json = instance.tuning.to_json();
         let unit_test = generate_unit_test(model, &instance, self.options.unit_test_elements);
         InstanceArtifacts {
             arch: instance.arch.clone(),
             plan,
-            tuning_json,
             unit_test,
             instance,
         }
@@ -444,7 +441,7 @@ mod tests {
         let a = &run.artifacts[0];
         assert_eq!(a.arch.kind, PatternKind::Pipeline);
         assert!(patty.annotate(&run).unwrap()[0].contains("#region TADL:"));
-        assert!(a.tuning_json.contains("StageReplication"));
+        assert!(a.instance.tuning.to_json().contains("StageReplication"));
         assert!(a.plan.code.contains("build_pipeline"));
         assert!(a.unit_test.is_some());
     }
@@ -608,7 +605,7 @@ fn main() {{
     fn tuning_json_round_trips() {
         let patty = Patty::new();
         let run = patty.run_automatic(avistream_program().source).unwrap();
-        let cfg = load_tuning(&run.artifacts[0].tuning_json).unwrap();
+        let cfg = load_tuning(&run.artifacts[0].instance.tuning.to_json()).unwrap();
         assert_eq!(cfg, run.artifacts[0].instance.tuning);
     }
 

@@ -9,16 +9,21 @@
 //! program's content hash.
 //!
 //! `analyze` and `tune` compute what their artifacts carry and no more:
-//! one `Patty::run` (model, instances, plans, tuning files, unit tests),
-//! then `tune_performance` for `tune`. Neither response carries an
-//! annotated source or path-coverage inputs, so a never-seen program does
-//! not pay for `Patty::annotate` or `Patty::coverage_inputs`.
+//! one `Patty::run` (model, instances, plans, unit tests), then
+//! `tune_performance` for `tune`. Neither response carries an annotated
+//! source or path-coverage inputs, so a never-seen program does not pay
+//! for `Patty::annotate` or `Patty::coverage_inputs`. A candidate's
+//! tuning configuration goes into the artifact as a tree
+//! (`TuningConfig::to_json_value`), never as text parsed back, and the
+//! finished tree goes to the cache by value: it is rendered once, and
+//! that compact rendering is both the spill file and the response bytes.
 //!
 //! `patty tune` routes through the same cache (`tune_cached`): the
 //! artifact spills to `$PATTY_CACHE_DIR` (default: a `patty-cache`
 //! directory under the system temp dir), so repeated tuning of an
 //! unchanged file is served from disk instead of recomputed — even
-//! across processes.
+//! across processes. A spill file an older build wrote pretty-printed
+//! is still a hit, with the same output.
 
 use crate::process::{is_annotated, Patty, PattyError, PattyRun};
 use patty_json::Json;
@@ -29,19 +34,18 @@ use patty_serve::{
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// The `analyze` artifact: detected candidates with their parsed
-/// tuning configuration.
+/// The `analyze` artifact: detected candidates with their tuning
+/// configuration as a tree.
 pub fn analyze_artifact(patty: &Patty, source: &str) -> Result<Json, PattyError> {
     let run = patty.run(source)?;
     let candidates = run
         .artifacts
         .iter()
         .map(|a| {
-            let tuning = patty_json::parse(&a.tuning_json).unwrap_or(Json::Null);
             Json::obj()
                 .with("name", Json::Str(a.arch.name.clone()))
                 .with("expr", Json::Str(a.arch.expr.to_string()))
-                .with("tuning", tuning)
+                .with("tuning", a.instance.tuning.to_json_value())
         })
         .collect();
     Ok(Json::obj()
@@ -210,8 +214,7 @@ pub fn tune_cached(patty: &Patty, source: &str) -> i32 {
             return 1;
         }
     };
-    let artifact = tune_artifact(patty, &run);
-    cache.insert(JobKind::Tune, hash, &artifact);
+    let artifact = cache.insert(JobKind::Tune, hash, tune_artifact(patty, &run));
     print!("{}", render_tune_artifact(&artifact));
     0
 }

@@ -10,7 +10,11 @@
 //! An entry is an [`Artifact`]: the tree and its compact rendering,
 //! rendered once when the entry is made (insert or spill load) and
 //! shared behind an `Arc`. A hit bumps the refcount under the shard
-//! lock and nothing else; no tree is cloned or walked per request.
+//! lock and nothing else; no tree is cloned or walked per request. An
+//! insert takes the computed tree over, and its spill file is that
+//! compact rendering plus a newline: the bytes a response carries. A
+//! spill file in any other layout — an older pretty one — still loads,
+//! and is rendered compact like any other.
 
 use crate::JobKind;
 use patty_json::Json;
@@ -180,13 +184,14 @@ impl ShardedCache {
         None
     }
 
-    /// Insert a freshly computed artifact: write-through to the spill
-    /// (if configured), then admit to memory, evicting LRU entries
-    /// past the shard bound. Returns the entry as cached.
-    pub fn insert(&self, kind: JobKind, hash: u64, value: &Json) -> Arc<Artifact> {
+    /// Insert a freshly computed artifact, taking the tree over (a
+    /// borrowed one is cloned): render it once, write that through to
+    /// the spill (if configured), then admit it to memory, evicting LRU
+    /// entries past the shard bound. Returns the entry as cached.
+    pub fn insert(&self, kind: JobKind, hash: u64, value: impl Into<Json>) -> Arc<Artifact> {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.write_spill(kind, hash, value);
-        let artifact = Arc::new(Artifact::new(value.clone()));
+        let artifact = Arc::new(Artifact::new(value.into()));
+        self.write_spill(kind, hash, artifact.compact());
         self.admit(hash, Arc::clone(&artifact));
         artifact
     }
@@ -223,7 +228,7 @@ impl ShardedCache {
         patty_json::parse(&text).ok()
     }
 
-    fn write_spill(&self, kind: JobKind, hash: u64, value: &Json) {
+    fn write_spill(&self, kind: JobKind, hash: u64, compact: &str) {
         let Some(path) = self.spill_path(kind, hash) else {
             return;
         };
@@ -234,7 +239,7 @@ impl ShardedCache {
             // Write-then-rename so a concurrent reader never parses a
             // half-written artifact.
             let tmp = path.with_extension("json.tmp");
-            std::fs::write(&tmp, value.to_string_pretty() + "\n")?;
+            std::fs::write(&tmp, [compact, "\n"].concat())?;
             std::fs::rename(&tmp, &path)
         };
         if write().is_err() {
@@ -288,7 +293,7 @@ mod tests {
         let cache = ShardedCache::new(CacheConfig::default());
         let h = job_hash(JobKind::Analyze, "p");
         assert!(cache.get(JobKind::Analyze, h).is_none());
-        cache.insert(JobKind::Analyze, h, &artifact(1));
+        cache.insert(JobKind::Analyze, h, artifact(1));
         let (v, src) = cache.get(JobKind::Analyze, h).unwrap();
         assert_eq!(**v, artifact(1));
         assert_eq!(src, CacheSource::Memory);
@@ -301,7 +306,7 @@ mod tests {
     fn a_hit_hands_out_the_entry_itself_not_a_copy() {
         let cache = ShardedCache::new(CacheConfig::default());
         let h = job_hash(JobKind::Tune, "p");
-        let inserted = cache.insert(JobKind::Tune, h, &artifact(7));
+        let inserted = cache.insert(JobKind::Tune, h, artifact(7));
         let (a, _) = cache.get(JobKind::Tune, h).unwrap();
         let (b, _) = cache.get(JobKind::Tune, h).unwrap();
         assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&a, &inserted));
@@ -317,11 +322,11 @@ mod tests {
             capacity: 2,
             spill_dir: None,
         });
-        cache.insert(JobKind::Tune, 1, &artifact(1));
-        cache.insert(JobKind::Tune, 2, &artifact(2));
+        cache.insert(JobKind::Tune, 1, artifact(1));
+        cache.insert(JobKind::Tune, 2, artifact(2));
         // Touch 1 so 2 is the LRU victim when 3 arrives.
         assert!(cache.get(JobKind::Tune, 1).is_some());
-        cache.insert(JobKind::Tune, 3, &artifact(3));
+        cache.insert(JobKind::Tune, 3, artifact(3));
         assert_eq!(cache.len(), 2);
         assert!(cache.get(JobKind::Tune, 1).is_some());
         assert!(cache.get(JobKind::Tune, 2).is_none());
@@ -344,8 +349,8 @@ mod tests {
         let cache = ShardedCache::new(cfg.clone());
         let h1 = job_hash(JobKind::Trace, "a");
         let h2 = job_hash(JobKind::Trace, "b");
-        cache.insert(JobKind::Trace, h1, &artifact(1));
-        cache.insert(JobKind::Trace, h2, &artifact(2)); // evicts h1 from memory
+        cache.insert(JobKind::Trace, h1, artifact(1));
+        cache.insert(JobKind::Trace, h2, artifact(2)); // evicts h1 from memory
         let (v, src) = cache.get(JobKind::Trace, h1).unwrap();
         assert_eq!(**v, artifact(1));
         assert_eq!(src, CacheSource::Disk);

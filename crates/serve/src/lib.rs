@@ -14,7 +14,8 @@
 //! needs around it —
 //!
 //! - [`ShardedCache`]: N shard locks, LRU per shard, write-through
-//!   spill to `<dir>/<kind>-<hash>.json`, per-kind hit/miss counters;
+//!   spill to `<dir>/<kind>-<hash>.json` — the compact artifact a
+//!   response carries, plus a newline — and per-kind hit/miss counters;
 //! - [`Admission`]: bounded concurrency + bounded queue with a
 //!   structured `retry_after` load-shed reject;
 //! - single-flight dedup: identical in-flight jobs coalesce onto one

@@ -422,7 +422,7 @@ impl<R: JobRunner> Service<R> {
         let micros = elapsed_us(start);
         match result {
             Ok(result) => {
-                let result = self.cache.insert(kind, hash, &result);
+                let result = self.cache.insert(kind, hash, result);
                 self.metrics.record(kind.index(), micros);
                 Served::Computed { result, micros }
             }

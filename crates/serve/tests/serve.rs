@@ -2,12 +2,13 @@
 //! coalescing, deadline enforcement, load-shed, the line-protocol
 //! loopback, a full TCP round-trip with clean shutdown, the wire
 //! contract (one write per response, pipelining, lines split anywhere,
-//! hostile lines) and the byte identity of spliced responses.
+//! hostile lines), the byte identity of spliced responses and the spill
+//! file's layout.
 
 use patty_json::Json;
 use patty_serve::{
-    ok_response, AdmissionConfig, CacheConfig, JobCtl, JobKind, ServeConfig, Served, Service,
-    MAX_LINE_BYTES,
+    job_hash, ok_response, AdmissionConfig, CacheConfig, JobCtl, JobKind, ServeConfig, Served,
+    Service, MAX_LINE_BYTES,
 };
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -584,5 +585,57 @@ fn spliced_responses_equal_the_tree_rendering_byte_for_byte() {
             assert_eq!(line, tree.to_string());
         }
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `result` bytes of an `ok` response line: its last field.
+fn result_bytes(line: &str) -> &str {
+    let at = line.find(",\"result\":").expect("an ok response") + ",\"result\":".len();
+    line[at..].strip_suffix('}').expect("result is the last field")
+}
+
+/// A spill file holds the bytes a response carries as `result`, plus a
+/// newline; one an older build wrote pretty-printed is still a disk hit
+/// and answers with the same bytes as a fresh computation.
+#[test]
+fn spill_files_are_the_response_result_and_old_pretty_ones_still_hit() {
+    let dir = std::env::temp_dir().join(format!("patty-serve-spill-format-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spilling = |dir: &std::path::Path| {
+        let mut cfg = quick_config();
+        cfg.cache.spill_dir = Some(dir.to_path_buf());
+        Service::new(
+            |kind: JobKind, source: &str, _: &JobCtl| Ok(awkward_artifact(kind, source)),
+            cfg,
+        )
+    };
+    let request = |op: JobKind, source: &str| {
+        Json::obj().with("id", 1i64).with("op", op.as_str()).with("source", source).to_string()
+    };
+    let spill_path = |kind: JobKind, source: &str| {
+        dir.join(format!("{}-{:016x}.json", kind.as_str(), job_hash(kind, source)))
+    };
+
+    // Computed: the file is the response's result and a newline.
+    let (line, _) = spilling(&dir).handle_line(&request(JobKind::Analyze, "p"));
+    assert!(line.contains("\"cached\":\"no\""), "{line}");
+    let spilled = std::fs::read_to_string(spill_path(JobKind::Analyze, "p")).unwrap();
+    assert_eq!(spilled, format!("{}\n", result_bytes(&line)));
+
+    // Written pretty by hand: a disk hit, byte for byte what a service
+    // without a spill computes.
+    let old = awkward_artifact(JobKind::Tune, "q");
+    std::fs::write(spill_path(JobKind::Tune, "q"), old.to_string_pretty() + "\n").unwrap();
+    let (hit, _) = spilling(&dir).handle_line(&request(JobKind::Tune, "q"));
+    assert!(hit.contains("\"cached\":\"disk\""), "{hit}");
+    let fresh = Service::new(
+        |kind: JobKind, source: &str, _: &JobCtl| Ok(awkward_artifact(kind, source)),
+        quick_config(),
+    );
+    let (computed, _) = fresh.handle_line(&request(JobKind::Tune, "q"));
+    assert!(computed.contains("\"cached\":\"no\""), "{computed}");
+    assert_eq!(result_bytes(&hit), result_bytes(&computed));
+    let micros = patty_json::parse(&hit).unwrap().get("micros").and_then(Json::as_i64).unwrap();
+    assert_eq!(hit, ok_response(1, "tune", "disk", micros as u64, old).to_string());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -301,15 +301,21 @@ impl TuningConfig {
         Ok(())
     }
 
-    /// Serialize to the JSON configuration-file format.
-    pub fn to_json(&self) -> String {
+    /// The configuration as a JSON tree, for embedding in a larger
+    /// document without a render-and-parse round trip.
+    pub fn to_json_value(&self) -> Json {
         Json::obj()
             .with("app", self.app.as_str())
             .with(
                 "params",
                 Json::Arr(self.params.iter().map(TuningParam::to_json_value).collect()),
             )
-            .to_string_pretty()
+    }
+
+    /// Serialize to the JSON configuration-file format: the pretty
+    /// rendering of [`to_json_value`](TuningConfig::to_json_value).
+    pub fn to_json(&self) -> String {
+        self.to_json_value().to_string_pretty()
     }
 
     /// Parse from the JSON configuration-file format.

@@ -27,7 +27,7 @@ fn main() {
     }
 
     println!("\n— tuning configuration (Fig. 3c) —");
-    println!("{}", artifact.tuning_json);
+    println!("{}", artifact.instance.tuning.to_json());
 
     println!("— parallel source (Fig. 3d) —");
     println!("{}", artifact.plan.code);

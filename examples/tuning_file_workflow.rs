@@ -34,7 +34,7 @@ fn main() {
     let dir = std::env::temp_dir().join("patty-tuning-demo");
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let path = dir.join(format!("{}.tuning.json", artifact.arch.name));
-    std::fs::write(&path, &artifact.tuning_json).expect("write tuning file");
+    std::fs::write(&path, artifact.instance.tuning.to_json()).expect("write tuning file");
     println!("tuning file written: {}", path.display());
 
     // 2. First execution: load the file, configure the pipeline, run.

@@ -68,7 +68,7 @@ fn render(out: &mut String, name: &str, source: &str) {
         let stages: Vec<&str> = a.plan.stages.iter().map(|s| s.name.as_str()).collect();
         writeln!(out, "instance {} | {}", a.arch.name, a.arch.expr).unwrap();
         writeln!(out, "  plan {} stages=[{}]", a.plan.kind, stages.join(",")).unwrap();
-        writeln!(out, "  tuning {}", a.tuning_json.split_whitespace().collect::<Vec<_>>().join(" "))
+        writeln!(out, "  tuning {}", a.instance.tuning.to_json().split_whitespace().collect::<Vec<_>>().join(" "))
             .unwrap();
         writeln!(
             out,

@@ -22,10 +22,10 @@ fn automatic_mode_runs_on_every_corpus_program() {
                 "{}: annotation missing",
                 prog.name
             );
-            assert!(!a.tuning_json.is_empty());
+            assert!(!a.instance.tuning.to_json().is_empty());
             assert!(!a.plan.code.is_empty());
             // the tuning JSON round-trips
-            let cfg = patty_workspace::patty::load_tuning(&a.tuning_json).unwrap();
+            let cfg = patty_workspace::patty::load_tuning(&a.instance.tuning.to_json()).unwrap();
             assert_eq!(cfg, a.instance.tuning, "{}", prog.name);
         }
     }
