@@ -37,6 +37,13 @@
 //! when every lane is occupied — including nested patterns running on a
 //! lane thread.
 //!
+//! Work does not reach the pool before it pays: a `ParallelFor` run
+//! begins on the calling thread and spawns its other workers only after
+//! a heartbeat of work, so a short loop finishes there without a task
+//! ever being submitted. A short task, or a loop body, may therefore
+//! run on the thread that would otherwise wait for it, and must never
+//! wait on a sibling of its own run.
+//!
 //! Trace identity is unaffected by pooling: `WorkerTracer` handles are
 //! created per run (keyed by stage × logical worker index) *before*
 //! submission and move into the closure, so a trace lane means "worker

@@ -20,6 +20,14 @@
 //! chunks, traces, meters and guards every index. The `*_checked` entry
 //! points are thin adapters over it and `map` / `for_each` / `reduce`
 //! re-panic on the error a checked run with default options returns.
+//!
+//! A pooled run goes parallel only once it has done enough work to pay
+//! for it (heartbeat scheduling, Acar et al., PLDI 2018): the calling
+//! thread starts as worker 0 with nothing spawned and spawns the other
+//! workers after one heartbeat of its own time. A loop that is over
+//! sooner never submits a task, wakes a lane or waits. The claim
+//! sequence is the same either way, since claims depend only on the
+//! shared cursor.
 
 use crate::executor::{Executor, SpawnMode};
 use crate::fault::{ErrorSlot, FaultCounters, Guard, RunOptions, RuntimeError};
@@ -28,7 +36,7 @@ use patty_trace::Tracer;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Guided self-scheduling divisor: each claim takes
 /// `remaining / (workers * GUIDED_K)` indices, so every worker gets
@@ -80,6 +88,18 @@ impl LocalChunkMeters {
 type Lane<S> = (Vec<Range<usize>>, S);
 
 /// A tunable data-parallel loop executor.
+///
+/// A pooled run (`workers ≥ 2`, not `sequential`, more than one index)
+/// starts on the calling thread as worker 0, with nothing spawned. Only
+/// after worker 0 has run for a heartbeat (40 µs) are the other workers
+/// spawned on the shared [`Executor`] to claim what is left, so a short
+/// loop may finish entirely on the calling thread. The indices each
+/// claim takes, the results and the failure behaviour do not depend on
+/// when, or whether, that happens. A body must therefore never wait on
+/// another index of its own run (through a channel, a barrier or a flag
+/// another index sets): that index may be queued behind it on the same
+/// thread. Such waiting was never safe, as a caller that helps a
+/// saturated pool runs tasks one after another too.
 #[derive(Clone, Debug)]
 pub struct ParallelFor {
     /// Worker threads (WorkerCount), ≥ 1.
@@ -368,6 +388,13 @@ impl ParallelFor {
     /// with each index the worker claimed. Returns, per worker, the
     /// ascending index ranges whose invocations completed and the state,
     /// plus the run's first error.
+    ///
+    /// A pooled run starts with the calling thread as worker 0 and
+    /// nothing spawned; the helpers are spawned only once worker 0 has
+    /// run for a [`HEARTBEAT`] (see [`Heartbeat`]). A run that ends
+    /// first runs its helpers' claim loops inline afterwards: they find
+    /// the space drained and report their idle tails, so the trace has
+    /// one `WorkerIdle` per logical worker either way.
     fn drive<S, G>(
         &self,
         n: usize,
@@ -394,7 +421,7 @@ impl ParallelFor {
         let started = Instant::now();
         let errors = ErrorSlot::new();
         let next = AtomicUsize::new(0);
-        let work = |worker: usize, lane: &mut Option<Lane<S>>| {
+        let work = |worker: usize, lane: &mut Option<Lane<S>>, mut beat: Option<Heartbeat<'_>>| {
             // The lane lives on the worker's own stack for the run and is
             // put back at the end, so neighbouring workers never write to
             // one cache line per index.
@@ -422,6 +449,9 @@ impl ParallelFor {
                     for i in range.clone() {
                         item.set(i as u64);
                         opts.check(started)?;
+                        if beat.as_mut().is_some_and(|beat| beat.promoted(started, i)) {
+                            beat = None;
+                        }
                         guard.timed(i as u64, || body(&mut state, i))?;
                     }
                     Ok(())
@@ -445,22 +475,83 @@ impl ParallelFor {
             *lane = Some((done, state));
         };
         if pooled {
-            // The calling thread is worker 0: it would otherwise only wait
-            // (or steal its own task back), and a loop short enough for one
-            // worker is then over before any lane has to wake.
             Executor::global().scope(SpawnMode::Pooled, |scope| {
                 let work = &work;
                 let (first, rest) = lanes.split_first_mut().expect("a pooled run has lanes");
-                for (worker, lane) in rest.iter_mut().enumerate() {
-                    scope.spawn(move || work(worker + 1, lane));
+                let mut helpers = Some(rest);
+                let mut promote = || {
+                    for (worker, lane) in helpers.take().into_iter().flatten().enumerate() {
+                        scope.spawn(move || work(worker + 1, lane, None));
+                    }
+                };
+                work(0, first, Some(Heartbeat::new(&mut promote)));
+                // Never promoted: the helpers find the space drained and
+                // report their idle tails from here.
+                for (worker, lane) in helpers.take().into_iter().flatten().enumerate() {
+                    work(worker + 1, lane, None);
                 }
-                work(0, first);
             });
         } else {
-            work(0, &mut lanes[0]);
+            work(0, &mut lanes[0], None);
         }
         (lanes.into_iter().flatten().collect(), errors.finish(&opts.cancel))
     }
+}
+
+/// Worker-0 time after which a pooled run spawns its helpers. One
+/// promotion (spawning the helpers, waking lanes for them and waiting
+/// for them at the end) costs about 4 µs on a 2-vCPU host, so ten times
+/// that keeps promotion at most a tenth of the work it parallelises,
+/// and a loop that is over sooner never pays it.
+const HEARTBEAT: Duration = Duration::from_micros(40);
+
+/// Worker 0's promotion check. Until the helpers exist worker 0 is the
+/// only claimant, so the index it is about to run is also the number of
+/// indices it has run. The clock is read only at amortised points: right
+/// after the first claim, before the second index, and after that once
+/// as many indices as the rate seen so far says will fill half a
+/// heartbeat. So a 64-index loop reads it once or twice, and at a steady
+/// rate a promotion comes at most one index after the heartbeat.
+struct Heartbeat<'a> {
+    /// Index before which the clock is read next.
+    next_read: usize,
+    promote: &'a mut dyn FnMut(),
+}
+
+impl<'a> Heartbeat<'a> {
+    fn new(promote: &'a mut dyn FnMut()) -> Heartbeat<'a> {
+        Heartbeat { next_read: 0, promote }
+    }
+
+    /// Before index `i` of a run begun at `started`: promote if a
+    /// heartbeat has passed, returning whether it did.
+    #[inline]
+    fn promoted(&mut self, started: Instant, i: usize) -> bool {
+        if i < self.next_read {
+            return false;
+        }
+        let elapsed = heartbeat_clock(started, i);
+        if elapsed >= HEARTBEAT {
+            (self.promote)();
+            return true;
+        }
+        let half = HEARTBEAT.as_nanos() / 2;
+        let ahead = half * i as u128 / elapsed.as_nanos().max(1);
+        self.next_read = i.saturating_add(usize::try_from(ahead).unwrap_or(usize::MAX).max(1));
+        false
+    }
+}
+
+/// Time since `started`, read by worker 0 before index `i`. Unit tests
+/// script it per index on the calling thread.
+#[inline]
+fn heartbeat_clock(started: Instant, i: usize) -> Duration {
+    #[cfg(test)]
+    if let Some(elapsed) = promotion_tests::scripted(i) {
+        return elapsed;
+    }
+    let _ = i;
+    started.elapsed()
 }
 
 #[cfg(test)]
@@ -898,5 +989,252 @@ mod fault_tests {
             )
             .unwrap_err();
         assert!(matches!(err, RuntimeError::StagePanicked { item_seq: Some(3), .. }));
+    }
+}
+
+/// Pooled runs whose promotion a scripted heartbeat clock forces never,
+/// before the first index, mid-run or before the last index. Each must
+/// be indistinguishable from the unpromoted run in everything but the
+/// threads its indices ran on.
+#[cfg(test)]
+mod promotion_tests {
+    use super::*;
+    use crate::fault::{CancelToken, FailurePolicy};
+    use patty_trace::EventKind;
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Mutex;
+    use std::thread::{self, ThreadId};
+
+    type Clock = Box<dyn Fn(usize) -> Duration>;
+
+    thread_local! {
+        static CLOCK: RefCell<Option<Clock>> = const { RefCell::new(None) };
+        /// Indices before which the scripted clock was read.
+        static READS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// The elapsed time the calling thread's script gives before index
+    /// `i`, if it has one.
+    pub(super) fn scripted(i: usize) -> Option<Duration> {
+        CLOCK.with(|clock| {
+            let clock = clock.borrow();
+            let clock = clock.as_ref()?;
+            READS.with(|reads| reads.borrow_mut().push(i));
+            Some(clock(i))
+        })
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Script {
+        /// The clock never moves, so the heartbeat never falls due.
+        Never,
+        /// Due before index `k`. Before that the clock shows the rate
+        /// that schedules the next read exactly at `k`: `i` indices in
+        /// `(HEARTBEAT / 2) · i / (k − i)`.
+        At(usize),
+        /// A steady rate: `i` indices take `i` times this many ns.
+        Steady(u32),
+    }
+
+    impl Script {
+        fn clock(self) -> Clock {
+            match self {
+                Script::Never => Box::new(|_| Duration::ZERO),
+                Script::At(k) => Box::new(move |i| {
+                    if i >= k {
+                        HEARTBEAT
+                    } else {
+                        HEARTBEAT / 2 * i as u32 / (k - i) as u32
+                    }
+                }),
+                Script::Steady(ns) => Box::new(move |i| Duration::from_nanos(ns as u64) * i as u32),
+            }
+        }
+    }
+
+    /// Run `f` with worker 0's clock scripted; returns what `f` returned
+    /// and the indices before which worker 0 read the clock.
+    fn scripted_run<R>(script: Script, f: impl FnOnce() -> R) -> (R, Vec<usize>) {
+        CLOCK.with(|clock| *clock.borrow_mut() = Some(script.clock()));
+        READS.with(|reads| reads.borrow_mut().clear());
+        let out = f();
+        CLOCK.with(|clock| *clock.borrow_mut() = None);
+        (out, READS.with(|reads| reads.take()))
+    }
+
+    const N: usize = 64;
+
+    /// Never, before index 0, mid-run and before the last index.
+    const SCRIPTS: [Script; 4] = [Script::Never, Script::At(0), Script::At(N / 2), Script::At(N - 1)];
+
+    /// `(workers, chunk, min_chunk)`: guided, fine guided, fixed, and
+    /// guided with a drain-decayed `min_chunk`.
+    const CONFIGS: [(usize, usize, usize); 4] = [(2, 16, 1), (3, 4, 1), (4, 8, 8), (4, 64, 4)];
+
+    /// The claim sequence of `pf` over `n` indices drained by one
+    /// thread: the ranges every run must claim, however many threads
+    /// take part.
+    fn claim_sequence(pf: &ParallelFor, n: usize) -> Vec<(u64, u64)> {
+        let next = AtomicUsize::new(0);
+        std::iter::from_fn(|| pf.claim(&next, n))
+            .map(|range| (range.start as u64, range.len() as u64))
+            .collect()
+    }
+
+    /// The claims a traced run made, as `(first index, length)` in index
+    /// order, and its `WorkerIdle` count per logical worker.
+    fn traced_claims(tracer: &Tracer) -> (Vec<(u64, u64)>, Vec<usize>) {
+        let trace = tracer.snapshot();
+        let mut claims: Vec<(u64, u64)> = trace
+            .threads
+            .iter()
+            .flat_map(|t| t.events.iter().filter(|e| e.kind == EventKind::ItemEnd))
+            .map(|e| (e.item, e.count))
+            .collect();
+        claims.sort_unstable();
+        let mut idle: Vec<(u16, usize)> = trace
+            .threads
+            .iter()
+            .map(|t| (t.worker, t.events.iter().filter(|e| e.kind == EventKind::WorkerIdle).count()))
+            .collect();
+        idle.sort_unstable();
+        (claims, idle.into_iter().map(|(_, count)| count).collect())
+    }
+
+    #[test]
+    fn every_promotion_point_keeps_results_claims_and_trace_shape() {
+        let caller = thread::current().id();
+        let f = |i: usize| i * i + 1;
+        let oracle: Vec<usize> = (0..N).map(f).collect();
+        for (workers, chunk, min_chunk) in CONFIGS {
+            for script in SCRIPTS {
+                let tracer = Tracer::enabled();
+                let pf = ParallelFor::new(workers)
+                    .with_chunk(chunk)
+                    .with_min_chunk(min_chunk)
+                    .with_tracer(tracer.clone());
+                let runs: Vec<AtomicU64> = (0..N).map(|_| AtomicU64::new(0)).collect();
+                let ran_on: Vec<Mutex<Option<ThreadId>>> = (0..N).map(|_| Mutex::new(None)).collect();
+                let body = |i: usize| {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    *ran_on[i].lock().unwrap() = Some(thread::current().id());
+                    f(i)
+                };
+                let submitted = Executor::global().stats().short_submitted;
+                let (out, reads) = scripted_run(script, || pf.map_checked(N, body, &RunOptions::default()));
+                let submitted = Executor::global().stats().short_submitted - submitted;
+                let case = format!("{workers} workers, chunk {chunk}..{min_chunk}, {script:?}");
+                assert_eq!(out.unwrap(), oracle, "{case}");
+                assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1), "{case}: an index ran twice or never");
+                let (claims, idle) = traced_claims(&tracer);
+                assert_eq!(claims, claim_sequence(&pf, N), "{case}");
+                assert_eq!(idle, vec![1; workers], "{case}: one WorkerIdle per logical worker");
+                match script {
+                    Script::Never => {
+                        assert_eq!(reads, vec![0, 1], "{case}");
+                        let threads = ran_on.iter().map(|t| t.lock().unwrap().expect("index ran"));
+                        assert!(threads.into_iter().all(|t| t == caller), "{case}: an unpromoted run left the caller");
+                    }
+                    Script::At(k) => {
+                        assert_eq!(reads.last(), Some(&k), "{case}: promoted at the scripted index");
+                        // Other tests share the pool, so only a lower bound holds.
+                        assert!(submitted >= workers as u64 - 1, "{case}: {submitted} helpers spawned");
+                    }
+                    Script::Steady(_) => unreachable!(),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_steady_rate_reads_the_clock_rarely_and_promotes_at_most_one_index_late() {
+        let pf = ParallelFor::new(2);
+        // 50 ns an index: a 64-index loop is 3.2 µs of work, over before
+        // a heartbeat, and reads the clock twice.
+        let (_, reads) = scripted_run(Script::Steady(50), || pf.map(N, |i| i));
+        assert_eq!(reads, vec![0, 1]);
+        // 1 µs an index: reads half a heartbeat apart, and the heartbeat
+        // (index 40) is seen before index 41.
+        let (_, reads) = scripted_run(Script::Steady(1_000), || pf.map(1_000, |i| i));
+        assert_eq!(reads, vec![0, 1, 21, 41]);
+    }
+
+    /// Every outcome of `fault_tests` again, under each script; the
+    /// unpromoted run is the reference the others must equal.
+    #[test]
+    fn fault_outcomes_do_not_depend_on_promotion() {
+        let fallback = || RunOptions::new().on_failure(FailurePolicy::FallbackSequential);
+        let outcomes = |script: Script| {
+            let (panicked, _) = scripted_run(script, || {
+                ParallelFor::new(4).with_chunk(5).map_checked(
+                    N,
+                    |i| if i == 23 { panic!("index blew up") } else { i },
+                    &RunOptions::default(),
+                )
+            });
+            let armed = AtomicBool::new(true);
+            let (recovered, _) = scripted_run(script, || {
+                ParallelFor::new(4).with_chunk(4).map_checked(
+                    N,
+                    |i| {
+                        if i == 37 && armed.swap(false, Ordering::SeqCst) {
+                            panic!("transient");
+                        }
+                        i * i
+                    },
+                    &fallback(),
+                )
+            });
+            let armed = AtomicBool::new(true);
+            let (reduced, _) = scripted_run(script, || {
+                ParallelFor::new(4).with_chunk(16).reduce_checked(
+                    N,
+                    0u64,
+                    |a, i| {
+                        if i == 50 && armed.swap(false, Ordering::SeqCst) {
+                            panic!("transient");
+                        }
+                        a + i as u64
+                    },
+                    |a, b| a + b,
+                    &fallback(),
+                )
+            });
+            let token = CancelToken::new();
+            token.cancel();
+            let (cancelled, _) = scripted_run(script, || {
+                ParallelFor::new(4).map_checked(N, |i| i, &RunOptions::new().with_cancel(token))
+            });
+            let (late, _) = scripted_run(script, || {
+                ParallelFor::new(2).with_chunk(1).map_checked(
+                    10_000,
+                    |i| {
+                        std::thread::sleep(Duration::from_millis(1));
+                        i
+                    },
+                    &RunOptions::new().with_deadline(Duration::from_millis(5)),
+                )
+            });
+            let late = late.map_err(|e| matches!(e, RuntimeError::DeadlineExceeded { .. }));
+            (panicked, recovered, reduced, cancelled, late.map(|v| v.len()))
+        };
+        let reference = outcomes(Script::Never);
+        let (panicked, recovered, reduced, cancelled, late) = &reference;
+        assert_eq!(
+            panicked.as_ref().unwrap_err(),
+            &RuntimeError::StagePanicked {
+                stage: "parfor".into(),
+                item_seq: Some(23),
+                payload: "index blew up".into(),
+            }
+        );
+        assert_eq!(recovered.as_ref().unwrap(), &(0..N).map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(reduced.as_ref().unwrap(), &(0..N as u64).sum::<u64>());
+        assert_eq!(cancelled, &Err(RuntimeError::Cancelled));
+        assert_eq!(late, &Err(true), "the deadline aborts the slow loop");
+        for script in &SCRIPTS[1..] {
+            assert_eq!(outcomes(*script), reference, "{script:?}");
+        }
     }
 }

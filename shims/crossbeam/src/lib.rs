@@ -5,10 +5,12 @@
 //! backpressure is what makes the pipeline's bounded inter-stage
 //! buffers meaningful), and disconnection is reported the crossbeam
 //! way: `send` fails once all receivers are gone, `recv` fails once the
-//! buffer is drained and all senders are gone. The deque module
-//! implements the Chase-Lev owner/stealer split plus a shared injector
-//! queue, mirroring `crossbeam_deque`'s `Worker`/`Stealer`/`Injector`
-//! API subset used by the runtime executor.
+//! buffer is drained and all senders are gone. A hand-off notifies a
+//! condvar only when a receiver or sender is blocked on it. The deque
+//! module implements the Chase-Lev owner/stealer split plus a shared
+//! injector queue, mirroring `crossbeam_deque`'s
+//! `Worker`/`Stealer`/`Injector` API subset used by the runtime
+//! executor.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -20,6 +22,23 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked on `not_empty` and senders blocked on
+        /// `not_full`: a hand-off notifies only when someone waits, so
+        /// an uncontended send or receive makes no condvar call.
+        recv_waiting: usize,
+        send_waiting: usize,
+    }
+
+    impl<T> State<T> {
+        /// Pop the oldest element, waking one blocked sender if any.
+        fn pop(&mut self, chan: &Chan<T>) -> Option<T> {
+            let value = self.queue.pop_front()?;
+            chan.depth.store(self.queue.len(), Ordering::Relaxed);
+            if self.send_waiting > 0 {
+                chan.not_full.notify_one();
+            }
+            Some(value)
+        }
     }
 
     struct Chan<T> {
@@ -79,7 +98,13 @@ pub mod channel {
     /// semantics.
     pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
         let chan = Arc::new(Chan {
-            state: Mutex::new(State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                senders: 1,
+                receivers: 1,
+                recv_waiting: 0,
+                send_waiting: 0,
+            }),
             capacity: capacity.max(1),
             depth: AtomicUsize::new(0),
             not_empty: Condvar::new(),
@@ -105,14 +130,18 @@ pub mod channel {
                 if st.queue.len() < self.chan.capacity {
                     st.queue.push_back(value);
                     self.chan.depth.store(st.queue.len(), Ordering::Relaxed);
-                    self.chan.not_empty.notify_one();
+                    if st.recv_waiting > 0 {
+                        self.chan.not_empty.notify_one();
+                    }
                     return Ok(());
                 }
+                st.send_waiting += 1;
                 st = self
                     .chan
                     .not_full
                     .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
+                st.send_waiting -= 1;
             }
         }
     }
@@ -123,19 +152,19 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.chan.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.chan.depth.store(st.queue.len(), Ordering::Relaxed);
-                    self.chan.not_full.notify_one();
+                if let Some(v) = st.pop(&self.chan) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
                     return Err(RecvError);
                 }
+                st.recv_waiting += 1;
                 st = self
                     .chan
                     .not_empty
                     .wait(st)
                     .unwrap_or_else(PoisonError::into_inner);
+                st.recv_waiting -= 1;
             }
         }
 
@@ -146,9 +175,7 @@ pub mod channel {
             let deadline = std::time::Instant::now() + timeout;
             let mut st = self.chan.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.chan.depth.store(st.queue.len(), Ordering::Relaxed);
-                    self.chan.not_full.notify_one();
+                if let Some(v) = st.pop(&self.chan) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -159,24 +186,22 @@ pub mod channel {
                 else {
                     return Err(RecvTimeoutError::Timeout);
                 };
+                st.recv_waiting += 1;
                 let (guard, _timed_out) = self
                     .chan
                     .not_empty
                     .wait_timeout(st, remaining)
                     .unwrap_or_else(PoisonError::into_inner);
                 st = guard;
+                st.recv_waiting -= 1;
             }
         }
 
         /// Non-blocking receive.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.chan.state.lock().unwrap_or_else(PoisonError::into_inner);
-            match st.queue.pop_front() {
-                Some(v) => {
-                    self.chan.depth.store(st.queue.len(), Ordering::Relaxed);
-                    self.chan.not_full.notify_one();
-                    Ok(v)
-                }
+            match st.pop(&self.chan) {
+                Some(v) => Ok(v),
                 None if st.senders == 0 => Err(TryRecvError::Disconnected),
                 None => Err(TryRecvError::Empty),
             }
@@ -326,6 +351,68 @@ pub mod channel {
                 .collect();
             all.sort_unstable();
             assert_eq!(all, (0..1000).collect::<Vec<_>>());
+        }
+
+        /// Spin (yielding, no timer) until `blocked` holds of the state,
+        /// i.e. until the other thread is parked on a condvar.
+        fn until<T>(chan: &Chan<T>, blocked: impl Fn(&State<T>) -> bool) {
+            while !blocked(&chan.state.lock().unwrap()) {
+                std::thread::yield_now();
+            }
+        }
+
+        #[test]
+        fn a_blocked_recv_wakes_on_send() {
+            let (tx, rx) = bounded::<i32>(1);
+            let chan = rx.chan.clone();
+            let t = std::thread::spawn(move || rx.recv());
+            until(&chan, |st| st.recv_waiting == 1);
+            tx.send(7).unwrap();
+            assert_eq!(t.join().unwrap(), Ok(7));
+        }
+
+        #[test]
+        fn a_blocked_send_on_a_full_buffer_wakes_on_recv() {
+            let (tx, rx) = bounded::<i32>(1);
+            tx.send(1).unwrap();
+            let chan = tx.chan.clone();
+            let t = std::thread::spawn(move || tx.send(2).map_err(|_| ()));
+            until(&chan, |st| st.send_waiting == 1);
+            assert_eq!(rx.recv(), Ok(1));
+            t.join().unwrap().unwrap();
+            assert_eq!(rx.recv(), Ok(2));
+        }
+
+        #[test]
+        fn many_senders_and_receivers_at_capacity_one_deliver_each_value_once() {
+            const SENDERS: usize = 4;
+            const RECEIVERS: usize = 3;
+            const PER_SENDER: usize = 500;
+            let (tx, rx) = bounded::<usize>(1);
+            let receivers: Vec<_> = (0..RECEIVERS)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || std::iter::from_fn(|| rx.recv().ok()).collect::<Vec<_>>())
+                })
+                .collect();
+            drop(rx);
+            let senders: Vec<_> = (0..SENDERS)
+                .map(|s| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_SENDER {
+                            tx.send(s * PER_SENDER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            for t in senders {
+                t.join().unwrap();
+            }
+            let mut all: Vec<usize> = receivers.into_iter().flat_map(|t| t.join().unwrap()).collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..SENDERS * PER_SENDER).collect::<Vec<_>>());
         }
     }
 }

@@ -19,6 +19,15 @@ fn stage_fn(kind: u8) -> impl Fn(i64) -> i64 + Send + Sync + Clone + 'static {
     }
 }
 
+/// Fixed per-index work the optimiser cannot fold away: a few µs.
+fn busy_work(i: usize) -> i64 {
+    let mut x = i as i64;
+    for _ in 0..4_000 {
+        x = std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407));
+    }
+    x
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
@@ -83,6 +92,24 @@ proptest! {
         let sum = pf.reduce(n, 0i64, |a, i| a.wrapping_add(i as i64 * 3), |a, b| a.wrapping_add(b));
         let expected: i64 = (0..n).fold(0i64, |a, i| a.wrapping_add(i as i64 * 3));
         prop_assert_eq!(sum, expected);
+    }
+
+    // The two properties above have bodies so short that a pooled run
+    // usually ends on the calling thread before its helpers are spawned.
+    // Here every index does a few µs of fixed work, even optimised, so
+    // runs outlast the promotion heartbeat and go to several lanes.
+    #[test]
+    fn promoted_parfor_equals_serial_map_and_fold(
+        n in 16usize..96,
+        workers in 2usize..6,
+        chunk in 1usize..24,
+        min_chunk in 1usize..8,
+    ) {
+        let pf = ParallelFor::new(workers).with_chunk(chunk).with_min_chunk(min_chunk);
+        let expected: Vec<i64> = (0..n).map(busy_work).collect();
+        prop_assert_eq!(pf.map(n, busy_work), expected.clone());
+        let sum = pf.reduce(n, 0i64, |a, i| a.wrapping_add(busy_work(i)), |a, b| a.wrapping_add(b));
+        prop_assert_eq!(sum, expected.iter().fold(0i64, |a, &x| a.wrapping_add(x)));
     }
 
     // The batching tentpole's core contract: for every combination of
