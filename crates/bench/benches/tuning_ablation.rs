@@ -4,12 +4,16 @@
 //! * `stage_replication` — replicating the dominant stage raises
 //!   throughput roughly linearly until cores run out,
 //! * `stage_fusion` — cheap stages are better fused than paying the
-//!   buffer/thread overhead,
+//!   buffer/thread overhead; stages this cheap never promote, so both
+//!   sides run in place and fusion saves only per-batch guard and trace
+//!   work,
 //! * `order_preservation` — restoring stream order after a replicated
 //!   stage costs a little; dropping it buys throughput when order is
 //!   semantically irrelevant,
 //! * `sequential_crossover` — for short streams the sequential fallback
-//!   wins; the crossover moves with stream length.
+//!   wins; the crossover moves with stream length. A default run now
+//!   finds it itself: these stages are below the promotion floor, so
+//!   both sides run in place.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use patty_bench::busy_work;

@@ -35,6 +35,7 @@
 pub mod config;
 pub mod executor;
 pub mod fault;
+mod heartbeat;
 pub mod masterworker;
 pub mod parfor;
 pub mod pipeline;

@@ -189,8 +189,8 @@ impl MasterWorker {
                             break;
                         }
                         let item = slots[idx].lock().take().expect("each slot claimed once");
-                        let ran = opts
-                            .check(started)
+                        let ran = errors
+                            .check(opts, started)
                             .and_then(|()| guard.invoke_traced(idx as u64, || task(item)));
                         match ran {
                             Ok(out) => {

@@ -112,6 +112,47 @@ proptest! {
         prop_assert_eq!(sum, expected.iter().fold(0i64, |a, &x| a.wrapping_add(x)));
     }
 
+    // The pipeline properties around this one have near-free stages, so
+    // an optimised run never binds them to threads. Here every stage
+    // call does two `busy_work`s (over 10 µs), so every batch is above
+    // the promotion floor and a run of this length outlasts the
+    // heartbeat: it starts in place and ends on bound stage threads.
+    #[test]
+    fn promoted_pipeline_equals_sequential_composition(
+        len in 24usize..48,
+        kinds in proptest::collection::vec(0u8..4, 1..4),
+        replication in 1usize..4,
+        preserve in any::<bool>(),
+        fusion_bits in proptest::collection::vec(any::<bool>(), 0..3),
+        batch in 1usize..6,
+    ) {
+        let input: Vec<i64> = (0..len as i64).map(|x| x * 37 - 500).collect();
+        let heavy = |k: u8| {
+            move |x: i64| stage_fn(k)(x).wrapping_add((busy_work(x as usize) ^ busy_work(!x as usize)) & 0xff)
+        };
+        let stages: Vec<Stage<i64>> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| {
+                let s = Stage::new(format!("s{i}"), heavy(k));
+                if i == 0 { s.replicated(replication).ordered(preserve) } else { s }
+            })
+            .collect();
+        let mut fusion = fusion_bits.clone();
+        fusion.truncate(kinds.len().saturating_sub(1));
+        let pipeline = Pipeline::new(stages).with_fusion(fusion).with_batch(batch);
+        let mut out = pipeline.run(input.clone());
+        let mut expected: Vec<i64> = input
+            .iter()
+            .map(|&x| kinds.iter().fold(x, |v, &k| heavy(k)(v)))
+            .collect();
+        if replication > 1 && !preserve {
+            out.sort();
+            expected.sort();
+        }
+        prop_assert_eq!(out, expected);
+    }
+
     // The batching tentpole's core contract: for every combination of
     // stage count, replication, order preservation and batch size —
     // including batch 1 (the per-item schedule) and batches longer than
