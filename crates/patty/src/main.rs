@@ -12,6 +12,8 @@
 //! patty profile  <file.mini>    # run with telemetry: JSON report of
 //!                               # per-stage item counts, per-phase span
 //!                               # timings and tuner iteration logs
+//!                               # (plans run under a guard deadline, so
+//!                               # pipeline stages are always threaded)
 //! patty faultcheck <file.mini> [--replay HASH]
 //!                               # run the generated plan under a matrix
 //!                               # of injected faults; every scenario must
@@ -31,7 +33,9 @@
 //!                               # run with structured tracing: Chrome
 //!                               # trace_event JSON (load in Perfetto),
 //!                               # plain-text flame summary, or the
-//!                               # stable per-stage summary JSON
+//!                               # stable per-stage summary JSON; as in
+//!                               # `profile`, pipeline stage lanes are
+//!                               # always threaded
 //! patty stats <file.mini> [--format prom|json] [--watch]
 //!             [--deterministic] [--interval MS] [--iterations N]
 //!                               # unified observability snapshot:

@@ -245,6 +245,8 @@ impl Patty {
     /// execute every generated plan on the runtime library over its
     /// observed stream, and return the aggregated report: per-stage item
     /// counts, per-phase span timings and the auto-tuner's iteration log.
+    /// Pipeline plans run with their stages bound to threads from the
+    /// first batch (see `execute_plan`).
     pub fn profile(&self, source: &str) -> Result<patty_telemetry::TelemetryReport, PattyError> {
         let telemetry = Telemetry::enabled();
         // Pre-register the fault.* counter family: the report's schema
@@ -275,7 +277,9 @@ impl Patty {
     /// **`patty trace`** — run the full process, execute every generated
     /// plan on the runtime library with structured tracing attached, and
     /// return the raw [`Trace`] (for the Chrome exporter) plus its
-    /// aggregated [`TraceReport`] (for the summary/flame views).
+    /// aggregated [`TraceReport`] (for the summary/flame views). Pipeline
+    /// plans run with their stages bound to threads from the first batch
+    /// (see `execute_plan`).
     pub fn trace(&self, source: &str) -> Result<(Trace, TraceReport), PattyError> {
         let tracer = Tracer::enabled();
         let run = self.run(source)?;
@@ -341,6 +345,12 @@ pub(crate) const PROFILE_STREAM_CAP: u64 = 256;
 /// with a guard deadline, so a faulty plan degrades or reports a
 /// [`PattyError::Runtime`] instead of unwinding through the CLI — and so
 /// the profile report always carries the `fault.*` counter family.
+///
+/// The deadline forces a pipeline plan's stages onto threads from its
+/// first batch, as only the threaded collector sees a deadline pass while
+/// a stage body runs. So the stage lanes that `patty profile`, `trace`
+/// and `stats` show are always the threaded binding, even for a plan of
+/// cheap stages that a run without a deadline keeps in place.
 pub(crate) fn execute_plan(
     artifacts: &InstanceArtifacts,
     telemetry: &patty_telemetry::Telemetry,
